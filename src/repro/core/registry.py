@@ -287,7 +287,10 @@ register_kernel(
         # Streams via the bit-identical gmm twin once spilled.
         supports_sharded=True,
         cost_features=("const", "edges", "vertices", "edges_x_cv"),
-        regime="general-purpose; cheapest when few passes survive",
+        regime=(
+            "general-purpose; long dominance chains finish with one "
+            "sorted greedy scan"
+        ),
         description="the paper's improved worklist matching (§IV-B new)",
     ),
 )

@@ -11,7 +11,10 @@ from repro.core import (
     match_locally_dominant,
     matching_weight,
 )
+from repro.errors import ConvergenceError
+from repro.generators import planted_partition_graph
 from repro.graph import from_edges
+from repro.obs import Tracer
 from repro.platform import TraceRecorder
 from repro.types import NO_VERTEX
 
@@ -171,6 +174,43 @@ class TestTies:
         a = match_locally_dominant(karate, scores)
         b = match_locally_dominant(karate, scores)
         np.testing.assert_array_equal(a.partner, b.partner)
+
+
+class TestScanFinish:
+    """The worklist finishes long-chain levels with one sorted scan."""
+
+    @pytest.fixture(scope="class")
+    def planted(self):
+        g = planted_partition_graph(2000, seed=0)
+        return g, ModularityScorer().score(g)
+
+    def test_pass_budget_counts_scan_rounds(self, planted):
+        g, scores = planted
+        tr = Tracer()
+        full = match_locally_dominant(g, scores, tracer=tr)
+        executed = len(tr.find("match_pass"))
+        # Budgets the executed passes fit but the scan rounds overrun.
+        for budget in (executed, (executed + full.passes) // 2, full.passes - 1):
+            with pytest.raises(ConvergenceError, match="pass budget"):
+                match_locally_dominant(g, scores, max_passes=budget)
+        res = match_locally_dominant(g, scores, max_passes=full.passes)
+        np.testing.assert_array_equal(res.matched_edges, full.matched_edges)
+
+    def test_recorder_and_sweep_run_every_pass(self, planted):
+        g, scores = planted
+        plain = match_locally_dominant(g, scores)
+        rec = TraceRecorder()
+        tr = Tracer()
+        recorded = match_locally_dominant(g, scores, rec, tracer=tr)
+        assert not tr.find("match_scan")
+        assert len(rec.by_name("match_pass")) == recorded.passes
+        tr = Tracer()
+        swept = match_full_sweep(g, scores, tracer=tr)
+        assert not tr.find("match_scan")
+        for other in (recorded, swept):
+            np.testing.assert_array_equal(other.partner, plain.partner)
+        assert recorded.passes == plain.passes
+        assert recorded.failed_claims == plain.failed_claims
 
 
 class TestStarGraph:

@@ -47,13 +47,24 @@ class TestAgglomerationSpans:
             assert span.attrs["n_edges"] == stats.n_edges
             assert span.attrs["n_pairs"] == stats.n_pairs
 
-    def test_match_pass_spans_and_worklist_gauge(self, graph):
+    def test_match_pass_spans_and_worklist_gauge(self):
+        # Level 0 of this graph crosses the scan budget, so the passes are
+        # split between match_pass spans and one match_scan span.
         tr = Tracer()
-        result = detect_communities(graph, tracer=tr)
+        result = detect_communities(
+            planted_partition_graph(2000, seed=0), tracer=tr
+        )
         passes = tr.find("match_pass")
-        assert len(passes) == sum(s.matching_passes for s in result.levels)
+        scans = tr.find("match_scan")
+        assert scans
+        rounds = sum(s.attrs["rounds"] for s in scans)
+        assert len(passes) + rounds == sum(
+            s.matching_passes for s in result.levels
+        )
+        by_id = {s.span_id: s for s in tr.spans}
+        assert all(by_id[s.parent_id].name == "match" for s in scans)
         g = tr.metrics.gauges["match.worklist_edges"]
-        assert g.n_sets == len(passes)
+        assert g.n_sets == len(passes) + len(scans)
         assert g.max >= g.min >= 0
 
     def test_contraction_stage_spans_and_histogram(self, graph):
