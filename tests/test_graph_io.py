@@ -1,5 +1,8 @@
 """Unit tests for graph file I/O."""
 
+import logging
+import os
+
 import numpy as np
 import pytest
 
@@ -124,6 +127,100 @@ class TestEdgeListNonStrict:
         path.write_text("junk\n")
         with pytest.raises(GraphFormatError):
             read_edgelist(path)
+
+    def test_skipped_line_does_not_decide_weighting(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("oops\n0 1 5\n1 2 7\n")
+        with pytest.warns(GraphFormatWarning, match="1 malformed"):
+            g = read_edgelist(path, strict=False)
+        np.testing.assert_array_equal(g.edges.w, [5.0, 7.0])
+
+
+class TestWriterPrecision:
+    WEIGHTS = [1.2345678, 1234567.0, 3.0, 0.1, 1e-300]
+
+    def _graph(self):
+        n = len(self.WEIGHTS)
+        return from_edges(
+            np.arange(n), np.arange(1, n + 1), np.array(self.WEIGHTS)
+        )
+
+    def test_edgelist_weights_exact(self, tmp_path):
+        path = tmp_path / "g.txt"
+        write_edgelist(self._graph(), path)
+        assert "\t3\n" in path.read_text()  # integers keep their short form
+        back = read_edgelist(path)
+        assert back.edges.w.tobytes() == self._graph().edges.w.tobytes()
+
+    def test_metis_weights_exact(self, tmp_path):
+        path = tmp_path / "g.metis"
+        write_metis(self._graph(), path)
+        back = read_metis(path)
+        assert back.edges.w.tobytes() == self._graph().edges.w.tobytes()
+
+
+class TestBulkParseLogging:
+    """A declined bulk parse logs one INFO record naming why; a taken one
+    logs nothing."""
+
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            (b"0 1\n1 2 \xc3\xa9\n", "non-ASCII byte"),
+            (b"0 1\n# trailer\n", "comment after data"),
+            (b"0 1\n1_000 2\n", "unsupported byte '_'"),
+            (b"0 1\r1 2\n", "lone CR"),
+            (b"# caf\xe9\n0 1\n", "invalid UTF-8"),
+            (b"0 1 2\n1 2\n", "ragged columns"),
+            (b"0 1 2 3\n", "4 columns"),
+            (b"3.0 1\n", "non-integer vertex id"),
+            (b"0000000000000002 1\n", "vertex id longer than 15 characters"),
+            (b"0 1 1e\n", "unparsable token"),
+            (b"0 -1\n", "negative vertex id"),
+            (b"0 1 1e999\n", "non-finite weight"),
+        ],
+    )
+    def test_decline_logs_reason(self, tmp_path, caplog, data, reason):
+        path = tmp_path / "g.txt"
+        path.write_bytes(data)
+        caplog.set_level(logging.INFO, logger="repro.graph.io")
+        try:
+            read_edgelist(path, strict=False)
+        except (GraphFormatError, UnicodeDecodeError):
+            pass
+        records = [r for r in caplog.records if r.name == "repro.graph.io"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.INFO
+        assert f"({reason})" in records[0].getMessage()
+
+    def test_no_weight_column_logs_reason(self, tmp_path, caplog):
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n")
+        caplog.set_level(logging.INFO, logger="repro.graph.io")
+        with pytest.raises(GraphFormatError, match="malformed"):
+            read_edgelist(path, weighted=True)
+        assert "(no weight column)" in caplog.text
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_is_read_line_by_line(self, caplog):
+        r, w = os.pipe()
+        with os.fdopen(w, "wb") as fh:
+            fh.write(b"0 1\n1 2\n")
+        caplog.set_level(logging.INFO, logger="repro.graph.io")
+        try:
+            g = read_edgelist(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+        assert g.n_edges == 2
+        assert "(unseekable input)" in caplog.text
+
+    def test_bulk_parse_logs_nothing(self, tmp_path, caplog):
+        path = tmp_path / "g.txt"
+        path.write_text("# header\n0 1 2\n1 2 -0\n")
+        caplog.set_level(logging.DEBUG, logger="repro.graph.io")
+        g = read_edgelist(path)
+        assert g.n_edges == 2
+        assert not caplog.records
 
 
 class TestMetis:
