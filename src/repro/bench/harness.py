@@ -17,7 +17,6 @@ import numpy as np
 from repro.core.agglomeration import AgglomerationResult, detect_communities
 from repro.core.scoring import EdgeScorer
 from repro.core.termination import TerminationCriteria
-from repro.core.tuner import SelectorPolicy
 from repro.graph.graph import CommunityGraph
 from repro.obs.memprof import NullMemoryProfiler, PhaseMemoryProfiler
 from repro.obs.sinks import phase_totals
@@ -102,7 +101,6 @@ def run_with_trace(
     termination: TerminationCriteria | None = None,
     matcher: str = "worklist",
     contractor: str = "bucket",
-    selector: "SelectorPolicy | None" = None,
     tracer: Tracer | NullTracer | None = None,
     timeline: QualityTimeline | NullTimeline | None = None,
     checkpoint_dir: str | None = None,
@@ -141,7 +139,6 @@ def run_with_trace(
             termination=termination,
             matcher=matcher,
             contractor=contractor,
-            selector=selector,
             recorder=recorder,
             tracer=tr,
             timeline=timeline,

@@ -94,11 +94,7 @@ class Repetition:
     (sample count, in-flight peak RSS, max ramp rate) when the
     repetition ran under the live sampler (``None`` otherwise) — unlike
     ``peak_rss_bytes`` (the kernel's whole-process high-water mark) it
-    reflects only this repetition's window; ``tuner`` is the
-    :meth:`~repro.core.tuner.KernelTuner.as_dict` decision ledger when
-    the repetition auto-selected kernels per level (``None`` for
-    fixed-kernel runs), so a ledger always explains *which* kernels
-    produced its numbers.
+    reflects only this repetition's window.
     """
 
     total_s: float
@@ -111,7 +107,6 @@ class Repetition:
     recovery: dict | None = None
     attribution: dict | None = None
     telemetry: dict | None = None
-    tuner: dict | None = None
 
     def final_quality(self) -> dict | None:
         """The last level's quality sample, if a timeline was recorded."""
@@ -180,7 +175,6 @@ class RunRecord:
                     "recovery": r.recovery,
                     "attribution": r.attribution,
                     "telemetry": r.telemetry,
-                    "tuner": r.tuner,
                 }
                 for r in self.repetitions
             ],
@@ -208,7 +202,6 @@ class RunRecord:
                     recovery=r.get("recovery"),
                     attribution=r.get("attribution"),
                     telemetry=r.get("telemetry"),
-                    tuner=r.get("tuner"),
                 )
                 for r in data.get("repetitions", [])
             ]
@@ -272,7 +265,6 @@ def repetition_from_run(
         ),
         attribution=attribution,
         telemetry=telemetry or None,
-        tuner=getattr(run.result, "tuner", None),
     )
 
 
@@ -344,7 +336,7 @@ def read_ledger(path: str | os.PathLike) -> RunRecord:
 #: The ``config`` keys that determine *which code ran* — two ledgers
 #: disagreeing on any of these are measuring different things, and a
 #: timing diff between them is meaningless.
-CONFIG_DRIFT_KEYS = ("scorer", "matcher", "contractor", "tuner")
+CONFIG_DRIFT_KEYS = ("scorer", "matcher", "contractor")
 
 
 def config_drift(
@@ -353,15 +345,13 @@ def config_drift(
     *,
     keys: tuple[str, ...] = CONFIG_DRIFT_KEYS,
 ) -> list[str]:
-    """Kernel/tuner config mismatches between two ledgers.
+    """Kernel config mismatches between two ledgers.
 
     Returns one human-readable line per differing key (empty list when
-    the configs agree).  A key absent on both sides never drifts, so
-    pre-tuner ledgers (no ``tuner`` key) compare cleanly against each
-    other.  ``repro compare`` refuses to diff drifting ledgers — with
-    per-level auto-selection in the mix, silently comparing a
-    ``worklist`` run against an ``auto`` run would let a kernel change
-    masquerade as a perf regression (or hide one).
+    the configs agree).  A key absent on both sides never drifts.
+    ``repro compare`` refuses to diff drifting ledgers — silently
+    comparing a ``worklist`` run against a ``sweep`` run would let a
+    kernel change masquerade as a perf regression (or hide one).
     """
     drift = []
     for key in keys:
@@ -601,29 +591,6 @@ def render_ledger(record: RunRecord) -> str:
                 ],
                 q_rows,
                 title="quality timeline (repetition 0)",
-            )
-        )
-    if rep is not None and rep.tuner:
-        t = rep.tuner
-        parts = []
-        for kind, counts in sorted((t.get("selected") or {}).items()):
-            picks = ", ".join(
-                f"{name}×{n}" for name, n in sorted(counts.items())
-            )
-            parts.append(f"{kind}: {picks}")
-        constrained = sum(
-            1
-            for d in t.get("decisions") or []
-            if d.get("constrained_sharded")
-        )
-        blocks.append(
-            f"tuner (repetition 0): policy {t.get('policy', '?')}, "
-            f"{t.get('n_decisions', 0)} decision(s)"
-            + (f" [{'; '.join(parts)}]" if parts else "")
-            + (
-                f", {constrained} constrained to sharded-capable kernels"
-                if constrained
-                else ""
             )
         )
     if rep is not None and rep.peak_rss_bytes:

@@ -1,4 +1,4 @@
-"""The kernel shootout: sweep matcher × contractor, fit the cost table.
+"""The kernel shootout: sweep matcher × contractor over a shape suite.
 
 ``python -m repro.bench.shootout`` runs every registered matcher ×
 contractor pair over three shape-diverse generator workloads —
@@ -9,22 +9,12 @@ contractor pair over three shape-diverse generator workloads —
 * **ba** — Barabási–Albert preferential attachment (hub-dominated,
   no community structure; the matcher stressor)
 
-— and emits two artifacts:
-
-1. ``BENCH_kernels.json``: a standard benchmark ledger
-   (:mod:`repro.bench.ledger` schema) with **one repetition per
-   matcher×contractor cell**; the repetition's ``total_s``/``phases``
-   sum that cell's wall-clock across the suite, so ``repro trend``
-   tracks the best pair's suite time exactly like it tracks the smoke
-   bench, and ``config.cells`` maps repetitions back to kernel pairs.
-2. a **fitted cost table** (``config.cost_table``, and ``--fit-out``):
-   every traced level contributes one ``(shape, seconds)`` sample per
-   phase — the engine stamps density/degree-CV on its level spans —
-   and :func:`repro.core.tuner.fit_cost_table` regresses each kernel's
-   per-level seconds on its declared features.  This is the
-   calibration behind :data:`repro.core.tuner.DEFAULT_COST_TABLE` and
-   the file ``repro detect --tuner-table`` accepts (see
-   docs/TUNING.md for the recalibration recipe).
+— and emits ``BENCH_kernels.json``: a standard benchmark ledger
+(:mod:`repro.bench.ledger` schema) with **one repetition per
+matcher×contractor cell**.  The repetition's ``total_s``/``phases`` sum
+that cell's wall-clock across the suite, so ``repro trend`` tracks the
+best pair's suite time exactly like it tracks the smoke bench, and
+``config.cells`` maps repetitions back to kernel pairs.
 
 Every pair produces bit-identical partitions (the registry's parity
 contract, asserted here per graph), so the shootout measures pure
@@ -34,7 +24,6 @@ execution-profile differences.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from typing import Sequence
@@ -53,7 +42,6 @@ from repro.bench.ledger import (
 from repro.bench.smoke import append_dated_ledger
 from repro.core.registry import kernel_names
 from repro.core.termination import TerminationCriteria
-from repro.core.tuner import LevelShape, fit_cost_table
 from repro.generators import (
     barabasi_albert_graph,
     planted_partition_graph,
@@ -61,19 +49,15 @@ from repro.generators import (
 )
 from repro.obs import QualityTimeline, Tracer
 from repro.obs.sinks import phase_totals
-from repro.util.atomicio import atomic_write
 
 __all__ = ["suite_graphs", "run_shootout", "main"]
-
-#: Phase-span name → the registry kind whose kernel ran inside it.
-_PHASE_KIND = {"match": "matcher", "contract": "contractor"}
 
 
 def suite_graphs(*, scale: float = 1.0, seed: int = 1) -> list[tuple[str, object]]:
     """The three shape-diverse suite workloads, smallest-first.
 
     ``scale`` multiplies every size (0.5 halves the suite for quick CI
-    runs; 2.0 doubles it for a sturdier fit).
+    runs; 2.0 doubles it for steadier timings).
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
@@ -87,39 +71,6 @@ def suite_graphs(*, scale: float = 1.0, seed: int = 1) -> list[tuple[str, object
     ]
 
 
-def _level_samples(
-    tracer: Tracer, matcher: str, contractor: str
-) -> dict[tuple[str, str], list[tuple[LevelShape, float]]]:
-    """Per-level (shape, seconds) fit samples from one cell's trace.
-
-    The ``level`` spans carry the shape (the engine stamps density and
-    degree CV when traced); their ``match``/``contract`` children carry
-    the phase seconds attributed to this cell's kernels.
-    """
-    shapes: dict[int, LevelShape] = {}
-    for span in tracer.find("level"):
-        a = span.attrs
-        if span.level is None or "density" not in a or "degree_cv" not in a:
-            continue
-        shapes[span.level] = LevelShape(
-            n_vertices=int(a["n_vertices"]),
-            n_edges=int(a["n_edges"]),
-            density=float(a["density"]),
-            degree_cv=float(a["degree_cv"]),
-        )
-    kernel_of = {"matcher": matcher, "contractor": contractor}
-    samples: dict[tuple[str, str], list[tuple[LevelShape, float]]] = {}
-    for phase, kind in _PHASE_KIND.items():
-        for span in tracer.find(phase):
-            shape = shapes.get(span.level if span.level is not None else -1)
-            if shape is None:
-                continue
-            samples.setdefault((kind, kernel_of[kind]), []).append(
-                (shape, span.duration_s)
-            )
-    return samples
-
-
 def run_shootout(
     *,
     name: str = "kernels",
@@ -128,28 +79,25 @@ def run_shootout(
     directory: str = ".",
     matchers: Sequence[str] | None = None,
     contractors: Sequence[str] | None = None,
-    fit_out: str | None = None,
     append_ledger_dir: str | None = None,
     keep_ledgers: int = 30,
 ):
-    """Run the shootout; returns ``(record, ledger_path, cost_table)``.
+    """Run the shootout; returns ``(record, ledger_path)``.
 
     One repetition per matcher×contractor cell (suite-summed wall
-    seconds and phases), parity-asserted per graph, plus the cost table
-    fitted from every cell's per-level samples.  ``fit_out`` also
-    writes the bare cost-table JSON; ``append_ledger_dir`` feeds the
-    dated ``repro trend`` series like the smoke bench does.
+    seconds and phases), parity-asserted per graph.
+    ``append_ledger_dir`` feeds the dated ``repro trend`` series like
+    the smoke bench does.
     """
     matchers = list(matchers or kernel_names("matcher"))
     contractors = list(contractors or kernel_names("contractor"))
     graphs = suite_graphs(scale=scale, seed=seed)
-    # Run every level down to the floor so each cell contributes as many
-    # per-level fit samples as the suite can produce.
+    # Run every level down to the floor so each cell times the whole
+    # hierarchy.
     termination = TerminationCriteria(min_communities=1, coverage=None)
 
     cells = [(m, c) for m in matchers for c in contractors]
     reference: dict[str, np.ndarray] = {}
-    samples: dict[tuple[str, str], list[tuple[LevelShape, float]]] = {}
     repetitions: list[Repetition] = []
     cell_meta: list[dict] = []
     for matcher, contractor in cells:
@@ -172,9 +120,8 @@ def run_shootout(
             )
             cell_total += time.perf_counter() - t0
             # Parity gate: every pair must land on the identical
-            # partition — a cell that diverges would corrupt both the
-            # ledger comparison and the tuner's "selection is free"
-            # premise, so fail loudly here.
+            # partition — a cell that diverges would make its timing
+            # compare different answers, so fail loudly here.
             labels = run.result.partition.labels
             if graph_name not in reference:
                 reference[graph_name] = labels
@@ -186,10 +133,6 @@ def run_shootout(
             for key, s in (phase_totals(list(tracer.spans)) or {}).items():
                 cell_phases[key] = cell_phases.get(key, 0.0) + s
             cell_levels += run.result.n_levels
-            for key, pairs in _level_samples(
-                tracer, matcher, contractor
-            ).items():
-                samples.setdefault(key, []).extend(pairs)
         repetitions.append(
             Repetition(
                 total_s=cell_total,
@@ -206,13 +149,6 @@ def run_shootout(
         )
         cell_meta.append({"matcher": matcher, "contractor": contractor})
 
-    cost_table = fit_cost_table(
-        samples,
-        source=(
-            f"bench/shootout.py scale={scale:g} seed={seed} "
-            f"({'+'.join(g for g, _ in graphs)})"
-        ),
-    )
     record = RunRecord(
         name=name,
         graph={
@@ -238,22 +174,17 @@ def run_shootout(
             "seed": seed,
             "scale": scale,
             "cells": cell_meta,
-            "cost_table": cost_table,
         },
         host=host_info(),
         repetitions=repetitions,
         created_unix=time.time(),
     )
     path = write_ledger(record, directory=directory)
-    if fit_out:
-        with atomic_write(fit_out) as fh:
-            json.dump(cost_table, fh, indent=2, sort_keys=True)
-            fh.write("\n")
     if append_ledger_dir is not None:
         append_dated_ledger(
             path, append_ledger_dir, name=name, keep=keep_ledgers
         )
-    return record, path, cost_table
+    return record, path
 
 
 def _render_cells(record: RunRecord) -> str:
@@ -287,8 +218,8 @@ def _render_cells(record: RunRecord) -> str:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.shootout",
-        description="sweep matcher x contractor kernels, emit "
-        "BENCH_kernels.json, and fit the auto-tuner cost table",
+        description="sweep matcher x contractor kernels and emit "
+        "BENCH_kernels.json",
     )
     parser.add_argument(
         "--name", default="kernels", help="ledger name (BENCH_<name>.json)"
@@ -318,13 +249,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="restrict the contractor pool (default: all registered)",
     )
     parser.add_argument(
-        "--fit-out",
-        metavar="PATH",
-        default=None,
-        help="also write the fitted cost table as bare JSON "
-        "(the repro detect --tuner-table input)",
-    )
-    parser.add_argument(
         "--append-ledger-dir",
         metavar="DIR",
         default=None,
@@ -339,26 +263,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="dated ledgers retained in --append-ledger-dir (default: 30)",
     )
     args = parser.parse_args(argv)
-    record, path, cost_table = run_shootout(
+    record, path = run_shootout(
         name=args.name,
         scale=args.scale,
         seed=args.seed,
         directory=args.out_dir,
         matchers=args.matchers,
         contractors=args.contractors,
-        fit_out=args.fit_out,
         append_ledger_dir=args.append_ledger_dir,
         keep_ledgers=args.keep_ledgers,
     )
     print(_render_cells(record))
     print()
     print(render_ledger(record))
-    print(
-        f"\nfitted cost table over "
-        f"{sum(1 for _ in cost_table['coefficients'].values())} kinds; "
-        f"ledger written to {path}",
-        file=sys.stderr,
-    )
+    print(f"\nledger written to {path}", file=sys.stderr)
     return 0
 
 

@@ -29,7 +29,6 @@ from repro.bench.ledger import (
     write_ledger,
 )
 from repro.core.registry import kernel_names
-from repro.core.tuner import AUTO_KERNEL, CostModelPolicy
 from repro.generators import planted_partition_graph
 from repro.obs import QualityTimeline, Tracer
 from repro.parallel.backends import backend_names, create_backend
@@ -118,14 +117,6 @@ def run_smoke(
             "n_workers": backend_obj.n_workers if backend_obj is not None else 1,
             "audit": audit,
             "memory_budget_mb": memory_budget,
-            # The tuner key exists only for auto runs, so fixed-kernel
-            # ledgers keep comparing cleanly against pre-tuner baselines
-            # (config_drift treats absent-on-both-sides as agreement).
-            **(
-                {"tuner": {"policy": CostModelPolicy.name}}
-                if AUTO_KERNEL in (matcher, contractor)
-                else {}
-            ),
         },
         host=host_info(),
         created_unix=time.time(),
@@ -261,16 +252,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--reps", type=int, default=3)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument(
-        "--matcher",
-        default="worklist",
-        choices=[*kernel_names("matcher"), AUTO_KERNEL],
-        help="matching kernel, or 'auto' for per-level tuner selection",
+        "--matcher", default="worklist", choices=kernel_names("matcher")
     )
     parser.add_argument(
-        "--contractor",
-        default="bucket",
-        choices=[*kernel_names("contractor"), AUTO_KERNEL],
-        help="contraction kernel, or 'auto' for per-level tuner selection",
+        "--contractor", default="bucket", choices=kernel_names("contractor")
     )
     parser.add_argument(
         "--backend",

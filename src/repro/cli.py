@@ -33,7 +33,6 @@ from repro.baselines import (
     louvain_communities,
 )
 from repro.core import (
-    AUTO_KERNEL,
     TerminationCriteria,
     create_kernel,
     detect_communities,
@@ -197,23 +196,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
     if args.algorithm == "parallel":
         scorer = create_kernel("scorer", args.scorer)
-        # --tuner-table swaps the calibrated coefficients behind the
-        # auto-selection policy; it only matters when a phase is "auto".
-        selector = None
-        if args.tuner_table:
-            from repro.core.tuner import CostModelPolicy, load_cost_table
-
-            if AUTO_KERNEL not in (args.matcher, args.contractor):
-                print(
-                    "note: --tuner-table has no effect without "
-                    "--matcher auto / --contractor auto",
-                    file=sys.stderr,
-                )
-            try:
-                selector = CostModelPolicy(load_cost_table(args.tuner_table))
-            except (OSError, ValueError) as exc:
-                print(f"error: --tuner-table: {exc}", file=sys.stderr)
-                return 2
         # --spill-dir without an explicit directory (i.e. --memory-budget
         # alone) still spills somewhere: a memory breach must land on the
         # spill rung, not on abort.
@@ -294,7 +276,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                     termination=termination,
                     matcher=args.matcher,
                     contractor=args.contractor,
-                    selector=selector,
                     tracer=tracer,
                     checkpoint_dir=args.checkpoint_dir,
                     resume=args.resume,
@@ -350,21 +331,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             f"terminated by {result.terminated_by}",
             file=sys.stderr,
         )
-        if result.tuner is not None:
-            picks = "; ".join(
-                f"{kind}: "
-                + ", ".join(
-                    f"{name}×{n}" for name, n in sorted(counts.items())
-                )
-                for kind, counts in sorted(
-                    (result.tuner.get("selected") or {}).items()
-                )
-            )
-            print(
-                f"tuner ({result.tuner.get('policy', '?')}): "
-                f"{picks or 'no decisions'}",
-                file=sys.stderr,
-            )
         if args.checkpoint_dir or result.recovery.any_recovery():
             print(
                 f"resilience: {result.recovery.summary()}", file=sys.stderr
@@ -518,8 +484,6 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
                 i.name,
                 "yes" if i.supports_sharded else "no",
                 "yes" if i.deterministic else "no",
-                ",".join(i.cost_features),
-                i.regime or "-",
                 i.description or "-",
             ]
             for i in infos
@@ -530,19 +494,12 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
                     "name",
                     "sharded",
                     "deterministic",
-                    "cost features",
-                    "regime",
                     "description",
                 ],
                 rows,
                 title=f"{kind}s ({len(infos)} registered)",
             )
         )
-    print(
-        "\nPass --matcher/--contractor auto to let the per-level tuner "
-        "choose among these (docs/TUNING.md).",
-        file=sys.stderr,
-    )
     return 0
 
 
@@ -623,7 +580,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         if not args.ignore_config:
             print(
                 "error: the ledgers were produced by different "
-                "kernel/tuner configurations — a timing diff between "
+                "kernel configurations — a timing diff between "
                 "them compares different code, not a regression:",
                 file=sys.stderr,
             )
@@ -1107,26 +1064,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--scorer", default="modularity", choices=kernel_names("scorer")
     )
     p.add_argument(
-        "--matcher",
-        default="worklist",
-        choices=[*kernel_names("matcher"), AUTO_KERNEL],
-        help="matching kernel, or 'auto' to pick per level via the "
-        "tuner (see docs/TUNING.md)",
+        "--matcher", default="worklist", choices=kernel_names("matcher")
     )
     p.add_argument(
-        "--contractor",
-        default="bucket",
-        choices=[*kernel_names("contractor"), AUTO_KERNEL],
-        help="contraction kernel, or 'auto' to pick per level via the "
-        "tuner (see docs/TUNING.md)",
-    )
-    p.add_argument(
-        "--tuner-table",
-        metavar="PATH",
-        default=None,
-        help="cost-table JSON for --matcher/--contractor auto (a bare "
-        "table or a BENCH_kernels.json shootout ledger; default: the "
-        "built-in table calibrated by bench/shootout.py)",
+        "--contractor", default="bucket", choices=kernel_names("contractor")
     )
     p.add_argument(
         "--coverage",
@@ -1289,10 +1230,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="list registered kernels with capability metadata",
         description="List every kernel registered under each phase kind "
         "(scorer/matcher/contractor) with its capability descriptor: "
-        "sharded-capability (eligible after an out-of-core spill), "
-        "determinism, the cost-model features the auto-tuner uses, and "
-        "its preferred regime.  This is the candidate pool "
-        "--matcher/--contractor auto selects from per level.",
+        "whether it streams a spilled level shard by shard (itself or "
+        "through a bit-identical streamed twin) and whether it is "
+        "deterministic.",
     )
     p.add_argument(
         "--kind",
@@ -1366,7 +1306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--ignore-config",
         action="store_true",
-        help="diff even when the ledgers' kernel/tuner configs differ "
+        help="diff even when the ledgers' kernel configs differ "
         "(by default config drift is an error, exit 2)",
     )
     p.set_defaults(func=_cmd_compare)

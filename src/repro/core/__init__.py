@@ -36,22 +36,9 @@ from repro.core.registry import (
     KernelInfo,
     create_kernel,
     kernel_catalog,
-    kernel_info,
     kernel_names,
     register_kernel,
     unregister_kernel,
-)
-from repro.core.tuner import (
-    AUTO_KERNEL,
-    CostModelPolicy,
-    KernelTuner,
-    LevelShape,
-    SelectorPolicy,
-    StaticPolicy,
-    TunerDecision,
-    fit_cost_table,
-    level_shape,
-    load_cost_table,
 )
 from repro.core.dendrogram import Dendrogram
 from repro.core.refinement import refine_partition
@@ -68,19 +55,8 @@ __all__ = [
     "register_kernel",
     "unregister_kernel",
     "kernel_names",
-    "kernel_info",
     "kernel_catalog",
     "create_kernel",
-    "AUTO_KERNEL",
-    "LevelShape",
-    "level_shape",
-    "SelectorPolicy",
-    "CostModelPolicy",
-    "StaticPolicy",
-    "KernelTuner",
-    "TunerDecision",
-    "load_cost_table",
-    "fit_cost_table",
     "EdgeScorer",
     "ModularityScorer",
     "ConductanceScorer",

@@ -20,9 +20,7 @@ The kernels are selectable so the benchmark ablations can run the paper's
 legacy variants: ``matcher`` in ``{"worklist", "sweep"}`` (§IV-B new/old)
 and ``contractor`` in ``{"bucket", "chains"}`` (§IV-C new/old).  Legacy
 variants compute identical results but record the execution profile that
-distinguishes the platforms.  Passing ``"auto"`` for either defers the
-choice to the per-level tuner (:mod:`repro.core.tuner`), which picks
-from the full registered candidate pool each level.
+distinguishes the platforms.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from repro.core.engine import (
 )
 from repro.core.scoring import EdgeScorer
 from repro.core.termination import TerminationCriteria
-from repro.core.tuner import SelectorPolicy
 from repro.graph.graph import CommunityGraph
 from repro.obs.memprof import NullMemoryProfiler, PhaseMemoryProfiler
 from repro.obs.telemetry import NullTelemetry, TelemetrySampler
@@ -61,7 +58,6 @@ def detect_communities(
     termination: TerminationCriteria | None = None,
     matcher: str = "worklist",
     contractor: str = "bucket",
-    selector: SelectorPolicy | None = None,
     recorder: TraceRecorder | None = None,
     tracer: Tracer | NullTracer | None = None,
     timeline: QualityTimeline | NullTimeline | None = None,
@@ -96,13 +92,7 @@ def detect_communities(
         coverage ≥ 0.5 experiment configuration.
     matcher, contractor:
         Kernel variants by registry name (legacy variants for the
-        ablation benchmarks), raw kernel callables, or ``"auto"`` to
-        pick per level via the tuner (:mod:`repro.core.tuner`).
-    selector:
-        Selection policy for ``"auto"`` phases — any
-        :class:`~repro.core.tuner.SelectorPolicy`; ``None`` uses the
-        shootout-calibrated :class:`~repro.core.tuner.CostModelPolicy`.
-        Ignored when neither kernel is ``"auto"``.
+        ablation benchmarks), or raw kernel callables.
     recorder:
         Optional :class:`TraceRecorder` collecting the execution trace for
         platform simulation.
@@ -168,7 +158,6 @@ def detect_communities(
         matcher=matcher,
         contractor=contractor,
         termination=termination,
-        selector=selector,
     )
     ctx = RunContext.create(
         tracer=tracer,

@@ -47,12 +47,6 @@ from repro.core.outofcore import (
 )
 from repro.core.registry import create_kernel
 from repro.core.scoring import EdgeScorer, validate_scores
-from repro.core.tuner import (
-    AUTO_KERNEL,
-    KernelTuner,
-    SelectorPolicy,
-    level_shape,
-)
 from repro.core.termination import TerminationCriteria
 from repro.errors import CheckpointError, RunAbortedError
 from repro.graph.edgelist import EdgeList
@@ -130,9 +124,6 @@ class AgglomerationResult:
     final_graph: CommunityGraph | None = None
     scorer_name: str = ""
     recovery: RecoveryReport = field(default_factory=RecoveryReport)
-    #: Per-level kernel-selection ledger when the run auto-tuned
-    #: (``matcher="auto"`` / ``contractor="auto"``); ``None`` otherwise.
-    tuner: dict | None = None
 
     @property
     def n_communities(self) -> int:
@@ -445,16 +436,6 @@ class AgglomerationEngine:
     execution backends and identical to the historical
     ``detect_communities`` driver — the parity suite in
     ``tests/test_engine_parity.py`` enforces both.
-
-    Passing ``matcher="auto"`` / ``contractor="auto"`` defers that
-    phase's kernel choice to a per-level :class:`~repro.core.tuner.KernelTuner`:
-    each level's kernel is picked from the registry's capability-filtered
-    candidate pool by ``selector`` (default: the shootout-calibrated
-    :class:`~repro.core.tuner.CostModelPolicy`).  Because every
-    registered kernel of a kind is bit-identical, auto-selection moves
-    only the execution profile, never the result; the decisions are
-    ledgered on :attr:`AgglomerationResult.tuner`, the quality timeline,
-    and a per-level ``tuner_select`` trace span.
     """
 
     def __init__(
@@ -464,36 +445,14 @@ class AgglomerationEngine:
         matcher: str | Callable[..., MatchingResult] = "worklist",
         contractor: str | Callable[..., tuple] = "bucket",
         termination: TerminationCriteria | None = None,
-        selector: SelectorPolicy | None = None,
     ) -> None:
         self.score_kernel = _resolve_scorer(scorer)
-        self.selector = selector
-        self.auto_matcher = matcher == AUTO_KERNEL
-        self.auto_contractor = contractor == AUTO_KERNEL
-        self.match_kernel: MatchKernel | None = (
-            None if self.auto_matcher else _resolve_matcher(matcher)
-        )
-        self.contract_kernel: ContractKernel | None = (
-            None if self.auto_contractor else _resolve_contractor(contractor)
-        )
+        self.match_kernel = _resolve_matcher(matcher)
+        self.contract_kernel = _resolve_contractor(contractor)
         self.termination = (
             termination
             if termination is not None
             else TerminationCriteria.paper_experiments()
-        )
-
-    @property
-    def matcher_name(self) -> str:
-        """Configured matcher name (``"auto"`` when per-level tuned)."""
-        return AUTO_KERNEL if self.match_kernel is None else self.match_kernel.name
-
-    @property
-    def contractor_name(self) -> str:
-        """Configured contractor name (``"auto"`` when per-level tuned)."""
-        return (
-            AUTO_KERNEL
-            if self.contract_kernel is None
-            else self.contract_kernel.name
         )
 
     # ------------------------------------------------------------- resume
@@ -543,25 +502,11 @@ class AgglomerationEngine:
         member_counts = np.ones(graph.n_vertices, dtype=VERTEX_DTYPE)
         terminated_by = "local_maximum"
 
-        # One tuner per run: its decision ledger belongs to this run
-        # alone, and its kernel cache must not leak run-scoped state.
-        tuner: KernelTuner | None = None
-        if self.auto_matcher or self.auto_contractor:
-            kinds = [
-                kind
-                for kind, is_auto in (
-                    ("matcher", self.auto_matcher),
-                    ("contractor", self.auto_contractor),
-                )
-                if is_auto
-            ]
-            tuner = KernelTuner(self.selector, kinds=kinds)
-
         with tr.span(
             "agglomeration",
             scorer=self.score_kernel.name,
-            matcher=self.matcher_name,
-            contractor=self.contractor_name,
+            matcher=self.match_kernel.name,
+            contractor=self.contract_kernel.name,
             backend=ctx.backend.name,
             n_workers=ctx.backend.n_workers,
             seed=ctx.seed,
@@ -604,7 +549,6 @@ class AgglomerationEngine:
                             member_counts,
                             level_idx=len(levels),
                             guard=guard,
-                            tuner=tuner,
                         )
                     )
                     if stats is None:
@@ -659,8 +603,6 @@ class AgglomerationEngine:
                 n_levels=len(levels),
                 items=graph.n_edges,
             )
-            if tuner is not None:
-                run_span.set(tuner_decisions=len(tuner.decisions))
             ctx.telemetry.publish_phase("done", None)
 
         # Fold pool-level recovery accounting (e.g. ParallelModularityScorer)
@@ -678,7 +620,6 @@ class AgglomerationEngine:
             final_graph=current,
             scorer_name=self.score_kernel.name,
             recovery=ctx.recovery,
-            tuner=tuner.as_dict() if tuner is not None else None,
         )
 
     # -------------------------------------------------------------- level
@@ -691,7 +632,6 @@ class AgglomerationEngine:
         *,
         level_idx: int,
         guard: RunGuardian | NullGuardian = NULL_GUARDIAN,
-        tuner: KernelTuner | None = None,
     ) -> tuple[
         LevelStats | None, CommunityGraph, np.ndarray, str | None
     ]:
@@ -701,8 +641,7 @@ class AgglomerationEngine:
         ``stats=None`` means the run hit its local maximum inside the
         level (no positive scores) and contributed no contraction.
         ``terminated_by`` is non-``None`` when a post-level criterion
-        (coverage, stall) fired.  When ``tuner`` is given it selects the
-        kernels for any auto-configured phase from this level's shape.
+        (coverage, stall) fired.
         """
         tr = ctx.tracer
         termination = self.termination
@@ -717,55 +656,6 @@ class AgglomerationEngine:
                 # its value-identical memmap-backed twin (results are
                 # bit-identical; see docs/OUT_OF_CORE.md).
                 current = prepare(current, level_idx, tracer=tr)
-
-            match_kernel = self.match_kernel
-            contract_kernel = self.contract_kernel
-            tuner_level: dict | None = None
-            if tuner is not None:
-                # Per-level selection: measure the entering community
-                # graph's shape and let the policy pick each
-                # auto-configured phase.  Selection runs *after* the
-                # out-of-core prepare above, so a spilled level (via the
-                # guardian's rung or an explicitly sharded backend)
-                # constrains the pool to sharded-capable kernels.
-                constrained = _streams_shards(ctx, current)
-                with tr.span("tuner_select", level=level_idx) as sp:
-                    shape = level_shape(current)
-                    picked: dict[str, str] = {}
-                    if match_kernel is None:
-                        d = tuner.decide(
-                            "matcher", shape, level_idx, sharded=constrained
-                        )
-                        match_kernel = MatchKernel(d.chosen, tuner.kernel_for(d))
-                        picked["matcher"] = d.chosen
-                    if contract_kernel is None:
-                        d = tuner.decide(
-                            "contractor", shape, level_idx, sharded=constrained
-                        )
-                        contract_kernel = ContractKernel(
-                            d.chosen, tuner.kernel_for(d)
-                        )
-                        picked["contractor"] = d.chosen
-                    sp.set(
-                        policy=tuner.policy.name,
-                        constrained_sharded=constrained,
-                        density=shape.density,
-                        degree_cv=shape.degree_cv,
-                        **picked,
-                    )
-                tuner_level = dict(picked)
-                tuner_level["constrained_sharded"] = constrained
-            elif not isinstance(tr, NullTracer):
-                # Fixed-kernel runs still stamp the shape features on
-                # the level span when traced — this is what the shootout
-                # harness regresses phase seconds against to fit the
-                # tuner's cost table.
-                shape = level_shape(current)
-                level_span.set(
-                    density=shape.density, degree_cv=shape.degree_cv
-                )
-            assert match_kernel is not None and contract_kernel is not None
-
             ctx.telemetry.publish_phase("score", level_idx)
             with tr.span("score", level=level_idx) as sp:
                 with guard.phase("score", level_idx), ctx.memprof.phase(
@@ -793,7 +683,7 @@ class AgglomerationEngine:
                 with guard.phase("match", level_idx), ctx.memprof.phase(
                     "match", level_idx
                 ):
-                    matching = match_kernel.run(
+                    matching = self.match_kernel.run(
                         ctx, current, scores=scores
                     )
                 guard.observe_matching(level_idx, matching, entering_v)
@@ -816,7 +706,7 @@ class AgglomerationEngine:
                 with guard.phase("contract", level_idx), ctx.memprof.phase(
                     "contract", level_idx
                 ):
-                    current, mapping = contract_kernel.run(
+                    current, mapping = self.contract_kernel.run(
                         ctx, current, matching=matching
                     )
                 sp.set(
@@ -876,7 +766,6 @@ class AgglomerationEngine:
             modularity=stats.modularity_after,
             coverage=cov,
             member_counts=member_counts,
-            tuner=tuner_level,
         )
 
         terminated_by: str | None = None

@@ -12,7 +12,7 @@ driver, the CLI and the bench harness.
 
 A registered entry is a zero-argument **factory** producing the kernel
 object for one run, plus a :class:`KernelInfo` capability descriptor
-the per-level auto-tuner (:mod:`repro.core.tuner`) selects against:
+that ``repro kernels`` lists:
 
 * ``scorer`` factories return an :class:`~repro.core.scoring.EdgeScorer`
   instance (a fresh one per call, so per-run state such as a recovery
@@ -35,8 +35,7 @@ User extension::
 
 ``register_kernel`` stays backward-compatible for bare factories: when
 no ``info`` is given a conservative default descriptor is attached
-(``supports_sharded=False``, ``deterministic=True``), which keeps user
-kernels out of the spilled candidate pool unless they opt in.
+(``supports_sharded=False``, ``deterministic=True``).
 
 The built-in kernels are registered at import time; discovery
 (:func:`kernel_names`, :func:`kernel_catalog`) is what the CLI uses to
@@ -53,7 +52,6 @@ from repro.core.contraction import contract, contract_hash_chains
 from repro.core.matching import match_full_sweep, match_locally_dominant
 from repro.core.outofcore import contract_sharded, match_gmm_capped
 from repro.core.scoring import ConductanceScorer, ModularityScorer, WeightScorer
-from repro.spmatrix.contract import contract_spmatrix
 
 __all__ = [
     "KERNEL_KINDS",
@@ -61,7 +59,6 @@ __all__ = [
     "register_kernel",
     "unregister_kernel",
     "kernel_names",
-    "kernel_info",
     "kernel_catalog",
     "create_kernel",
 ]
@@ -74,35 +71,24 @@ KERNEL_KINDS = ("scorer", "matcher", "contractor")
 class KernelInfo:
     """Capability descriptor of one registered kernel.
 
-    The auto-tuner (:mod:`repro.core.tuner`) consults these when
-    building the per-level candidate pool; the ``repro kernels`` CLI
-    subcommand renders them for discoverability.
+    The ``repro kernels`` CLI subcommand renders these for
+    discoverability.
 
     Attributes
     ----------
     kind, name:
         The registry key this descriptor belongs to.
     supports_sharded:
-        ``True`` when the kernel composes with the out-of-core spill
-        path — either it streams shard windows itself (``gmm``,
-        ``shard``) or the engine transparently substitutes a
-        bit-identical streaming twin (``worklist``, ``bucket``).  Once
-        a run has spilled, auto-selection is constrained to
-        sharded-capable kernels so a memory breach cannot be answered
-        with a kernel that re-materialises edge-length anonymous
-        arrays.
+        ``True`` when the kernel streams a spilled level shard by shard
+        — either itself (``gmm``, ``shard``) or because the engine
+        switches it to its bit-identical streamed twin (``worklist`` →
+        ``match_gmm_capped``, ``bucket`` → ``contract_sharded``,
+        scorers → ``score_sharded``).  Other kernels run as configured
+        on the spilled level's memmap-backed graph.
     deterministic:
         ``True`` when repeated runs on the same input produce
         bit-identical output (every built-in is; a user kernel that
         randomizes should say so).
-    cost_features:
-        Names of the per-level shape features the tuner's cost model
-        needs to predict this kernel's runtime (subset of
-        :data:`repro.core.tuner.COST_FEATURES`).
-    regime:
-        Free-text description of the density/degree-skew regime the
-        kernel prefers — documentation for humans, not consulted by the
-        cost model.
     description:
         One-line summary for the ``repro kernels`` listing.
     """
@@ -111,21 +97,7 @@ class KernelInfo:
     name: str
     supports_sharded: bool = False
     deterministic: bool = True
-    cost_features: tuple[str, ...] = ("const", "edges", "vertices")
-    regime: str = ""
     description: str = ""
-
-    def as_dict(self) -> dict:
-        """JSON-ready dump (the ``repro kernels`` / ledger shape)."""
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "supports_sharded": self.supports_sharded,
-            "deterministic": self.deterministic,
-            "cost_features": list(self.cost_features),
-            "regime": self.regime,
-            "description": self.description,
-        }
 
 
 @dataclass(frozen=True)
@@ -161,7 +133,7 @@ def register_kernel(
     built-in).  ``info`` attaches the capability descriptor; a bare
     registration (the historical two-argument form) gets a conservative
     default — not sharded-capable, deterministic — so pre-existing user
-    kernels keep working and stay out of the spilled candidate pool.
+    kernels keep working.
     """
     _check_kind(kind)
     if not name:
@@ -194,24 +166,11 @@ def kernel_names(kind: str) -> tuple[str, ...]:
     return tuple(sorted(n for k, n in _REGISTRY if k == kind))
 
 
-def kernel_info(kind: str, name: str) -> KernelInfo:
-    """The capability descriptor registered under ``(kind, name)``."""
-    _check_kind(kind)
-    try:
-        return _REGISTRY[(kind, name)].info
-    except KeyError:
-        available = ", ".join(kernel_names(kind)) or "none"
-        raise ValueError(
-            f"unknown {kind} {name!r} (available: {available})"
-        ) from None
-
-
 def kernel_catalog(kind: str | None = None) -> list[KernelInfo]:
     """Every registered descriptor, sorted by (kind, name).
 
     ``kind`` restricts the listing to one phase kind.  This is the
-    ``repro kernels`` data source and what the tuner builds its
-    candidate pools from.
+    ``repro kernels`` data source.
     """
     if kind is not None:
         _check_kind(kind)
@@ -249,7 +208,6 @@ register_kernel(
         "scorer",
         "modularity",
         supports_sharded=True,
-        regime="any",
         description="CNM merge gain (the paper's default objective)",
     ),
 )
@@ -261,7 +219,6 @@ register_kernel(
         "scorer",
         "conductance",
         supports_sharded=True,
-        regime="any",
         description="negative conductance of the merged pair",
     ),
 )
@@ -273,7 +230,6 @@ register_kernel(
         "scorer",
         "weight",
         supports_sharded=True,
-        regime="any",
         description="raw edge weight (heaviest-first agglomeration)",
     ),
 )
@@ -286,11 +242,6 @@ register_kernel(
         "worklist",
         # Streams via the bit-identical gmm twin once spilled.
         supports_sharded=True,
-        cost_features=("const", "edges", "vertices", "edges_x_cv"),
-        regime=(
-            "general-purpose; long dominance chains finish with one "
-            "sorted greedy scan"
-        ),
         description="the paper's improved worklist matching (§IV-B new)",
     ),
 )
@@ -302,8 +253,6 @@ register_kernel(
         "matcher",
         "sweep",
         supports_sharded=False,
-        cost_features=("const", "edges", "vertices", "edges_x_cv"),
-        regime="dense, low-skew levels (full re-scans amortize)",
         description="legacy full-sweep matching (§IV-B old)",
     ),
 )
@@ -318,8 +267,6 @@ register_kernel(
         "matcher",
         "gmm",
         supports_sharded=True,
-        cost_features=("const", "edges", "vertices", "edges_x_cv"),
-        regime="RAM-dwarfing inputs; pays a streaming constant in core",
         description="cap-respecting streamed matching (out-of-core twin)",
     ),
 )
@@ -332,7 +279,6 @@ register_kernel(
         "bucket",
         # Streams via the bit-identical shard twin once spilled.
         supports_sharded=True,
-        regime="general-purpose (the paper's §IV-C winner)",
         description="vectorized bucket-sort contraction (§IV-C new)",
     ),
 )
@@ -344,8 +290,6 @@ register_kernel(
         "contractor",
         "chains",
         supports_sharded=False,
-        cost_features=("const", "edges", "vertices", "edges_x_cv"),
-        regime="low-collision levels; chain walks strangle skewed ones",
         description="legacy hash-of-linked-lists contraction (§IV-C old)",
     ),
 )
@@ -358,22 +302,6 @@ register_kernel(
         "contractor",
         "shard",
         supports_sharded=True,
-        regime="RAM-dwarfing inputs; scratch lives in spill memmaps",
         description="spill-backed bucket-sort contraction (out-of-core)",
-    ),
-)
-# Contraction as the sparse triple product P^T A P over the CSR kernels
-# in spmatrix/ — the Combinatorial-BLAS formulation (§VI), bit-identical
-# to bucket (enforced in tests/test_engine_parity.py).
-register_kernel(
-    "contractor",
-    "spmatrix",
-    lambda: contract_spmatrix,
-    info=KernelInfo(
-        "contractor",
-        "spmatrix",
-        supports_sharded=False,
-        regime="dense community graphs where spgemm row merges win",
-        description="sparse-matrix-product contraction (P^T A P, §VI)",
     ),
 )

@@ -15,8 +15,7 @@ flattening past the memory bandwidth knee):
   (max / mean busy time — 1.0 is a perfectly balanced pool).
 * **serial fraction & Amdahl ceiling** — the share of the run that
   never enters a multi-worker region bounds any achievable speed-up:
-  ``ceiling(N) = 1 / (f + (1 - f) / N)``.  This is the evidence the
-  kernel auto-tuner (ROADMAP item 3) consumes.
+  ``ceiling(N) = 1 / (f + (1 - f) / N)``.
 * **consistency invariant** — in a well-formed trace every parent span
   covers its children: the direct children of a sequential span sum to
   at most the parent's duration, and worker lanes fit inside their pool
@@ -339,8 +338,8 @@ def attribute_run(
 ) -> dict:
     """The JSON-ready attribution block for one traced run.
 
-    This is what the benchmark ledger embeds per repetition and the
-    future kernel auto-tuner reads: per-phase totals and self-times,
+    This is what the benchmark ledger embeds per repetition and
+    ``repro report`` renders: per-phase totals and self-times,
     a per-level breakdown with per-level worker imbalance, the hotspot
     ranking, worker-lane statistics, the serial fraction with Amdahl
     ceilings, and the consistency-invariant verdict.  ``memory`` is the

@@ -350,101 +350,6 @@ def render_report(
             "",
         ]
 
-    # --------------------------------------------------------------- tuner
-    tuner = None
-    if ledger is not None and getattr(ledger, "repetitions", None):
-        tuner = getattr(ledger.repetitions[0], "tuner", None)
-    if tuner:
-        sel = tuner.get("selected") or {}
-        summary = "; ".join(
-            f"{kind}: "
-            + ", ".join(f"`{n}`×{c}" for n, c in sorted(counts.items()))
-            for kind, counts in sorted(sel.items())
-        )
-        rows = []
-        for d in tuner.get("decisions") or []:
-            pred = (d.get("predicted_s") or {}).get(d.get("chosen"))
-            shape = d.get("shape") or {}
-            rows.append(
-                [
-                    str(d.get("level", "?")),
-                    d.get("kind", "?"),
-                    f"`{d.get('chosen', '?')}`",
-                    (
-                        _fmt_s(pred)
-                        if isinstance(pred, (int, float))
-                        else "-"
-                    ),
-                    str(shape.get("n_edges", "-")),
-                    (
-                        f"{shape['degree_cv']:.2f}"
-                        if isinstance(shape.get("degree_cv"), (int, float))
-                        else "-"
-                    ),
-                    "yes" if d.get("constrained_sharded") else "",
-                ]
-            )
-        out += [
-            "## Kernel selection (tuner)",
-            "",
-            f"Policy `{tuner.get('policy', '?')}` made "
-            f"{tuner.get('n_decisions', 0)} per-level decision(s) — "
-            f"{summary}. A regression between two ledgers with different "
-            "selections here is a tuner change, not a kernel change "
-            "(`repro compare` flags this as config drift).",
-            "",
-            _table(
-                [
-                    "level",
-                    "kind",
-                    "chosen",
-                    "pred s",
-                    "edges",
-                    "deg CV",
-                    "sharded-constrained",
-                ],
-                rows,
-            ),
-            "",
-        ]
-    else:
-        tuner_spans = [s for s in trace.spans if s.name == "tuner_select"]
-        if tuner_spans:
-            rows = [
-                [
-                    str(s.level if s.level is not None else "?"),
-                    f"`{s.attrs.get('matcher', '-')}`",
-                    f"`{s.attrs.get('contractor', '-')}`",
-                    (
-                        f"{s.attrs['degree_cv']:.2f}"
-                        if isinstance(s.attrs.get("degree_cv"), (int, float))
-                        else "-"
-                    ),
-                    "yes" if s.attrs.get("constrained_sharded") else "",
-                ]
-                for s in sorted(tuner_spans, key=lambda s: s.level or 0)
-            ]
-            policy = tuner_spans[0].attrs.get("policy", "?")
-            out += [
-                "## Kernel selection (tuner)",
-                "",
-                f"Per-level selections from the trace's `tuner_select` "
-                f"spans (policy `{policy}`; no ledger tuner block "
-                "available).",
-                "",
-                _table(
-                    [
-                        "level",
-                        "matcher",
-                        "contractor",
-                        "deg CV",
-                        "sharded-constrained",
-                    ],
-                    rows,
-                ),
-                "",
-            ]
-
     # -------------------------------------------------------- consistency
     cons = attr["consistency"]
     out += ["## Trace consistency", ""]

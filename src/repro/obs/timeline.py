@@ -20,11 +20,7 @@ level carrying
 * ``matching_passes`` — the §IV-B pass count;
 * ``community_sizes`` — a fixed-bucket histogram (input vertices per
   community, power-of-two buckets) so skew is visible without storing
-  the full size array;
-* ``tuner`` — when the run auto-selected kernels per level
-  (:mod:`repro.core.tuner`), the selections made for this level, so a
-  quality trajectory is always readable alongside the kernels that
-  produced it.
+  the full size array.
 
 The timeline serializes to/from plain dicts (``as_dict`` /
 ``from_dict``) and is what the benchmark ledger
@@ -72,12 +68,7 @@ class LevelQuality:
     ``merge_fraction`` is matched pairs over vertices *entering* the
     level (1 pair merges 2 vertices, so a perfect matching gives 0.5);
     ``community_sizes`` is a JSON-ready histogram dict with ``edges`` /
-    ``counts`` / ``total`` / ``sum`` / ``max`` keys.  ``tuner`` is
-    ``None`` for fixed-kernel runs; under ``--matcher auto`` /
-    ``--contractor auto`` it carries the level's kernel selections
-    (``{"matcher": ..., "contractor": ..., "constrained_sharded": ...}``,
-    auto-selected kinds only).  The field defaults keep version-1
-    timeline dicts from before the tuner loading unchanged.
+    ``counts`` / ``total`` / ``sum`` / ``max`` keys.
     """
 
     level: int
@@ -88,7 +79,6 @@ class LevelQuality:
     merge_fraction: float
     matching_passes: int
     community_sizes: dict = field(default_factory=dict)
-    tuner: dict | None = None
 
 
 def _size_histogram(member_counts: np.ndarray) -> dict:
@@ -124,7 +114,6 @@ class QualityTimeline:
         modularity: float,
         coverage: float,
         member_counts: np.ndarray,
-        tuner: dict | None = None,
     ) -> LevelQuality:
         """Append the sample for one completed contraction level."""
         sample = LevelQuality(
@@ -140,7 +129,6 @@ class QualityTimeline:
             ),
             matching_passes=int(matching_passes),
             community_sizes=_size_histogram(member_counts),
-            tuner=dict(tuner) if tuner is not None else None,
         )
         self.levels.append(sample)
         return sample
@@ -163,7 +151,13 @@ class QualityTimeline:
 
     @classmethod
     def from_dict(cls, data: dict) -> "QualityTimeline":
-        """Rebuild a timeline from :meth:`as_dict` output."""
+        """Rebuild a timeline from :meth:`as_dict` output.
+
+        Timelines written while the per-level kernel tuner existed carry
+        a ``tuner`` key on every level (``null`` unless the run used
+        ``--matcher auto``); that one key is dropped, any other unknown
+        key still raises.
+        """
         version = data.get("version")
         if version != TIMELINE_SCHEMA_VERSION:
             raise ValueError(
@@ -172,6 +166,7 @@ class QualityTimeline:
             )
         tl = cls()
         for d in data.get("levels", []):
+            d = {k: v for k, v in d.items() if k != "tuner"}
             tl.levels.append(LevelQuality(**d))
         return tl
 

@@ -388,74 +388,19 @@ class TestAttributionInLedger:
 
 
 class TestTunerBlock:
-    def _tuner_block(self):
-        return {
-            "policy": "cost-model",
-            "kinds": ["matcher", "contractor"],
-            "n_decisions": 2,
-            "selected": {"matcher": {"gmm": 1}, "contractor": {"bucket": 1}},
-            "decisions": [
-                {
-                    "level": 0,
-                    "kind": "matcher",
-                    "chosen": "gmm",
-                    "policy": "cost-model",
-                    "constrained_sharded": True,
-                    "shape": {
-                        "n_vertices": 10,
-                        "n_edges": 20,
-                        "density": 0.4,
-                        "degree_cv": 1.0,
-                    },
-                    "candidates": ["gmm", "worklist"],
-                    "predicted_s": {"gmm": 0.001, "worklist": 0.002},
-                },
-                {
-                    "level": 0,
-                    "kind": "contractor",
-                    "chosen": "bucket",
-                    "policy": "cost-model",
-                    "constrained_sharded": False,
-                    "shape": {
-                        "n_vertices": 10,
-                        "n_edges": 20,
-                        "density": 0.4,
-                        "degree_cv": 1.0,
-                    },
-                    "candidates": ["bucket", "shard"],
-                    "predicted_s": {"bucket": 0.001, "shard": 0.003},
-                },
-            ],
-        }
-
-    def test_tuner_round_trips(self, tmp_path):
-        rec = make_record()
-        rec.repetitions[0].tuner = self._tuner_block()
-        path = write_ledger(rec, directory=tmp_path)
-        loaded = read_ledger(path)
-        assert loaded.repetitions[0].tuner == self._tuner_block()
-        assert loaded.repetitions[1].tuner is None
-
     def test_pre_tuner_ledger_still_loads(self, tmp_path):
-        path = write_ledger(make_record(), directory=tmp_path)
-        doc = json.loads(path.read_text())
-        for rep in doc["repetitions"]:
-            rep.pop("tuner", None)
-        path.write_text(json.dumps(doc))
-        loaded = read_ledger(path)
-        assert all(r.tuner is None for r in loaded.repetitions)
-
-    def test_render_includes_tuner_summary(self):
+        # Ledgers written before the per-level kernel tuner, and since it
+        # was removed, have no "tuner" key per repetition; ones written
+        # while it existed do.  Both load to the same repetitions.
         rec = make_record()
-        rec.repetitions[0].tuner = self._tuner_block()
-        text = render_ledger(rec)
-        assert "tuner (repetition 0)" in text
-        assert "cost-model" in text
-        assert "gmm" in text and "bucket" in text
-        assert "constrained" in text
-
-    def test_render_without_tuner_has_no_block(self):
-        assert "tuner (repetition" not in render_ledger(make_record())
+        path = write_ledger(rec, directory=tmp_path)
+        doc = json.loads(path.read_text())
+        assert all("tuner" not in rep for rep in doc["repetitions"])
+        assert read_ledger(path).repetitions == rec.repetitions
+        for rep in doc["repetitions"]:
+            rep["tuner"] = None
+        path.write_text(json.dumps(doc))
+        assert read_ledger(path).repetitions == rec.repetitions
 
 
 class TestConfigDrift:
@@ -465,20 +410,17 @@ class TestConfigDrift:
     def test_detects_each_drifting_key(self):
         base = make_record()
         new = make_record(name="b")
-        new.config = dict(new.config, matcher="auto",
-                          tuner={"policy": "cost-model"})
+        new.config = dict(new.config, matcher="sweep", contractor="chains")
         lines = config_drift(base, new)
         assert len(lines) == 2
         joined = "\n".join(lines)
         assert "config.matcher" in joined
-        assert "'worklist'" in joined and "'auto'" in joined
-        assert "config.tuner" in joined
+        assert "'worklist'" in joined and "'sweep'" in joined
+        assert "config.contractor" in joined
 
     def test_key_absent_on_both_sides_never_drifts(self):
-        # Pre-tuner ledgers have no "tuner" key at all; absence on both
-        # sides must not register as drift.
         base, new = make_record(), make_record(name="b")
-        assert "tuner" not in base.config
+        assert "contractor" not in base.config
         assert config_drift(base, new) == []
 
     def test_scorer_drift_detected(self):

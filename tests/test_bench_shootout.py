@@ -1,14 +1,11 @@
 """Tests for the kernel shootout harness (`repro.bench.shootout`)."""
 
-import json
-
 import numpy as np
 import pytest
 
 from repro.bench.ledger import read_ledger
 from repro.bench.shootout import main, run_shootout, suite_graphs
 from repro.core.registry import kernel_names
-from repro.core.tuner import CostModelPolicy, load_cost_table
 
 
 class TestSuiteGraphs:
@@ -33,26 +30,24 @@ class TestRunShootout:
     @pytest.fixture(scope="class")
     def result(self, tmp_path_factory):
         directory = tmp_path_factory.mktemp("shootout")
-        record, path, cost_table = run_shootout(
+        return run_shootout(
             name="kernels-test",
             scale=0.1,
             seed=2,
             directory=directory,
             matchers=["worklist", "sweep"],
-            contractors=["bucket", "spmatrix"],
-            fit_out=str(directory / "fit.json"),
+            contractors=["bucket", "chains"],
         )
-        return record, path, cost_table, directory
 
     def test_one_repetition_per_cell(self, result):
-        record, _, _, _ = result
+        record, _ = result
         assert len(record.repetitions) == 4
         cells = record.config["cells"]
         assert {(c["matcher"], c["contractor"]) for c in cells} == {
             ("worklist", "bucket"),
-            ("worklist", "spmatrix"),
+            ("worklist", "chains"),
             ("sweep", "bucket"),
-            ("sweep", "spmatrix"),
+            ("sweep", "chains"),
         }
         for rep in record.repetitions:
             assert rep.total_s > 0
@@ -61,40 +56,11 @@ class TestRunShootout:
             assert rep.terminated_by == "suite"
 
     def test_ledger_round_trips(self, result):
-        record, path, _, _ = result
+        _, path = result
         loaded = read_ledger(path)
         assert loaded.name == "kernels-test"
         assert len(loaded.repetitions) == 4
         assert loaded.config["matcher"] == "worklistxsweep"
-
-    def test_cost_table_is_loadable_everywhere(self, result):
-        record, path, cost_table, directory = result
-        # The embedded, the ledger-wrapped, and the --fit-out copies all
-        # validate and price the swept kernels.
-        for source in (cost_table, path, directory / "fit.json"):
-            table = load_cost_table(source)
-            assert set(table["coefficients"]) == {"matcher", "contractor"}
-            assert set(table["coefficients"]["matcher"]) == {
-                "worklist",
-                "sweep",
-            }
-        policy = CostModelPolicy(cost_table)
-        from repro.core.tuner import LevelShape
-
-        shape = LevelShape(
-            n_vertices=500, n_edges=4000, density=0.03, degree_cv=1.0
-        )
-        chosen, predicted = policy.select(
-            "contractor", shape, ["bucket", "spmatrix"]
-        )
-        assert chosen in ("bucket", "spmatrix")
-        assert all(p is not None for p in predicted.values())
-
-    def test_fit_out_is_bare_json(self, result):
-        _, _, _, directory = result
-        doc = json.loads((directory / "fit.json").read_text())
-        assert doc["version"] == 1
-        assert "coefficients" in doc
 
     def test_default_pools_are_the_registry(self):
         # No kernel pool args: the sweep covers every registered kernel
@@ -104,7 +70,6 @@ class TestRunShootout:
             "bucket",
             "chains",
             "shard",
-            "spmatrix",
         }
 
 
@@ -122,7 +87,7 @@ class TestMain:
                 "worklist",
                 "--contractors",
                 "bucket",
-                "spmatrix",
+                "chains",
                 "--append-ledger-dir",
                 str(tmp_path),
             ]
@@ -130,8 +95,8 @@ class TestMain:
         assert rc == 0
         captured = capsys.readouterr()
         assert "kernel shootout" in captured.out
-        assert "spmatrix" in captured.out
-        assert "fitted cost table" in captured.err
+        assert "chains" in captured.out
+        assert "ledger written to" in captured.err
         names = sorted(p.name for p in tmp_path.iterdir())
         assert "BENCH_kernels.json" in names
         assert any(n.startswith("BENCH_kernels-") for n in names)

@@ -534,8 +534,8 @@ class TestKernels:
         assert rc == 0
         out = capsys.readouterr().out
         for kind in ("scorer", "matcher", "contractor"):
-            assert kind in out
-        for name in ("worklist", "sweep", "gmm", "bucket", "spmatrix"):
+            assert f"{kind}s (3 registered)" in out
+        for name in ("worklist", "sweep", "gmm", "bucket", "chains", "shard"):
             assert name in out
         assert "sharded" in out  # capability column
 
@@ -543,7 +543,7 @@ class TestKernels:
         rc = main(["kernels", "--kind", "contractor"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "bucket" in out and "spmatrix" in out
+        assert "bucket" in out and "shard" in out
         assert "worklist" not in out
 
 
@@ -559,8 +559,7 @@ class TestCompareConfigDrift:
         new = tmp_path / "BENCH_new.json"
         doc = json.loads(base.read_text())
         doc["name"] = "new"
-        doc["config"]["matcher"] = "auto"
-        doc["config"]["tuner"] = {"policy": "cost-model"}
+        doc["config"]["matcher"] = "sweep"
         new.write_text(json.dumps(doc))
         return base, new
 
@@ -571,7 +570,6 @@ class TestCompareConfigDrift:
         err = capsys.readouterr().err
         assert "different" in err
         assert "config.matcher" in err
-        assert "config.tuner" in err
         assert "--ignore-config" in err
 
     def test_ignore_config_warns_and_proceeds(self, drifted, capsys):
@@ -591,55 +589,3 @@ class TestCompareConfigDrift:
         b = write_ledger(make_record(name="b"), directory=tmp_path)
         assert main(["compare", str(a), str(b)]) == 0
         assert "warning" not in capsys.readouterr().err
-
-
-class TestDetectAuto:
-    def test_auto_kernels_print_tuner_summary(self, karate_file, capsys):
-        rc = main(
-            ["detect", karate_file, "--matcher", "auto",
-             "--contractor", "auto"]
-        )
-        assert rc == 0
-        captured = capsys.readouterr()
-        assert "tuner (cost-model):" in captured.err
-        assert "matcher:" in captured.err
-        assert len(captured.out.strip().splitlines()) == 34
-
-    def test_fixed_kernels_print_no_tuner_line(self, karate_file, capsys):
-        rc = main(["detect", karate_file])
-        assert rc == 0
-        assert "tuner (" not in capsys.readouterr().err
-
-    def test_tuner_table_flag(self, karate_file, tmp_path, capsys):
-        import json
-
-        from repro.core.tuner import DEFAULT_COST_TABLE
-
-        table = tmp_path / "table.json"
-        table.write_text(json.dumps(DEFAULT_COST_TABLE))
-        rc = main(
-            ["detect", karate_file, "--matcher", "auto",
-             "--contractor", "auto", "--tuner-table", str(table)]
-        )
-        assert rc == 0
-        assert "tuner (cost-model):" in capsys.readouterr().err
-
-    def test_bad_tuner_table_exits_two(self, karate_file, tmp_path, capsys):
-        table = tmp_path / "bad.json"
-        table.write_text("{not json")
-        rc = main(
-            ["detect", karate_file, "--matcher", "auto",
-             "--contractor", "auto", "--tuner-table", str(table)]
-        )
-        assert rc == 2
-        assert "error" in capsys.readouterr().err
-
-    def test_auto_matches_fixed_labels(self, karate_file, tmp_path):
-        fixed_out = tmp_path / "fixed.txt"
-        auto_out = tmp_path / "auto.txt"
-        assert main(["detect", karate_file, "-o", str(fixed_out)]) == 0
-        assert main(
-            ["detect", karate_file, "-o", str(auto_out),
-             "--matcher", "auto", "--contractor", "auto"]
-        ) == 0
-        assert auto_out.read_text() == fixed_out.read_text()

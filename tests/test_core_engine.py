@@ -32,7 +32,6 @@ class TestRegistry:
             "bucket",
             "chains",
             "shard",
-            "spmatrix",
         )
 
     def test_kernel_kinds(self):

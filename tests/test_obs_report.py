@@ -170,78 +170,3 @@ class TestWriteReport:
         with pytest.raises(OSError):
             write_report(TraceData(), target)
         assert not target.exists()
-
-
-class TestTunerSection:
-    def _tuner_block(self):
-        return {
-            "policy": "cost-model",
-            "kinds": ["matcher", "contractor"],
-            "n_decisions": 2,
-            "selected": {"matcher": {"gmm": 1}, "contractor": {"bucket": 1}},
-            "decisions": [
-                {
-                    "level": 0,
-                    "kind": "matcher",
-                    "chosen": "gmm",
-                    "policy": "cost-model",
-                    "constrained_sharded": True,
-                    "shape": {
-                        "n_vertices": 10,
-                        "n_edges": 20,
-                        "density": 0.4,
-                        "degree_cv": 1.25,
-                    },
-                    "candidates": ["gmm", "worklist"],
-                    "predicted_s": {"gmm": 0.001, "worklist": 0.002},
-                },
-                {
-                    "level": 0,
-                    "kind": "contractor",
-                    "chosen": "bucket",
-                    "policy": "cost-model",
-                    "constrained_sharded": False,
-                    "shape": {
-                        "n_vertices": 10,
-                        "n_edges": 20,
-                        "density": 0.4,
-                        "degree_cv": 1.25,
-                    },
-                    "candidates": ["bucket"],
-                    "predicted_s": {"bucket": 0.001},
-                },
-            ],
-        }
-
-    def test_ledger_tuner_block_renders(self):
-        ledger = toy_ledger()
-        ledger.repetitions[0].tuner = self._tuner_block()
-        md = render_report(trace_data(traced_run()), ledger=ledger)
-        assert "## Kernel selection (tuner)" in md
-        assert "cost-model" in md
-        assert "`gmm`×1" in md
-        assert "1.25" in md  # degree CV column
-        assert "yes" in md  # constrained_sharded flag
-
-    def test_no_tuner_no_section(self):
-        md = render_report(trace_data(traced_run()), ledger=toy_ledger())
-        assert "## Kernel selection (tuner)" not in md
-
-    def test_trace_spans_fallback(self):
-        tr = Tracer()
-        with tr.span("run", graph="toy"):
-            with tr.span("level", level=0):
-                with tr.span(
-                    "tuner_select",
-                    level=0,
-                    policy="cost-model",
-                    matcher="sweep",
-                    contractor="spmatrix",
-                    degree_cv=0.75,
-                    constrained_sharded=False,
-                ):
-                    pass
-        md = render_report(trace_data(tr))
-        assert "## Kernel selection (tuner)" in md
-        assert "tuner_select" in md
-        assert "`sweep`" in md and "`spmatrix`" in md

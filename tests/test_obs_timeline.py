@@ -1,8 +1,11 @@
 """Unit and integration tests for the per-level quality timeline."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.bench.ledger import read_ledger
 from repro.core import detect_communities
 from repro.generators import planted_partition_graph
 from repro.metrics import coverage, modularity
@@ -164,58 +167,9 @@ class TestDetectIntegration:
 
 
 class TestTunerField:
-    def test_record_level_stores_tuner_copy(self):
-        tl = QualityTimeline()
-        picked = {"matcher": "gmm", "contractor": "bucket",
-                  "constrained_sharded": False}
-        s = tl.record_level(
-            level=0,
-            n_vertices_entering=10,
-            n_pairs=2,
-            matching_passes=1,
-            n_communities=8,
-            modularity=0.1,
-            coverage=0.3,
-            member_counts=np.array([1, 1, 2]),
-            tuner=picked,
-        )
-        assert s.tuner == picked
-        picked["matcher"] = "mutated"
-        assert s.tuner["matcher"] == "gmm"  # stored a copy
-
-    def test_tuner_defaults_none_and_round_trips(self):
-        tl = QualityTimeline()
-        tl.record_level(
-            level=0,
-            n_vertices_entering=10,
-            n_pairs=2,
-            matching_passes=1,
-            n_communities=8,
-            modularity=0.1,
-            coverage=0.3,
-            member_counts=np.array([1, 1, 2]),
-        )
-        tl.record_level(
-            level=1,
-            n_vertices_entering=8,
-            n_pairs=1,
-            matching_passes=1,
-            n_communities=7,
-            modularity=0.2,
-            coverage=0.4,
-            member_counts=np.array([1, 2]),
-            tuner={"matcher": "sweep"},
-        )
-        assert tl.levels[0].tuner is None
-        d = tl.as_dict()
-        assert d["version"] == TIMELINE_SCHEMA_VERSION  # still v1
-        tl2 = QualityTimeline.from_dict(d)
-        assert tl2.levels == tl.levels
-        assert tl2.levels[1].tuner == {"matcher": "sweep"}
-
     def test_pre_tuner_dict_still_loads(self):
         # A timeline serialized before the tuner field existed has no
-        # "tuner" key per level; from_dict must default it to None.
+        # "tuner" key per level, the same as one written today.
         tl = QualityTimeline()
         tl.record_level(
             level=0,
@@ -228,7 +182,29 @@ class TestTunerField:
             member_counts=np.array([1, 1, 2]),
         )
         d = tl.as_dict()
-        for lvl in d["levels"]:
-            lvl.pop("tuner", None)
+        assert all("tuner" not in lvl for lvl in d["levels"])
         tl2 = QualityTimeline.from_dict(d)
-        assert tl2.levels[0].tuner is None
+        assert tl2.levels == tl.levels
+
+
+class TestOldTimelines:
+    def test_committed_kernel_ledger_timelines_load(self):
+        # BENCH_kernels.json was written while every level carried a
+        # "tuner" key; from_dict drops that key and no other.
+        path = (
+            Path(__file__).resolve().parents[1]
+            / "benchmarks"
+            / "ledgers"
+            / "BENCH_kernels.json"
+        )
+        record = read_ledger(path)
+        assert len(record.repetitions) == 12
+        for rep in record.repetitions:
+            levels = rep.quality["levels"]
+            assert levels and all("tuner" in lvl for lvl in levels)
+            tl = QualityTimeline.from_dict(rep.quality)
+            assert tl.n_levels == len(levels)
+            assert tl.final.modularity == levels[-1]["modularity"]
+        levels[0]["wibble"] = 1
+        with pytest.raises(TypeError):
+            QualityTimeline.from_dict(rep.quality)
