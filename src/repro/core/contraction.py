@@ -5,8 +5,10 @@ edge's endpoints through the match map, re-apply the parity hash, bucket by
 the first stored endpoint (an atomic fetch-and-add per edge — no locks),
 sort within buckets by the second endpoint, accumulate duplicates, and copy
 back out.  Our vectorized expression fuses bucketing and in-bucket sorting
-into one lexsort plus a segmented reduction, touching each edge O(1) times
-exactly like the paper's linear-time bucket sort.
+into one radix pair order (:func:`~repro.util.arrays.pair_order`: a stable
+LSD radix over 16-bit digits of the key ``first * k + second``, each digit
+a counting sort) plus a segmented reduction, touching each edge O(1) times
+per digit like the paper's linear-time bucket sort.
 
 :func:`contract_hash_chains` is the *legacy* method due to John T. Feo:
 edges go into linked lists selected by an endpoint hash; each insertion
@@ -32,7 +34,7 @@ from repro.graph.graph import CommunityGraph
 from repro.obs.trace import NullTracer, Tracer, as_tracer
 from repro.platform.kernels import KernelRecord, TraceRecorder
 from repro.types import NO_VERTEX, VERTEX_DTYPE
-from repro.util.arrays import renumber_dense, segment_starts
+from repro.util.arrays import pair_order, renumber_dense, segment_starts
 
 __all__ = ["contract", "contract_hash_chains"]
 
@@ -90,7 +92,7 @@ def _build_contracted(
             tr.histogram("contract.bucket_occupancy").observe_many(
                 occupancy[occupancy > 0]
             )
-        order = np.lexsort((second, first))
+        order = pair_order(first, second, k)
         first = first[order]
         second = second[order]
         w = w[order]

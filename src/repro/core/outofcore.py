@@ -23,13 +23,13 @@ dendrogram:
   accumulating them shard-at-a-time yields the same fixed point, and
   tie-break priorities hash *global* edge indices.
 * :func:`contract_sharded` streams the relabel into scratch buffers but
-  runs the *same* global lexsort + left-to-right segmented reduction,
+  runs the *same* global pair order + left-to-right segmented reduction,
   preserving float accumulation order exactly (per-shard pre-reduction
   would not — duplicate groups spanning a shard boundary would sum in a
   different order).
 
 The residual anonymous cost is the contraction's sort permutation
-(``O(E')`` indices from ``np.lexsort``); everything else of edge order
+(``O(E')`` indices from ``pair_order``); everything else of edge order
 lives in spill-backed scratch.  See ``docs/OUT_OF_CORE.md``.
 """
 
@@ -54,7 +54,7 @@ from repro.obs.trace import NullTracer, Tracer, as_tracer
 from repro.platform.kernels import KernelRecord, TraceRecorder
 from repro.spmatrix.spill import scratch_memmap
 from repro.types import NO_VERTEX, SCORE_DTYPE, VERTEX_DTYPE, WEIGHT_DTYPE
-from repro.util.arrays import segment_starts
+from repro.util.arrays import pair_order, segment_starts
 
 __all__ = ["score_sharded", "match_gmm_capped", "contract_sharded"]
 
@@ -350,7 +350,7 @@ def contract_sharded(
     scratch buffers beside the spill store; self-loop weight accumulates
     through sequential ``np.add.at`` over the same element order as the
     in-memory ``np.bincount``, so float sums agree bit for bit.  The
-    final assembly — one global lexsort, segmented left-to-right
+    final assembly — one global pair order, segmented left-to-right
     reduction, bucket build — is byte-for-byte the in-memory pipeline on
     the scratch arrays, keeping duplicate-group accumulation order (and
     therefore every contracted weight) identical.  The sort permutation
@@ -410,7 +410,7 @@ def contract_sharded(
                 tr.histogram("contract.bucket_occupancy").observe_many(
                     occupancy[occupancy > 0]
                 )
-            order = np.lexsort((second, first))
+            order = pair_order(first, second, k)
             sorted_first = scratch.array("sorted_first", VERTEX_DTYPE, (n_keep,))
             sorted_second = scratch.array(
                 "sorted_second", VERTEX_DTYPE, (n_keep,)

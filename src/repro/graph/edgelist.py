@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.errors import InvariantViolation
 from repro.types import VERTEX_DTYPE, WEIGHT_DTYPE
-from repro.util.arrays import segment_starts
+from repro.util.arrays import pair_order, segment_starts, strictly_increasing
 
 __all__ = [
     "EdgeList",
@@ -135,9 +135,9 @@ class EdgeList:
             )
 
         first, second = parity_canonical(i, j)
-        # Group by (first, second): lexsort makes duplicates adjacent and
-        # simultaneously produces the bucket grouping by first endpoint.
-        order = np.lexsort((second, first))
+        # Group by (first, second): the pair order makes duplicates adjacent
+        # and simultaneously produces the bucket grouping by first endpoint.
+        order = pair_order(first, second, n_vertices)
         first = first[order]
         second = second[order]
         w = w[order]
@@ -236,8 +236,8 @@ class EdgeList:
         ) != self.n_vertices:
             raise InvariantViolation("bucket offset arrays have wrong length")
         if len(ei) == 0:
-            if np.any(self.bucket_start != self.bucket_end):
-                raise InvariantViolation("non-empty bucket in empty edge list")
+            if np.any(self.bucket_start != 0) or np.any(self.bucket_end != 0):
+                raise InvariantViolation("bucket offsets do not tile the edge array")
             return
         if ei.min() < 0 or max(ei.max(), ej.max()) >= self.n_vertices:
             raise InvariantViolation("endpoint out of range")
@@ -248,14 +248,19 @@ class EdgeList:
             raise InvariantViolation("parity-hash ordering violated")
         if np.any(np.diff(ei) < 0):
             raise InvariantViolation("edges not grouped by first endpoint")
-        # Bucket offsets must tile the edge array.
-        for name, arr in (("start", self.bucket_start), ("end", self.bucket_end)):
-            if arr.min() < 0 or arr.max() > len(ei):
-                raise InvariantViolation(f"bucket_{name} out of range")
+        # Bucket offsets must tile the edge array: bucket v is exactly the
+        # run of edges whose first endpoint is v.
         counts = np.bincount(ei, minlength=self.n_vertices)
-        if np.any(self.bucket_end - self.bucket_start != counts):
-            raise InvariantViolation("bucket sizes disagree with edge grouping")
-        # Duplicates: within a bucket, second endpoints must be unique.
+        ends = np.cumsum(counts)
+        if not np.array_equal(self.bucket_end, ends) or not np.array_equal(
+            self.bucket_start, ends - counts
+        ):
+            raise InvariantViolation("bucket offsets do not tile the edge array")
+        # Duplicates: within a bucket, second endpoints must be unique.  Keys
+        # of a canonical list are strictly increasing; a list shuffled within
+        # its buckets is sorted before adjacent keys are compared.
         key = ei * np.int64(self.n_vertices) + ej
-        if len(np.unique(key)) != len(key):
-            raise InvariantViolation("duplicate edge pair present")
+        if not strictly_increasing(key):
+            key = np.sort(key)
+            if np.any(key[1:] == key[:-1]):
+                raise InvariantViolation("duplicate edge pair present")

@@ -320,15 +320,27 @@ def _format_weight(w: float) -> str:
     return text if float(text) == w else repr(w)
 
 
+#: Edges converted to Python objects at a time by :func:`write_edgelist`.
+_WRITE_CHUNK_ROWS = 1 << 16
+
+
 def write_edgelist(
     graph: CommunityGraph, path: str | os.PathLike, *, weights: bool = True
 ) -> None:
-    """Write each edge once (stored orientation); self weights as loops."""
+    """Write each edge once (stored orientation); self weights as loops.
+
+    Edges are converted to Python ints and floats in chunks of
+    ``_WRITE_CHUNK_ROWS`` rows, so the writer holds one chunk of Python
+    objects rather than three lists as long as the graph.
+    """
     e = graph.edges
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# repro community graph: {graph.n_vertices} vertices, {graph.n_edges} edges\n")
-        for i, j, w in zip(e.ei.tolist(), e.ej.tolist(), e.w.tolist()):
-            fh.write(f"{i}\t{j}\t{_format_weight(w)}\n" if weights else f"{i}\t{j}\n")
+        for lo in range(0, e.n_edges, _WRITE_CHUNK_ROWS):
+            rows = slice(lo, lo + _WRITE_CHUNK_ROWS)
+            chunk = zip(e.ei[rows].tolist(), e.ej[rows].tolist(), e.w[rows].tolist())
+            for i, j, w in chunk:
+                fh.write(f"{i}\t{j}\t{_format_weight(w)}\n" if weights else f"{i}\t{j}\n")
         for v in np.flatnonzero(graph.self_weights).tolist():
             sw = _format_weight(float(graph.self_weights[v]))
             fh.write(f"{v}\t{v}\t{sw}\n" if weights else f"{v}\t{v}\n")

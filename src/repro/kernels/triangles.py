@@ -18,6 +18,7 @@ import numpy as np
 from repro.graph.csr import CSRAdjacency
 from repro.graph.graph import CommunityGraph
 from repro.types import VERTEX_DTYPE
+from repro.util.arrays import pair_order
 
 __all__ = [
     "triangle_counts",
@@ -51,7 +52,7 @@ def triangle_counts(graph: CommunityGraph) -> np.ndarray:
     src, dst = _oriented_adjacency(graph)
 
     # Build oriented CSR: out-neighbors sorted per vertex.
-    order = np.lexsort((dst, src))
+    order = pair_order(src, dst, n)
     src, dst = src[order], dst[order]
     out_deg = np.bincount(src, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.util.arrays import segment_starts
+from repro.util.arrays import pair_order, segment_starts
 
 __all__ = ["CSRMatrix", "spgemm"]
 
@@ -55,7 +55,7 @@ class CSRMatrix:
         ):
             raise ValueError("triplet index out of range")
 
-        order = np.lexsort((cols, rows))
+        order = pair_order(rows, cols, max(n_rows, n_cols))
         rows, cols, vals = rows[order], cols[order], vals[order]
         if len(rows):
             starts = segment_starts(rows * np.int64(n_cols) + cols)

@@ -20,7 +20,7 @@ from repro.graph.edgelist import EdgeList, parity_canonical
 from repro.graph.graph import CommunityGraph
 from repro.spmatrix.csr import CSRMatrix, spgemm
 from repro.types import VERTEX_DTYPE
-from repro.util.arrays import segment_starts
+from repro.util.arrays import pair_order, segment_starts
 
 __all__ = [
     "adjacency_matrix",
@@ -96,7 +96,7 @@ def contract_via_spgemm(
         rows[off].astype(VERTEX_DTYPE), cols[off].astype(VERTEX_DTYPE)
     )
     w = vals[off]
-    order = np.lexsort((second, first))
+    order = pair_order(first, second, k)
     first, second, w = first[order], second[order], w[order]
     if len(first):
         starts = segment_starts(first * np.int64(k) + second)

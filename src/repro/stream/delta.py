@@ -36,6 +36,7 @@ from repro.errors import WalError
 from repro.graph.build import from_edges
 from repro.graph.graph import CommunityGraph
 from repro.types import VERTEX_DTYPE, WEIGHT_DTYPE
+from repro.util.arrays import pair_order, segment_starts, strictly_increasing
 
 __all__ = [
     "BATCH_SCHEMA_VERSION",
@@ -118,9 +119,8 @@ class EdgeBatch:
 
     def touched_vertices(self) -> np.ndarray:
         """Sorted unique vertex ids this batch mentions."""
-        if not len(self.i):
-            return np.empty(0, dtype=VERTEX_DTYPE)
-        return np.unique(np.concatenate([self.i, self.j]))
+        v = np.sort(np.concatenate([self.i, self.j]))
+        return v[segment_starts(v)]
 
 
 def encode_batch(batch: EdgeBatch) -> bytes:
@@ -233,7 +233,7 @@ class EdgeStore:
         if not np.all(np.isfinite(self.w)) or float(self.w.min()) <= 0:
             raise ValueError("edge weights must be positive and finite")
         key = self.lo.astype(np.int64) * self.n_vertices + self.hi
-        if np.any(np.diff(key) <= 0):
+        if not strictly_increasing(key):
             raise ValueError("edge keys must be strictly increasing")
 
     # -------------------------------------------------------------- apply
@@ -241,8 +241,11 @@ class EdgeStore:
         """Fold one batch in; returns the apply statistics.
 
         Deterministic: the resulting arrays are a pure function of the
-        prior canonical arrays and the batch.  O(E + B) with one sort
-        over the combined rows.
+        prior canonical arrays and the batch.  The batch's distinct keys
+        are sorted and merged into the sorted store with ``searchsorted``:
+        ``O(B log B)`` for the batch plus one ``O(E)`` copy of the store.
+        Each key's weight is the store weight plus the key's batch rows,
+        added in batch order.
         """
         touched = batch.touched_vertices()
         n_ins = int(np.count_nonzero(batch.op == OP_INSERT))
@@ -258,21 +261,35 @@ class EdgeStore:
         hi_b = np.maximum(batch.i, batch.j).astype(np.int64)
         signed = batch.w * batch.op.astype(WEIGHT_DTYPE)
 
-        keys = np.concatenate(
-            [
-                self.lo.astype(np.int64) * n_new + self.hi,
-                lo_b * n_new + hi_b,
-            ]
-        )
-        vals = np.concatenate([self.w, signed])
-        uk, inv = np.unique(keys, return_inverse=True)
-        acc = np.bincount(inv, weights=vals, minlength=len(uk))
+        # The batch's distinct keys, and each row's key index in them.
+        order = pair_order(lo_b, hi_b, n_new)
+        sorted_keys = lo_b[order] * n_new + hi_b[order]
+        starts = segment_starts(sorted_keys)
+        keys = sorted_keys[starts]
+        row_key = np.repeat(np.arange(len(keys)), np.diff(starts, append=len(order)))
+
+        store_keys = self.lo.astype(np.int64) * n_new + self.hi
+        pos = np.searchsorted(store_keys, keys)
+        found = pos < len(store_keys)
+        found[found] = store_keys[pos[found]] == keys[found]
+        # Store weight first, then the batch rows in batch order (the
+        # pair order is stable): np.add.at adds one row at a time.
+        acc = np.zeros(len(keys), dtype=WEIGHT_DTYPE)
+        acc[found] = self.w[pos[found]]
+        np.add.at(acc, row_key, signed[order])
         n_unmatched = int(np.count_nonzero(acc < -WEIGHT_EPS))
+
         keep = acc > WEIGHT_EPS
-        kept = uk[keep]
-        self.lo = (kept // n_new).astype(VERTEX_DTYPE)
-        self.hi = (kept % n_new).astype(VERTEX_DTYPE)
-        self.w = acc[keep].astype(WEIGHT_DTYPE)
+        w = self.w.copy()
+        w[pos[found & keep]] = acc[found & keep]
+        dropped = pos[found & ~keep]
+        new = ~found & keep
+        # A new key goes before store row pos; rows dropped ahead of it
+        # shift that point left.
+        at = pos[new] - np.searchsorted(dropped, pos[new])
+        self.lo = np.insert(np.delete(self.lo, dropped), at, keys[new] // n_new)
+        self.hi = np.insert(np.delete(self.hi, dropped), at, keys[new] % n_new)
+        self.w = np.insert(np.delete(w, dropped), at, acc[new])
         self.n_vertices = n_new
         return ApplyStats(n_ins, n_del, n_unmatched, touched)
 

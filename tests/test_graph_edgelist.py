@@ -191,6 +191,25 @@ class TestValidate:
         with pytest.raises(InvariantViolation):
             e.validate()
 
+    def test_detects_offsets_that_do_not_tile(self):
+        # Sizes agree and offsets are in range, yet every bucket starts at
+        # 0, so bucket(1) would hand out vertex 0's edge.
+        e = EdgeList.from_raw(np.array([0, 1]), np.array([2, 3]), None, 5)
+        counts = e.bucket_end - e.bucket_start
+        e.bucket_start = np.zeros(5, dtype=VERTEX_DTYPE)
+        e.bucket_end = counts.copy()
+        with pytest.raises(InvariantViolation, match="tile"):
+            e.validate()
+
+    def test_detects_nonzero_offsets_on_empty_list(self):
+        e = EdgeList.from_raw(
+            np.empty(0, dtype=VERTEX_DTYPE), np.empty(0, dtype=VERTEX_DTYPE), None, 3
+        )
+        e.bucket_start = np.full(3, 4, dtype=VERTEX_DTYPE)
+        e.bucket_end = e.bucket_start.copy()
+        with pytest.raises(InvariantViolation, match="tile"):
+            e.validate()
+
     def test_detects_length_mismatch(self):
         e = EdgeList.from_raw(np.array([0]), np.array([1]), None, 2)
         e.w = np.array([1.0, 2.0])

@@ -152,6 +152,20 @@ class TestWriterPrecision:
         back = read_edgelist(path)
         assert back.edges.w.tobytes() == self._graph().edges.w.tobytes()
 
+    @pytest.mark.parametrize("weights", [True, False])
+    def test_edgelist_chunks_do_not_change_bytes(self, tmp_path, monkeypatch, weights):
+        from repro.graph import io as graph_io
+
+        g = from_edges(*np.random.default_rng(3).integers(0, 40, (2, 300)))
+        whole, chunked = tmp_path / "whole.txt", tmp_path / "chunked.txt"
+        write_edgelist(g, whole, weights=weights)
+        monkeypatch.setattr(graph_io, "_WRITE_CHUNK_ROWS", 7)
+        write_edgelist(g, chunked, weights=weights)
+        assert chunked.read_bytes() == whole.read_bytes()
+        assert len(whole.read_text().splitlines()) == 1 + g.n_edges + int(
+            np.count_nonzero(g.self_weights)
+        )
+
     def test_metis_weights_exact(self, tmp_path):
         path = tmp_path / "g.metis"
         write_metis(self._graph(), path)
