@@ -50,9 +50,6 @@ def run_smoke(
     n_workers: int = 1,
     directory: str = ".",
     audit: str = "sample",
-    memory_budget: float | None = None,
-    spill_dir: str | None = None,
-    shards: int | None = None,
     trace_out: str | None = None,
     perfetto_out: str | None = None,
     telemetry: bool = False,
@@ -64,14 +61,9 @@ def run_smoke(
 ):
     """Run the smoke benchmark and write its ledger; returns (record, path).
 
-    ``memory_budget`` (MiB) arms the guardian's memory guard with the
-    spill rung enabled — a breach migrates the repetition onto the
-    out-of-core sharded backend (spilling under ``spill_dir``, default a
-    private temp dir) instead of degrading toward abort; CI's
-    forced-spill job runs the smoke bench this way and the spill shows
-    up in the ledger's recovery block.  ``trace_out``/``perfetto_out``
-    export the *last* repetition's trace as JSONL / Chrome trace-event
-    JSON — the inputs ``repro report`` and Perfetto consume.
+    ``trace_out``/``perfetto_out`` export the *last* repetition's trace
+    as JSONL / Chrome trace-event JSON — the inputs ``repro report`` and
+    Perfetto consume.
 
     ``telemetry`` (or a ``status_file``) attaches a fresh live sampler
     per repetition — counter samples land in that repetition's trace
@@ -86,17 +78,8 @@ def run_smoke(
     if reps < 1:
         raise ValueError("reps must be at least 1")
     graph = planted_partition_graph(n_vertices, seed=seed)
-    own_spill_dir = None
-    if memory_budget is not None and spill_dir is None:
-        import tempfile
-
-        spill_dir = own_spill_dir = tempfile.mkdtemp(prefix="repro-spill-")
     backend_obj = None
-    if backend == "sharded":
-        from repro.parallel.backends import ShardedBackend
-
-        backend_obj = ShardedBackend(spill_dir=spill_dir, n_shards=shards)
-    elif backend is not None or n_workers > 1:
+    if backend is not None or n_workers > 1:
         backend_obj = create_backend(
             backend or "process-pool",
             n_workers=n_workers if n_workers > 1 else None,
@@ -116,7 +99,6 @@ def run_smoke(
             "backend": backend_obj.name if backend_obj is not None else "serial",
             "n_workers": backend_obj.n_workers if backend_obj is not None else 1,
             "audit": audit,
-            "memory_budget_mb": memory_budget,
         },
         host=host_info(),
         created_unix=time.time(),
@@ -126,16 +108,7 @@ def run_smoke(
         timeline = QualityTimeline()
         # Fresh guardian per repetition: the ladder position and audit
         # counters must not leak across timed runs.
-        guardian = (
-            RunGuardian(
-                audit,
-                memory_budget_mb=memory_budget,
-                spill_dir=spill_dir,
-                spill_shards=shards,
-            )
-            if audit != "off" or memory_budget is not None
-            else None
-        )
+        guardian = RunGuardian(audit) if audit != "off" else None
         sampler = None
         profiler = None
         if telemetry or status_file:
@@ -182,10 +155,6 @@ def run_smoke(
                 memory=profiler.stop() if profiler is not None else None,
             )
         )
-    if own_spill_dir is not None:
-        import shutil
-
-        shutil.rmtree(own_spill_dir, ignore_errors=True)
     meta = {"command": "bench.smoke", "name": name, **record.graph}
     if trace_out:
         from repro.obs import write_trace
@@ -294,28 +263,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "noise floor)",
     )
     parser.add_argument(
-        "--memory-budget",
-        type=float,
-        metavar="MB",
-        default=None,
-        help="arm the guardian's memory guard with the spill rung: a "
-        "breach migrates the run onto the out-of-core sharded backend "
-        "(CI's forced-spill job; see docs/OUT_OF_CORE.md)",
-    )
-    parser.add_argument(
-        "--spill-dir",
-        metavar="DIR",
-        default=None,
-        help="directory for spill stores (default: a private temp dir)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        metavar="N",
-        default=None,
-        help="edge-shard count for spilled graphs (default 8)",
-    )
-    parser.add_argument(
         "--telemetry",
         action="store_true",
         help="attach the live resource sampler per repetition (counter "
@@ -368,9 +315,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         n_workers=args.workers,
         directory=args.out_dir,
         audit=args.audit,
-        memory_budget=args.memory_budget,
-        spill_dir=args.spill_dir,
-        shards=args.shards,
         trace_out=args.trace_out,
         perfetto_out=args.perfetto_out,
         telemetry=args.telemetry,

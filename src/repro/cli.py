@@ -196,29 +196,10 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
     if args.algorithm == "parallel":
         scorer = create_kernel("scorer", args.scorer)
-        # --spill-dir without an explicit directory (i.e. --memory-budget
-        # alone) still spills somewhere: a memory breach must land on the
-        # spill rung, not on abort.
-        spill_dir = args.spill_dir
-        spill_dir_owned = False
-        if (
-            spill_dir is None
-            and args.memory_budget is not None
-        ):
-            import tempfile
-
-            spill_dir = tempfile.mkdtemp(prefix="repro-spill-")
-            spill_dir_owned = True
         # --backend names an execution backend explicitly; bare
         # --workers N keeps its historical meaning of a process pool.
         backend = None
-        if args.backend == "sharded":
-            from repro.parallel.backends import ShardedBackend
-
-            backend = ShardedBackend(
-                spill_dir=args.spill_dir, n_shards=args.shards
-            )
-        elif args.backend is not None or args.workers > 1:
+        if args.backend is not None or args.workers > 1:
             backend = create_backend(
                 args.backend or "process-pool",
                 n_workers=args.workers if args.workers > 1 else None,
@@ -241,8 +222,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                 args.audit,
                 phase_deadline_s=args.phase_deadline,
                 memory_budget_mb=args.memory_budget,
-                spill_dir=spill_dir,
-                spill_shards=args.shards,
             )
         tr = as_tracer(tracer)
         telemetry = _make_telemetry(args, tracer)
@@ -292,12 +271,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                 )
         except RunAbortedError as exc:
             _stop_live(state="failed")
-            if backend is not None and hasattr(backend, "release"):
-                backend.release()
-            if spill_dir_owned:
-                import shutil
-
-                shutil.rmtree(spill_dir, ignore_errors=True)
             print(f"error: {exc}", file=sys.stderr)
             if exc.report is not None:
                 print(f"resilience: {exc.report.summary()}", file=sys.stderr)
@@ -318,14 +291,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         finally:
             _stop_live()
         partition = result.partition
-        # The spill stores have served their purpose once the dendrogram
-        # exists; drop backend-owned state and any implicit temp dir.
-        if backend is not None and hasattr(backend, "release"):
-            backend.release()
-        if spill_dir_owned:
-            import shutil
-
-            shutil.rmtree(spill_dir, ignore_errors=True)
         print(
             f"parallel agglomeration: {result.n_levels} levels, "
             f"terminated by {result.terminated_by}",
@@ -482,7 +447,6 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
         rows = [
             [
                 i.name,
-                "yes" if i.supports_sharded else "no",
                 "yes" if i.deterministic else "no",
                 i.description or "-",
             ]
@@ -490,12 +454,7 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
         ]
         print(
             format_table(
-                [
-                    "name",
-                    "sharded",
-                    "deterministic",
-                    "description",
-                ],
+                ["name", "deterministic", "description"],
                 rows,
                 title=f"{kind}s ({len(infos)} registered)",
             )
@@ -1119,24 +1078,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="MB",
         default=None,
         help="soft resident-memory budget sampled after each phase; a "
-        "breach first migrates the run onto the out-of-core sharded "
-        "backend (spill rung; see docs/OUT_OF_CORE.md), then steps the "
-        "degradation ladder",
-    )
-    p.add_argument(
-        "--spill-dir",
-        metavar="DIR",
-        default=None,
-        help="directory for out-of-core spill stores (per-level sharded "
-        "graph files); used by the guardian's spill rung and by "
-        "--backend sharded (default: a private temp dir)",
-    )
-    p.add_argument(
-        "--shards",
-        type=int,
-        metavar="N",
-        default=None,
-        help="edge-shard count for spilled graphs (default 8)",
+        "breach steps the guardian's degradation ladder (serial backend, "
+        "smaller chunks, lighter audits, finally checkpoint-and-abort)",
     )
     p.add_argument(
         "--checkpoint-dir",
@@ -1176,7 +1119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--telemetry",
         action="store_true",
-        help="sample RSS/GC/spill/worker counters in the background and "
+        help="sample RSS/GC/worker counters in the background and "
         "record them into the trace (parallel algorithm only)",
     )
     p.add_argument(
@@ -1230,9 +1173,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="list registered kernels with capability metadata",
         description="List every kernel registered under each phase kind "
         "(scorer/matcher/contractor) with its capability descriptor: "
-        "whether it streams a spilled level shard by shard (itself or "
-        "through a bit-identical streamed twin) and whether it is "
-        "deterministic.",
+        "whether it is deterministic.",
     )
     p.add_argument(
         "--kind",

@@ -40,11 +40,6 @@ import numpy as np
 
 from repro.core.dendrogram import Dendrogram
 from repro.core.matching import MatchingResult
-from repro.core.outofcore import (
-    contract_sharded,
-    match_gmm_capped,
-    score_sharded,
-)
 from repro.core.registry import create_kernel
 from repro.core.scoring import EdgeScorer, validate_scores
 from repro.core.termination import TerminationCriteria
@@ -204,9 +199,7 @@ class RunContext:
         ladder); defaults to the inert :data:`NULL_GUARDIAN`.
     telemetry:
         Live-telemetry sampler the engine publishes phase/level
-        transitions to (and whose RSS ring buffer the guardian's
-        predictive spill consumes); defaults to the inert
-        :data:`NULL_TELEMETRY`.
+        transitions to; defaults to the inert :data:`NULL_TELEMETRY`.
     memprof:
         Phase-scoped tracemalloc memory attributor; defaults to the
         inert :data:`NULL_MEMPROF`.
@@ -267,20 +260,6 @@ class RunContext:
 
 
 # ----------------------------------------------------------------- kernels
-def _streams_shards(ctx: "RunContext", graph: CommunityGraph) -> bool:
-    """True when this phase should stream the graph shard-at-a-time.
-
-    Requires both halves: a backend advertising the ``sharded``
-    capability (so the run *asked* for out-of-core execution — directly
-    or via the guardian's spill rung) and a graph actually carrying a
-    spill store (so the shard table exists).  Either alone falls back to
-    the ordinary in-memory path.
-    """
-    return bool(getattr(ctx.backend, "sharded", False)) and (
-        getattr(graph, "spill_store", None) is not None
-    )
-
-
 @runtime_checkable
 class PhaseKernel(Protocol):
     """One pipeline phase, executable against a :class:`RunContext`.
@@ -320,14 +299,6 @@ class ScoreKernel:
     def run(
         self, ctx: RunContext, graph: CommunityGraph, **inputs: Any
     ) -> np.ndarray:
-        if _streams_shards(ctx, graph) and hasattr(self.scorer, "score_range"):
-            # Streamed windowed scoring: bit-identical to ``score`` (the
-            # formulas are elementwise), validated window-by-window, and
-            # the output lands in a scratch memmap instead of anonymous
-            # memory.
-            return score_sharded(
-                self.scorer, graph, ctx.recorder, tracer=ctx.tracer
-            )
         backend_score = getattr(self.scorer, "score_with_backend", None)
         if backend_score is not None and ctx.backend.n_workers > 1:
             scores = backend_score(
@@ -363,16 +334,6 @@ class MatchKernel:
         scores: np.ndarray,
         **inputs: Any,
     ) -> MatchingResult:
-        if _streams_shards(ctx, graph) and self.name == "worklist":
-            # The cap-respecting streamed matcher is bit-identical to
-            # the worklist matcher (same matching, passes, failed-claim
-            # counts and recorder profile), so substituting it keeps
-            # every statistic while bounding the anonymous working set
-            # to O(V + shard).  Other matchers run as configured, on the
-            # memmap-backed graph.
-            return match_gmm_capped(
-                graph, scores, ctx.recorder, tracer=ctx.tracer
-            )
         return self.fn(graph, scores, ctx.recorder, tracer=ctx.tracer)
 
 
@@ -393,13 +354,6 @@ class ContractKernel:
         matching: MatchingResult,
         **inputs: Any,
     ) -> tuple[CommunityGraph, np.ndarray]:
-        if _streams_shards(ctx, graph) and self.name == "bucket":
-            # Spill-backed bucket-sort contraction — bit-identical to
-            # ``bucket`` (same edges, weights and recorder profile) with
-            # the kept/sorted edge arrays in scratch memmaps.
-            return contract_sharded(
-                graph, matching, ctx.recorder, tracer=ctx.tracer
-            )
         return self.fn(graph, matching, ctx.recorder, tracer=ctx.tracer)
 
 
@@ -490,9 +444,9 @@ class AgglomerationEngine:
         termination = self.termination
         guard = as_guardian(ctx.guardian)
         guard.bind(ctx, graph)
-        # The live-telemetry sampler reads backend/recovery state off the
-        # context every tick, so a guardian backend swap (spill rung) is
-        # visible immediately; the engine publishes phase transitions.
+        # The live-telemetry sampler reads the recovery report off the
+        # context every tick, so a guardian degradation is visible
+        # immediately; the engine publishes phase transitions.
         ctx.telemetry.bind_run(ctx)
 
         current = graph.copy()
@@ -650,12 +604,6 @@ class AgglomerationEngine:
         with tr.span(
             "level", level=level_idx, n_vertices=entering_v, n_edges=entering_e
         ) as level_span:
-            prepare = getattr(ctx.backend, "prepare_level", None)
-            if prepare is not None and getattr(ctx.backend, "sharded", False):
-                # Out-of-core: spill the level's graph and continue on
-                # its value-identical memmap-backed twin (results are
-                # bit-identical; see docs/OUT_OF_CORE.md).
-                current = prepare(current, level_idx, tracer=tr)
             ctx.telemetry.publish_phase("score", level_idx)
             with tr.span("score", level=level_idx) as sp:
                 with guard.phase("score", level_idx), ctx.memprof.phase(

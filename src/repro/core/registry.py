@@ -34,8 +34,8 @@ User extension::
     detect_communities(graph, scorer="my-metric")
 
 ``register_kernel`` stays backward-compatible for bare factories: when
-no ``info`` is given a conservative default descriptor is attached
-(``supports_sharded=False``, ``deterministic=True``).
+no ``info`` is given a default descriptor is attached
+(``deterministic=True``).
 
 The built-in kernels are registered at import time; discovery
 (:func:`kernel_names`, :func:`kernel_catalog`) is what the CLI uses to
@@ -50,7 +50,6 @@ from typing import Callable
 
 from repro.core.contraction import contract, contract_hash_chains
 from repro.core.matching import match_full_sweep, match_locally_dominant
-from repro.core.outofcore import contract_sharded, match_gmm_capped
 from repro.core.scoring import ConductanceScorer, ModularityScorer, WeightScorer
 
 __all__ = [
@@ -78,13 +77,6 @@ class KernelInfo:
     ----------
     kind, name:
         The registry key this descriptor belongs to.
-    supports_sharded:
-        ``True`` when the kernel streams a spilled level shard by shard
-        — either itself (``gmm``, ``shard``) or because the engine
-        switches it to its bit-identical streamed twin (``worklist`` →
-        ``match_gmm_capped``, ``bucket`` → ``contract_sharded``,
-        scorers → ``score_sharded``).  Other kernels run as configured
-        on the spilled level's memmap-backed graph.
     deterministic:
         ``True`` when repeated runs on the same input produce
         bit-identical output (every built-in is; a user kernel that
@@ -95,7 +87,6 @@ class KernelInfo:
 
     kind: str
     name: str
-    supports_sharded: bool = False
     deterministic: bool = True
     description: str = ""
 
@@ -131,9 +122,9 @@ def register_kernel(
     instantiated for a run.  Re-registering an existing name raises
     unless ``replace=True`` (so a typo cannot silently shadow a
     built-in).  ``info`` attaches the capability descriptor; a bare
-    registration (the historical two-argument form) gets a conservative
-    default — not sharded-capable, deterministic — so pre-existing user
-    kernels keep working.
+    registration (the historical two-argument form) gets the default
+    descriptor — deterministic — so pre-existing user kernels keep
+    working.
     """
     _check_kind(kind)
     if not name:
@@ -207,7 +198,6 @@ register_kernel(
     info=KernelInfo(
         "scorer",
         "modularity",
-        supports_sharded=True,
         description="CNM merge gain (the paper's default objective)",
     ),
 )
@@ -218,7 +208,6 @@ register_kernel(
     info=KernelInfo(
         "scorer",
         "conductance",
-        supports_sharded=True,
         description="negative conductance of the merged pair",
     ),
 )
@@ -229,7 +218,6 @@ register_kernel(
     info=KernelInfo(
         "scorer",
         "weight",
-        supports_sharded=True,
         description="raw edge weight (heaviest-first agglomeration)",
     ),
 )
@@ -240,8 +228,6 @@ register_kernel(
     info=KernelInfo(
         "matcher",
         "worklist",
-        # Streams via the bit-identical gmm twin once spilled.
-        supports_sharded=True,
         description="the paper's improved worklist matching (§IV-B new)",
     ),
 )
@@ -252,22 +238,7 @@ register_kernel(
     info=KernelInfo(
         "matcher",
         "sweep",
-        supports_sharded=False,
         description="legacy full-sweep matching (§IV-B old)",
-    ),
-)
-# The GMM-style cap-respecting matcher: bit-identical to worklist/sweep
-# but streams shard windows, never materialising an edge-length
-# anonymous array (the out-of-core / spill-rung matcher).
-register_kernel(
-    "matcher",
-    "gmm",
-    lambda: match_gmm_capped,
-    info=KernelInfo(
-        "matcher",
-        "gmm",
-        supports_sharded=True,
-        description="cap-respecting streamed matching (out-of-core twin)",
     ),
 )
 register_kernel(
@@ -277,8 +248,6 @@ register_kernel(
     info=KernelInfo(
         "contractor",
         "bucket",
-        # Streams via the bit-identical shard twin once spilled.
-        supports_sharded=True,
         description="vectorized bucket-sort contraction (§IV-C new)",
     ),
 )
@@ -289,19 +258,6 @@ register_kernel(
     info=KernelInfo(
         "contractor",
         "chains",
-        supports_sharded=False,
         description="legacy hash-of-linked-lists contraction (§IV-C old)",
-    ),
-)
-# Spill-backed bucket-sort contraction for the out-of-core path.
-register_kernel(
-    "contractor",
-    "shard",
-    lambda: contract_sharded,
-    info=KernelInfo(
-        "contractor",
-        "shard",
-        supports_sharded=True,
-        description="spill-backed bucket-sort contraction (out-of-core)",
     ),
 )

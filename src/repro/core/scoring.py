@@ -73,11 +73,7 @@ class EdgeScorer(Protocol):
     attribute are validated once by the engine's score phase.
     Implementations may additionally offer ``score_with_backend`` (see
     :meth:`ModularityScorer.score_with_backend`) to run chunked on a
-    :class:`~repro.parallel.backends.ExecutionBackend`, and
-    ``score_range(graph, lo, hi, *, vol, w_total)`` to score one edge
-    window for the out-of-core path (:mod:`repro.core.outofcore`) —
-    the per-edge formulas are elementwise, so a windowed evaluation is
-    bit-identical to the whole-array one.
+    :class:`~repro.parallel.backends.ExecutionBackend`.
     """
 
     name: str
@@ -128,28 +124,6 @@ class ModularityScorer:
         return validate_scores(
             scores.astype(SCORE_DTYPE, copy=False), scorer=self.name
         )
-
-    def score_range(
-        self,
-        graph: CommunityGraph,
-        lo: int,
-        hi: int,
-        *,
-        vol: np.ndarray,
-        w_total: float,
-    ) -> np.ndarray:
-        """Score edges ``[lo, hi)`` — the same elementwise formula as
-        :meth:`score` over a slice, so the out-of-core path that stitches
-        these windows together reproduces :meth:`score` bit for bit.
-        ``vol``/``w_total`` are the precomputed whole-graph aggregates
-        (``w_total`` must be nonzero; the caller owns that special case).
-        Output is unvalidated; the streaming caller validates per window.
-        """
-        e = graph.edges
-        return (
-            e.w[lo:hi] / w_total
-            - vol[e.ei[lo:hi]] * vol[e.ej[lo:hi]] / (2.0 * w_total**2)
-        ).astype(SCORE_DTYPE, copy=False)
 
     def score_with_backend(
         self,
@@ -224,35 +198,6 @@ class ConductanceScorer:
             scorer=self.name,
         )
 
-    def score_range(
-        self,
-        graph: CommunityGraph,
-        lo: int,
-        hi: int,
-        *,
-        vol: np.ndarray,
-        w_total: float,
-    ) -> np.ndarray:
-        """Windowed :meth:`score` (see :meth:`ModularityScorer.score_range`)."""
-        e = graph.edges
-        two_w = 2.0 * w_total
-        cut = vol - 2.0 * graph.self_weights
-
-        def phi(cut_c: np.ndarray, vol_c: np.ndarray) -> np.ndarray:
-            denom = np.minimum(vol_c, two_w - vol_c)
-            out = np.zeros_like(cut_c, dtype=SCORE_DTYPE)
-            np.divide(cut_c, denom, out=out, where=denom > 0)
-            return out
-
-        ei = e.ei[lo:hi]
-        ej = e.ej[lo:hi]
-        phi_i = phi(cut[ei], vol[ei])
-        phi_j = phi(cut[ej], vol[ej])
-        cut_merged = cut[ei] + cut[ej] - 2.0 * e.w[lo:hi]
-        vol_merged = vol[ei] + vol[ej]
-        phi_merged = phi(cut_merged, vol_merged)
-        return (phi_i + phi_j - phi_merged).astype(SCORE_DTYPE, copy=False)
-
 
 class WeightScorer:
     """Raw edge weight: turns the matcher into plain heavy-edge matching.
@@ -271,15 +216,3 @@ class WeightScorer:
         return validate_scores(
             graph.edges.w.astype(SCORE_DTYPE), scorer=self.name
         )
-
-    def score_range(
-        self,
-        graph: CommunityGraph,
-        lo: int,
-        hi: int,
-        *,
-        vol: np.ndarray,
-        w_total: float,
-    ) -> np.ndarray:
-        """Windowed :meth:`score` (see :meth:`ModularityScorer.score_range`)."""
-        return graph.edges.w[lo:hi].astype(SCORE_DTYPE)

@@ -17,7 +17,6 @@ __all__ = [
     "ConvergenceError",
     "PlatformModelError",
     "CheckpointError",
-    "SpillError",
     "WalError",
     "StreamStateError",
     "ChunkFailureError",
@@ -74,17 +73,6 @@ class CheckpointError(ReproError):
     Raised by :mod:`repro.resilience.checkpoint` when a specific checkpoint
     cannot be loaded; ``load_latest`` catches it per-file and falls back to
     the newest checkpoint that *does* validate.
-    """
-
-
-class SpillError(ReproError):
-    """An out-of-core spill file is missing, truncated, or corrupt.
-
-    Raised by :mod:`repro.spmatrix.spill` when a spill container fails
-    its checksummed-header validation (bad magic, short payload, CRC
-    mismatch) and by :class:`repro.graph.csr.ShardedCSRStore` when a
-    spilled graph cannot be reopened.  A spilled run surfaces this
-    instead of ever returning results computed from torn shard data.
     """
 
 

@@ -8,7 +8,7 @@ from repro.graph.build import (
     from_networkx,
     to_networkx,
 )
-from repro.graph.csr import CSRAdjacency, EdgeShard, ShardedCSRStore
+from repro.graph.csr import CSRAdjacency
 from repro.graph.components import connected_components
 from repro.graph.subgraph import induced_subgraph, largest_component
 from repro.graph.io import (
@@ -28,8 +28,6 @@ __all__ = [
     "from_networkx",
     "to_networkx",
     "CSRAdjacency",
-    "EdgeShard",
-    "ShardedCSRStore",
     "connected_components",
     "induced_subgraph",
     "largest_component",

@@ -1,46 +1,22 @@
-"""Compressed sparse row adjacency view and the sharded out-of-core store.
+"""Compressed sparse row adjacency view.
 
 The bucketed edge list stores each edge once; traversal algorithms
 (components, refinement, the sequential baselines) want the full adjacency
 of each vertex.  ``CSRAdjacency`` materializes the symmetric expansion — the
 classic xadj/adjncy/weight layout of METIS and the paper's SNAP baseline —
 in three vectorized passes.
-
-``ShardedCSRStore`` is the out-of-core counterpart: it spills a
-:class:`~repro.graph.graph.CommunityGraph`'s arrays to a checksummed
-spill file (:mod:`repro.spmatrix.spill`) and reopens them as
-``np.memmap`` views, partitioned into contiguous *edge shards*.  A
-shard is a window ``[lo, hi)`` over the bucketed edge arrays: loading
-one touches only that window's pages, so a kernel that streams
-shard-at-a-time keeps its anonymous working set at ``O(V + shard)``
-while the file-backed pages stay evictable under memory pressure.
-Because the memmap-backed graph is *value-identical* to the in-memory
-one, every kernel — and every invariant audit — computes bit-identical
-results on it.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import shutil
 from dataclasses import dataclass
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from repro.errors import SpillError
 from repro.graph.edgelist import EdgeList
-from repro.graph.graph import CommunityGraph
-from repro.spmatrix.spill import read_spill, spill_nbytes, write_spill
 from repro.types import VERTEX_DTYPE, WEIGHT_DTYPE
-from repro.util.atomicio import atomic_write_text
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.resilience.faults import FaultPlan
-
-__all__ = ["CSRAdjacency", "EdgeShard", "ShardedCSRStore", "DEFAULT_SHARDS"]
+__all__ = ["CSRAdjacency"]
 
 
 @dataclass
@@ -89,231 +65,3 @@ class CSRAdjacency:
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.xadj)
-
-
-# --------------------------------------------------------------- out-of-core
-#: Default number of edge shards when neither ``n_shards`` nor
-#: ``shard_edges`` is given.
-DEFAULT_SHARDS = 8
-
-_MANIFEST = "manifest.json"
-_GRAPH_FILE = "graph.spill"
-_MANIFEST_VERSION = 1
-
-
-@dataclass
-class EdgeShard:
-    """One contiguous window ``[lo, hi)`` of a spilled graph's edges.
-
-    The arrays are zero-copy views into the store's memmaps — touching
-    them faults in only this shard's pages.
-    """
-
-    index: int
-    lo: int
-    hi: int
-    ei: np.ndarray
-    ej: np.ndarray
-    w: np.ndarray
-
-    @property
-    def n_edges(self) -> int:
-        return self.hi - self.lo
-
-
-class ShardedCSRStore:
-    """A :class:`CommunityGraph` spilled to disk and reopened via ``mmap``.
-
-    Created by :meth:`spill` (write side) or :meth:`open` (reload
-    side).  The store owns one checksummed spill file holding the six
-    graph arrays plus a JSON manifest recording the shard table; both
-    are written atomically, so a crash mid-spill leaves either the
-    previous complete spill or nothing — never a torn store.
-    """
-
-    def __init__(
-        self,
-        directory: Path,
-        *,
-        n_vertices: int,
-        n_edges: int,
-        shard_ranges: list[tuple[int, int]],
-        arrays: dict[str, np.ndarray],
-    ) -> None:
-        self.directory = directory
-        self.n_vertices = n_vertices
-        self.n_edges = n_edges
-        self.shard_ranges = shard_ranges
-        self._arrays = arrays
-
-    # ------------------------------------------------------------- write side
-    @classmethod
-    def spill(
-        cls,
-        graph: CommunityGraph,
-        directory: str | os.PathLike,
-        *,
-        n_shards: int | None = None,
-        shard_edges: int | None = None,
-        faults: "FaultPlan | None" = None,
-        artifact: str = "spill-graph",
-        index: int = 0,
-        verify: bool = False,
-    ) -> "ShardedCSRStore":
-        """Spill ``graph`` under ``directory`` and reopen it memmap-backed.
-
-        ``n_shards``/``shard_edges`` fix the shard table (``shard_edges``
-        wins when both are given); the default is :data:`DEFAULT_SHARDS`
-        equal windows.  ``faults``/``artifact``/``index`` thread the
-        chaos suite's disk-fault injection into the spill write.  The
-        freshly written file is reopened without checksum verification
-        by default (``verify=False``) — we just computed those bytes —
-        while :meth:`open` always defaults to verifying.
-        """
-        d = Path(os.fspath(directory))
-        d.mkdir(parents=True, exist_ok=True)
-        e = graph.edges
-        ranges = _shard_ranges(e.n_edges, n_shards=n_shards, shard_edges=shard_edges)
-        write_spill(
-            d / _GRAPH_FILE,
-            {
-                "ei": e.ei,
-                "ej": e.ej,
-                "w": e.w,
-                "bucket_start": e.bucket_start,
-                "bucket_end": e.bucket_end,
-                "self_weights": graph.self_weights,
-            },
-            faults=faults,
-            artifact=artifact,
-            index=index,
-        )
-        manifest = {
-            "version": _MANIFEST_VERSION,
-            "n_vertices": int(e.n_vertices),
-            "n_edges": int(e.n_edges),
-            "spill_file": _GRAPH_FILE,
-            "shards": [[int(lo), int(hi)] for lo, hi in ranges],
-        }
-        atomic_write_text(
-            d / _MANIFEST, json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        )
-        return cls.open(d, verify=verify)
-
-    # -------------------------------------------------------------- read side
-    @classmethod
-    def open(
-        cls, directory: str | os.PathLike, *, verify: bool = True
-    ) -> "ShardedCSRStore":
-        """Reopen a spilled graph; raises :class:`SpillError` if torn."""
-        d = Path(os.fspath(directory))
-        try:
-            manifest = json.loads((d / _MANIFEST).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise SpillError(f"{d}: no spill manifest: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise SpillError(f"{d}: corrupt spill manifest: {exc}") from exc
-        if manifest.get("version") != _MANIFEST_VERSION:
-            raise SpillError(
-                f"{d}: unsupported spill manifest version "
-                f"{manifest.get('version')!r}"
-            )
-        arrays = read_spill(d / manifest["spill_file"], verify=verify)
-        expected = {
-            "ei", "ej", "w", "bucket_start", "bucket_end", "self_weights",
-        }
-        if set(arrays) != expected:
-            raise SpillError(
-                f"{d}: spill file arrays {sorted(arrays)} != {sorted(expected)}"
-            )
-        n_edges = int(manifest["n_edges"])
-        if len(arrays["ei"]) != n_edges:
-            raise SpillError(
-                f"{d}: manifest says {n_edges} edges, spill file has "
-                f"{len(arrays['ei'])}"
-            )
-        ranges = [(int(lo), int(hi)) for lo, hi in manifest["shards"]]
-        if ranges and (
-            ranges[0][0] != 0
-            or ranges[-1][1] != n_edges
-            or any(a[1] != b[0] for a, b in zip(ranges, ranges[1:]))
-        ):
-            raise SpillError(f"{d}: shard table does not tile [0, {n_edges})")
-        return cls(
-            d,
-            n_vertices=int(manifest["n_vertices"]),
-            n_edges=n_edges,
-            shard_ranges=ranges,
-            arrays=arrays,
-        )
-
-    # ------------------------------------------------------------------ views
-    @property
-    def n_shards(self) -> int:
-        return len(self.shard_ranges)
-
-    @property
-    def nbytes(self) -> int:
-        """Payload bytes on disk (the spilled arrays)."""
-        return spill_nbytes(self.directory / _GRAPH_FILE)
-
-    def load_shard(self, k: int) -> EdgeShard:
-        """Shard ``k`` as zero-copy memmap views."""
-        lo, hi = self.shard_ranges[k]
-        return EdgeShard(
-            index=k,
-            lo=lo,
-            hi=hi,
-            ei=self._arrays["ei"][lo:hi],
-            ej=self._arrays["ej"][lo:hi],
-            w=self._arrays["w"][lo:hi],
-        )
-
-    def iter_shards(self) -> Iterator[EdgeShard]:
-        for k in range(self.n_shards):
-            yield self.load_shard(k)
-
-    def as_graph(self) -> CommunityGraph:
-        """The spilled graph, arrays backed by the store's memmaps.
-
-        Value-identical to the graph that was spilled, so any kernel
-        run on it produces bit-identical results; the returned graph
-        carries this store as its ``spill_store`` attribute so sharded
-        kernels can recover the shard table.
-        """
-        edges = EdgeList(
-            ei=self._arrays["ei"],
-            ej=self._arrays["ej"],
-            w=self._arrays["w"],
-            n_vertices=self.n_vertices,
-            bucket_start=self._arrays["bucket_start"],
-            bucket_end=self._arrays["bucket_end"],
-        )
-        graph = CommunityGraph(edges, self._arrays["self_weights"])
-        graph.spill_store = self  # type: ignore[attr-defined]
-        return graph
-
-    def cleanup(self) -> None:
-        """Drop the on-disk store (best effort; views become invalid)."""
-        shutil.rmtree(self.directory, ignore_errors=True)
-
-
-def _shard_ranges(
-    n_edges: int,
-    *,
-    n_shards: int | None = None,
-    shard_edges: int | None = None,
-) -> list[tuple[int, int]]:
-    """Contiguous windows tiling ``[0, n_edges)``."""
-    if shard_edges is not None:
-        if shard_edges < 1:
-            raise ValueError("shard_edges must be at least 1")
-        size = shard_edges
-    else:
-        k = DEFAULT_SHARDS if n_shards is None else n_shards
-        if k < 1:
-            raise ValueError("n_shards must be at least 1")
-        size = max(1, -(-n_edges // k))
-    return [
-        (lo, min(n_edges, lo + size)) for lo in range(0, n_edges, size)
-    ] or ([(0, 0)] if n_edges == 0 else [])

@@ -7,7 +7,6 @@ periodically records
 
 * anonymous RSS (:func:`repro.util.memprobe.rss_anon_mb`),
 * cumulative GC collections,
-* spill bytes and open level-store count (from the run's backend),
 * live worker count (heartbeats piggybacked on the pool's metrics
   queue),
 * the current phase/level (published by the engine via ``RunContext``)
@@ -23,10 +22,7 @@ live; :func:`render_status` is that renderer.
 
 The sampler keeps a bounded ring buffer of ``(ts_ns, rss_mb)`` pairs;
 :meth:`TelemetrySampler.ramp_mb_s` fits the RSS ramp rate over a recent
-window.  The guardian's memory-budget probe consumes this to fire the
-spill rung *predictively* — when the current trajectory would cross the
-budget within its horizon — rather than waiting for the hard breach
-(see :mod:`repro.resilience.guardian`).
+window, which status.json, ``repro watch`` and the ledger display.
 
 Zero overhead when off: the default is :data:`NULL_TELEMETRY`, whose
 hooks are attribute-lookup no-ops — no thread, no samples, no status
@@ -131,7 +127,7 @@ class TelemetrySampler:
         ``status.json`` appended.
     ring_size:
         Capacity of the ``(ts_ns, rss_mb)`` ring buffer the ramp-rate
-        estimate (and the guardian's predictive spill) reads.
+        estimate reads.
     meta:
         Free-form run identification merged into every status snapshot
         (e.g. ``{"graph": "email-Enron"}``).
@@ -188,11 +184,9 @@ class TelemetrySampler:
     def bind_run(self, ctx: "RunContext") -> None:
         """Attach to a run context.
 
-        Gives the sampler live access to ``ctx.backend`` (spill bytes /
-        open stores — followed through the guardian's spill swap, since
-        the attribute is re-read every tick) and ``ctx.recovery`` (the
-        guardian ladder state for status.json).  Called by the engine
-        at run start; harmless to call more than once.
+        Gives the sampler live access to ``ctx.recovery`` (the guardian
+        ladder state for status.json, re-read every tick).  Called by
+        the engine at run start; harmless to call more than once.
         """
         self._ctx = ctx
 
@@ -308,17 +302,6 @@ class TelemetrySampler:
         tr.record_counter(
             "gc_collections", gc_collections, ts_ns=ts, unit="count"
         )
-        backend = self._ctx.backend if self._ctx is not None else None
-        spill_bytes = int(getattr(backend, "spilled_bytes", 0) or 0)
-        spilled_levels = int(getattr(backend, "spilled_levels", 0) or 0)
-        open_stores = int(getattr(backend, "open_level_stores", 0) or 0)
-        if backend is not None and getattr(backend, "sharded", False):
-            tr.record_counter(
-                "spill_bytes", spill_bytes, ts_ns=ts, unit="bytes"
-            )
-            tr.record_counter(
-                "open_level_stores", open_stores, ts_ns=ts, unit="count"
-            )
         n_workers = workers_alive(now_ns=ts)
         tr.record_counter("workers_alive", n_workers, ts_ns=ts, unit="count")
         phase, level = self._phase, self._level
@@ -352,14 +335,10 @@ class TelemetrySampler:
             "peak_rss_mb": self.peak_rss_mb,
             "ramp_mb_s": ramp,
             "gc_collections": gc_collections,
-            "spill_bytes": spill_bytes,
-            "spilled_levels": spilled_levels,
-            "open_level_stores": open_stores,
             "workers_alive": n_workers,
             "n_samples": self.n_samples,
             "guardian": {
                 "breaches": getattr(recovery, "guardian_breaches", 0),
-                "spills": getattr(recovery, "spills", 0),
                 "ladder": list(getattr(recovery, "ladder", ()) or ()),
             },
             "meta": self.meta,
@@ -468,15 +447,6 @@ def read_status(path: str | os.PathLike) -> dict:
     return status
 
 
-def _fmt_bytes(n: int) -> str:
-    value = float(n)
-    for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if value < 1024 or unit == "TiB":
-            return f"{value:.1f} {unit}" if unit != "B" else f"{int(value)} B"
-        value /= 1024
-    return f"{value:.1f} TiB"  # pragma: no cover - unreachable
-
-
 def render_status(
     status: dict,
     *,
@@ -525,17 +495,9 @@ def render_status(
     if ramp is not None:
         mem += f"  ramp {ramp:+.2f} MiB/s"
     mem += f"  [{status.get('rss_source', '?')}]"
-    spill = _fmt_bytes(int(status.get("spill_bytes") or 0))
-    spill += (
-        f" over {status.get('spilled_levels', 0)} level(s), "
-        f"{status.get('open_level_stores', 0)} open store(s)"
-    )
     guardian = status.get("guardian") or {}
     ladder = guardian.get("ladder") or []
-    gline = (
-        f"{guardian.get('breaches', 0)} breach(es), "
-        f"{guardian.get('spills', 0)} spill(s)"
-    )
+    gline = f"{guardian.get('breaches', 0)} breach(es)"
     if ladder:
         gline += f", ladder: {' -> '.join(ladder)}"
     heartbeat = "-" if age is None else f"{age:.1f}s ago"
@@ -558,7 +520,6 @@ def render_status(
             )
         ),
         f"  memory   : {mem}",
-        f"  spill    : {spill}",
         f"  workers  : {status.get('workers_alive', 0)} alive",
         f"  gc       : {status.get('gc_collections', 0)} collections",
         f"  guardian : {gline}",

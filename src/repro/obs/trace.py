@@ -123,7 +123,7 @@ class CounterSample:
     Unlike the end-of-run metric snapshot (one aggregate value per
     counter), counter samples are a *time series*: the telemetry
     sampler records one per sampling tick, so resource usage (anonymous
-    RSS, GC collections, spill bytes) becomes a curve over the run
+    RSS, GC collections, live workers) becomes a curve over the run
     rather than a single total.  ``ts_ns`` shares the owning tracer's
     monotonic clock, making samples directly comparable to span
     windows; ``unit`` is a display hint (``"MiB"``, ``"bytes"``,

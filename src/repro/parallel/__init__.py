@@ -23,7 +23,6 @@ from repro.parallel.backends import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    ShardedBackend,
     as_backend,
     backend_names,
     create_backend,
@@ -43,7 +42,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "ShardedBackend",
     "register_backend",
     "backend_names",
     "create_backend",

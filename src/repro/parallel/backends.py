@@ -8,7 +8,7 @@ shared-memory output block, and *any* phase kernel holding a
 :class:`~repro.core.engine.RunContext` can request it via
 ``ctx.backend.map_chunks(...)`` instead of hard-coding a pool.
 
-Three backends ship:
+Two backends ship:
 
 * ``serial`` — chunks run in the calling process, in order.  Zero
   process overhead, always available, and the reference for parity
@@ -18,11 +18,6 @@ Three backends ship:
   :class:`~repro.parallel.pool.SharedArrayPool` with the full recovery
   ladder (retry/backoff, deadlines, parent-side validation, in-process
   degradation; see docs/RESILIENCE.md).
-* ``sharded`` — out-of-core execution: each level's community graph is
-  spilled to a checksummed on-disk store and the pipeline streams it
-  shard-at-a-time (:class:`ShardedBackend`, docs/OUT_OF_CORE.md).  This
-  is also the guardian's spill rung target when a run breaches its
-  memory budget.
 
 Every ``map_chunks`` call is wrapped in a ``"backend_map"`` span carrying
 the backend identity and worker count, and mirrored to the
@@ -37,13 +32,7 @@ come from :func:`backend_names`.
 
 from __future__ import annotations
 
-import logging
-import os
-import shutil
-import tempfile
-import weakref
-from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
+from typing import Callable, Protocol, runtime_checkable
 
 from repro.obs.trace import NullTracer, Tracer, as_tracer
 from repro.parallel.pool import SharedArrayPool
@@ -51,17 +40,10 @@ from repro.resilience.faults import FaultPlan
 from repro.resilience.report import RecoveryReport
 from repro.resilience.retry import RetryPolicy
 
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.graph.csr import ShardedCSRStore
-    from repro.graph.graph import CommunityGraph
-
-_log = logging.getLogger(__name__)
-
 __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "ShardedBackend",
     "register_backend",
     "backend_names",
     "create_backend",
@@ -252,211 +234,6 @@ class ProcessPoolBackend(_PoolBackedBackend):
         )
 
 
-class ShardedBackend(SerialBackend):
-    """Out-of-core execution: each level's graph is spilled to disk and
-    the pipeline's kernels stream it shard-at-a-time.
-
-    The backend itself still satisfies :class:`ExecutionBackend` (it is a
-    :class:`SerialBackend` for ``map_chunks``, so every guardian rung that
-    rechunks or retries keeps working); what makes it *sharded* is the
-    capability surface the engine probes for:
-
-    * ``sharded = True`` — the engine routes the score/match/contract
-      phases through the streaming kernels in
-      :mod:`repro.core.outofcore` whenever the level's graph carries a
-      spill store.
-    * :meth:`prepare_level` — called by the engine at the top of every
-      level; spills the community graph under ``spill_dir/level_NNNNN``
-      via :class:`~repro.graph.csr.ShardedCSRStore` and returns the
-      value-identical memmap-backed graph.  The previous level's store is
-      deleted once the new one is durable, so at most two levels of
-      spill exist at any instant.
-
-    Because the memmap-backed graph is value-identical to the in-memory
-    one and the streaming kernels are bit-identical to their in-memory
-    counterparts, a sharded run produces exactly the same dendrogram,
-    level statistics and recorder profile as a serial run — only the
-    residency of the working set changes (file-backed pages the OS can
-    evict instead of anonymous memory it cannot).
-
-    ``spill_dir=None`` creates a private temporary directory removed when
-    the backend is garbage-collected or :meth:`release` is called; a
-    caller-provided directory is never deleted wholesale (only the
-    per-level stores inside it are).
-    """
-
-    name = "sharded"
-    #: Capability flag the engine checks to route phases out-of-core.
-    sharded = True
-
-    def __init__(
-        self,
-        n_workers: int | None = None,
-        *,
-        spill_dir: str | os.PathLike | None = None,
-        n_shards: int | None = None,
-        shard_edges: int | None = None,
-        chunks_per_worker: int = 1,
-        faults: FaultPlan | None = None,
-    ) -> None:
-        super().__init__(1, chunks_per_worker=chunks_per_worker)
-        if spill_dir is None:
-            self.spill_dir = Path(tempfile.mkdtemp(prefix="repro-spill-"))
-            self._owns_spill_dir = True
-        else:
-            self.spill_dir = Path(os.fspath(spill_dir))
-            self.spill_dir.mkdir(parents=True, exist_ok=True)
-            self._owns_spill_dir = False
-        self.n_shards = n_shards
-        self.shard_edges = shard_edges
-        self.faults = faults
-        self._store: "ShardedCSRStore | None" = None
-        self.spilled_levels = 0
-        self.spilled_bytes = 0
-        self.spill_failures = 0
-        # Private temp dirs must not outlive the backend even when the
-        # caller never releases it explicitly.
-        self._finalizer = (
-            weakref.finalize(
-                self, shutil.rmtree, str(self.spill_dir), True
-            )
-            if self._owns_spill_dir
-            else None
-        )
-
-    # ------------------------------------------------------------- spilling
-    def prepare_level(
-        self,
-        graph: "CommunityGraph",
-        level: int,
-        *,
-        tracer: Tracer | NullTracer | None = None,
-    ) -> "CommunityGraph":
-        """Spill ``graph`` for ``level`` and return its memmap-backed twin.
-
-        Idempotent: a graph that already carries a spill store (e.g. a
-        level re-entered after a guardian retry) is returned unchanged.
-        The spill is visible in the trace as a ``spill_level`` span plus
-        the ``spill.levels`` / ``spill.bytes_written`` counters.
-
-        A spill that *fails* — disk full (``ENOSPC``), or a store that
-        reopens torn — degrades to in-memory execution for this level
-        instead of crashing the run: results are bit-identical either
-        way, so the only cost is residency.  The failure is loud
-        (``spill.failures`` counter, ``failed`` span attribute, warning
-        log) and the next level retries spilling from scratch.
-        """
-        from repro.errors import SpillError
-        from repro.graph.csr import ShardedCSRStore
-
-        if getattr(graph, "spill_store", None) is not None:
-            return graph
-        tr = as_tracer(tracer)
-        directory = self.spill_dir / f"level_{level:05d}"
-        with tr.span(
-            "spill_level",
-            level=level,
-            n_vertices=graph.n_vertices,
-            n_edges=graph.n_edges,
-        ) as sp:
-            try:
-                store = ShardedCSRStore.spill(
-                    graph,
-                    directory,
-                    n_shards=self.n_shards,
-                    shard_edges=self.shard_edges,
-                    faults=self.faults,
-                    artifact="spill-graph",
-                    index=level,
-                )
-            except (OSError, SpillError) as exc:
-                sp.set(failed=f"{type(exc).__name__}: {exc}")
-                tr.counter("spill.failures").inc()
-                self.spill_failures += 1
-                _log.warning(
-                    "spill of level %d failed (%s); running the level "
-                    "in-memory instead",
-                    level,
-                    exc,
-                )
-                shutil.rmtree(directory, ignore_errors=True)
-                return graph
-            nbytes = store.nbytes
-            sp.set(
-                items=graph.n_edges,
-                bytes=nbytes,
-                n_shards=store.n_shards,
-                path=str(directory),
-            )
-        tr.counter("spill.levels").inc()
-        tr.counter("spill.bytes_written").inc(nbytes)
-        self.spilled_levels += 1
-        self.spilled_bytes += nbytes
-        previous, self._store = self._store, store
-        if previous is not None:
-            # The contracted graph's arrays may be scratch memmaps inside
-            # the previous store's directory; they were just re-spilled
-            # into the new store, and POSIX keeps already-mapped pages
-            # valid after unlink, so dropping the old store is safe.
-            previous.cleanup()
-        return store.as_graph()
-
-    @property
-    def open_level_stores(self) -> int:
-        """Level stores currently held open (0 or 1 by construction —
-        :meth:`prepare_level` drops the previous store once the new one
-        is durable).  The telemetry sampler exports this as a counter
-        track so a store leak shows up as a climbing series."""
-        return 1 if self._store is not None else 0
-
-    def release(self) -> None:
-        """Drop the current spill store (and a private temp directory).
-
-        The backend stays usable afterwards — the next
-        :meth:`prepare_level` recreates the directory tree.
-        """
-        if self._store is not None:
-            self._store.cleanup()
-            self._store = None
-        if self._owns_spill_dir:
-            shutil.rmtree(self.spill_dir, ignore_errors=True)
-
-    # ------------------------------------------------------------ rechunking
-    def _with_chunks(self, chunks_per_worker: int) -> "ShardedBackend":
-        clone = ShardedBackend(
-            self.n_workers,
-            spill_dir=self.spill_dir,
-            n_shards=self.n_shards,
-            shard_edges=self.shard_edges,
-            chunks_per_worker=chunks_per_worker,
-            faults=self.faults,
-        )
-        # The clone replaces this backend in the run context; hand over
-        # the live store (and temp-dir ownership) so the cleanup chain
-        # keeps at most two levels of spill on disk.
-        # A finalizer is bound to one object's lifetime, so ownership
-        # transfer means detaching ours and binding a fresh one to the
-        # clone.
-        clone._store, self._store = self._store, None
-        if self._finalizer is not None:
-            self._finalizer.detach()
-            self._finalizer = None
-        if self._owns_spill_dir:
-            self._owns_spill_dir = False
-            clone._owns_spill_dir = True
-            clone._finalizer = weakref.finalize(
-                clone, shutil.rmtree, str(clone.spill_dir), True
-            )
-        return clone
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(spill_dir={str(self.spill_dir)!r}, "
-            f"n_shards={self.n_shards}, shard_edges={self.shard_edges}, "
-            f"chunks_per_worker={self.chunks_per_worker})"
-        )
-
-
 # ---------------------------------------------------------------- registry
 _BACKENDS: dict[str, Callable[..., ExecutionBackend]] = {}
 
@@ -522,7 +299,4 @@ def as_backend(
 register_backend("serial", SerialBackend)
 register_backend(
     "process-pool", lambda n_workers=None: ProcessPoolBackend(n_workers)
-)
-register_backend(
-    "sharded", lambda n_workers=None: ShardedBackend(n_workers)
 )

@@ -33,20 +33,7 @@ bypassed, which is what makes "kill every worker attempt" a recoverable
 scenario.  Phase faults fire in the driver process, before the phase's
 kernel runs, and never touch its output.
 
-A third fault family targets *durable artifacts on disk* — keyed by
-``(artifact, index)`` and consulted by the out-of-core spill writer
-(:mod:`repro.spmatrix.spill`) — so the chaos suite can prove a spilled
-run never trusts torn shard data:
-
-* ``enospc`` — the spill write raises ``OSError(ENOSPC)`` before any
-  byte lands (a full disk), which the spill rung must absorb by falling
-  back to the rest of the degradation ladder;
-* ``torn_write`` — the spill file is truncated *after* its atomic
-  rename (modeling at-rest corruption / a lost sync), which the
-  checksummed header must catch on reopen as
-  :class:`~repro.errors.SpillError`.
-
-A fourth fault family targets the *streaming detection service* — keyed
+A third fault family targets the *streaming detection service* — keyed
 by ``(crash_point, index)`` and consulted by
 :class:`repro.stream.service.DetectionService` and its write-ahead log
 at named protocol points (``wal-append``, ``apply``, ``snapshot`` …) —
@@ -78,8 +65,6 @@ FaultKind = Literal[
     "corrupt",
     "stall",
     "memory_pressure",
-    "enospc",
-    "torn_write",
     "sigkill",
 ]
 
@@ -87,8 +72,6 @@ FaultKind = Literal[
 CHUNK_FAULT_KINDS = ("kill", "delay", "corrupt")
 #: Kinds injected in the driver process at phase entry (phase faults).
 PHASE_FAULT_KINDS = ("stall", "memory_pressure")
-#: Kinds injected at durable-artifact writes (disk faults).
-DISK_FAULT_KINDS = ("enospc", "torn_write")
 #: Kinds injected at streaming-service crash points (service faults).
 SERVICE_FAULT_KINDS = ("sigkill",)
 
@@ -99,30 +82,23 @@ class FaultSpec:
 
     ``delay_s`` parameterizes ``delay`` and ``stall``; ``alloc_mb`` the
     size of the transient ``memory_pressure`` allocation; ``exit_code``
-    the ``kill`` exit status; ``keep_fraction`` how much of a
-    ``torn_write`` file survives.
+    the ``kill`` exit status.
     """
 
     kind: FaultKind
     delay_s: float = 0.0
     exit_code: int = 17
     alloc_mb: float = 64.0
-    keep_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         if self.kind not in (
-            CHUNK_FAULT_KINDS
-            + PHASE_FAULT_KINDS
-            + DISK_FAULT_KINDS
-            + SERVICE_FAULT_KINDS
+            CHUNK_FAULT_KINDS + PHASE_FAULT_KINDS + SERVICE_FAULT_KINDS
         ):
             raise ValueError(f"unknown fault kind {self.kind!r}")
         if self.delay_s < 0:
             raise ValueError("delay_s must be non-negative")
         if self.alloc_mb <= 0:
             raise ValueError("alloc_mb must be positive")
-        if not 0.0 <= self.keep_fraction < 1.0:
-            raise ValueError("keep_fraction must be in [0, 1)")
 
 
 @dataclass
@@ -131,15 +107,11 @@ class FaultPlan:
 
     ``faults`` keys chunk faults by ``(chunk_index, attempt)``;
     ``phase_faults`` keys phase faults by ``(phase_name, level)``;
-    ``disk_faults`` keys disk faults by ``(artifact_name, index)``;
     ``service_faults`` keys service faults by ``(crash_point, index)``.
     """
 
     faults: dict[tuple[int, int], FaultSpec] = field(default_factory=dict)
     phase_faults: dict[tuple[str, int], FaultSpec] = field(
-        default_factory=dict
-    )
-    disk_faults: dict[tuple[str, int], FaultSpec] = field(
         default_factory=dict
     )
     service_faults: dict[tuple[str, int], FaultSpec] = field(
@@ -154,10 +126,6 @@ class FaultPlan:
         """The fault to inject at this phase of this level, if any."""
         return self.phase_faults.get((phase, level))
 
-    def decide_disk(self, artifact: str, index: int) -> FaultSpec | None:
-        """The fault to inject at this durable-artifact write, if any."""
-        return self.disk_faults.get((artifact, index))
-
     def decide_service(self, point: str, index: int) -> FaultSpec | None:
         """The fault to inject at this service crash point, if any."""
         return self.service_faults.get((point, index))
@@ -165,10 +133,7 @@ class FaultPlan:
     @property
     def n_faults(self) -> int:
         return (
-            len(self.faults)
-            + len(self.phase_faults)
-            + len(self.disk_faults)
-            + len(self.service_faults)
+            len(self.faults) + len(self.phase_faults) + len(self.service_faults)
         )
 
     def add(
@@ -191,15 +156,6 @@ class FaultPlan:
         self.phase_faults[(phase, level)] = spec
         return self
 
-    def add_disk(self, artifact: str, index: int, spec: FaultSpec) -> "FaultPlan":
-        """Schedule one disk fault; chainable."""
-        if spec.kind not in DISK_FAULT_KINDS:
-            raise ValueError(
-                f"{spec.kind!r} is not a disk fault; use add()/add_phase()"
-            )
-        self.disk_faults[(artifact, index)] = spec
-        return self
-
     def add_service(
         self, point: str, index: int, spec: FaultSpec
     ) -> "FaultPlan":
@@ -207,7 +163,7 @@ class FaultPlan:
         if spec.kind not in SERVICE_FAULT_KINDS:
             raise ValueError(
                 f"{spec.kind!r} is not a service fault; use "
-                "add()/add_phase()/add_disk()"
+                "add()/add_phase()"
             )
         self.service_faults[(point, index)] = spec
         return self
@@ -279,45 +235,6 @@ class FaultPlan:
             phase_faults={
                 (phase, lv): FaultSpec("memory_pressure", alloc_mb=alloc_mb)
                 for lv in levels
-            }
-        )
-
-    @classmethod
-    def enospc_on_spill(
-        cls, artifact: str, indices: Iterable[int]
-    ) -> "FaultPlan":
-        """Fail the listed spill writes with ``OSError(ENOSPC)``.
-
-        ``artifact`` names the writer (the spill layer uses the level's
-        artifact tag, e.g. ``"spill-graph"``); the spill rung must treat
-        the failed spill as unavailable and fall back to the remaining
-        degradation ladder instead of crashing the run.
-        """
-        return cls(
-            disk_faults={(artifact, i): FaultSpec("enospc") for i in indices}
-        )
-
-    @classmethod
-    def tear_spill(
-        cls,
-        artifact: str,
-        indices: Iterable[int],
-        *,
-        keep_fraction: float = 0.5,
-    ) -> "FaultPlan":
-        """Truncate the listed spill files right after their atomic write.
-
-        Models at-rest corruption: the rename succeeded but the payload
-        is torn.  The checksummed header must classify the file as
-        :class:`~repro.errors.SpillError` on reopen — a spilled run
-        either recovers or aborts cleanly, never reads torn data.
-        """
-        return cls(
-            disk_faults={
-                (artifact, i): FaultSpec(
-                    "torn_write", keep_fraction=keep_fraction
-                )
-                for i in indices
             }
         )
 

@@ -18,26 +18,17 @@ phase boundaries:
 * **Degradation ladder** — each watchdog breach takes the next
   applicable rung instead of dying::
 
-      spill to the out-of-core sharded backend
-          (memory breaches only; requires ``spill_dir``)
       process-pool backend -> serial backend
       chunk size halving (backend rechunked)
       audit strictness lowering (full -> sample -> off)
       checkpoint-and-raise RunAbortedError
 
-  The spill rung is the out-of-core escape hatch: when the guardian is
-  configured with a ``spill_dir`` and a memory-budget breach fires, the
-  live run is migrated onto the sharded backend
-  (:class:`~repro.parallel.backends.ShardedBackend`) — subsequent
-  levels stream the graph from checksummed on-disk shards with an
-  ``O(V + shard)`` anonymous working set, and results stay
-  bit-identical (docs/OUT_OF_CORE.md).  Abort is thereby demoted to the
-  genuine last resort.  Every transition lands in
-  :attr:`RecoveryReport.ladder`, the ``guardian.breaches`` /
-  ``guardian.degradations`` / ``guardian.spills`` counters, a
-  ``guardian_breach`` (and ``guardian_spill``) span, and a
-  :class:`~repro.errors.GuardianBreach` warning — degraded runs finish,
-  but never silently.
+  Every breach kind, a memory-budget breach included, walks the same
+  ladder.  Every transition lands in :attr:`RecoveryReport.ladder`, the
+  ``guardian.breaches`` / ``guardian.degradations`` counters, a
+  ``guardian_breach`` span, and a :class:`~repro.errors.GuardianBreach`
+  warning — degraded runs finish, but never silently; an aborted run
+  leaves a resumable checkpoint when checkpointing is configured.
 
 The default construction path (``guardian=None`` everywhere) resolves to
 the shared :data:`NULL_GUARDIAN`, whose hooks are no-ops — the unguarded
@@ -51,7 +42,6 @@ the phase so the RSS sample sees it.
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
 from typing import TYPE_CHECKING, Any
@@ -164,53 +154,9 @@ class _PhaseGuard:
                             f"after phase {self._phase!r}"
                         ),
                     )
-                elif rss is not None:
-                    self._check_ramp(rss)
             return False
         finally:
             self._ballast = None
-
-    def _check_ramp(self, rss: float) -> None:
-        """Predictive memory guard: breach on trajectory, not level.
-
-        Consumes the live-telemetry sampler's RSS ring buffer: when the
-        recent ramp rate extrapolated over ``ramp_horizon_s`` crosses
-        the budget, fire a ``memory_ramp`` breach *now* — the spill
-        rung then migrates the run out of core while there is still
-        headroom to do so, instead of waiting for the hard breach (by
-        which point the spill itself may not fit).  Inert without an
-        enabled sampler (the ring is the only data source) and after
-        the run has already spilled.
-        """
-        g = self._g
-        if g.ramp_horizon_s is None or g.memory_budget_mb is None:
-            return
-        if g._spilled:
-            # The prediction's one job was buying time for the spill;
-            # once out of core only the *hard* budget check matters —
-            # a stale ramp estimate must not walk the regular ladder.
-            return
-        ctx = g._ctx
-        telemetry = getattr(ctx, "telemetry", None) if ctx is not None else None
-        if telemetry is None or not getattr(telemetry, "enabled", False):
-            return
-        ramp = telemetry.ramp_mb_s()
-        if ramp is None or ramp <= 0:
-            return
-        predicted = rss + ramp * g.ramp_horizon_s
-        if predicted <= g.memory_budget_mb:
-            return
-        g._breach(
-            "memory_ramp",
-            self._level,
-            phase=self._phase,
-            detail=(
-                f"rss {rss:.1f} MiB climbing at {ramp:.1f} MiB/s would "
-                f"cross the {g.memory_budget_mb:.1f} MiB budget within "
-                f"{g.ramp_horizon_s:.1f}s (predicted {predicted:.1f} MiB) "
-                f"after phase {self._phase!r}"
-            ),
-        )
 
 
 class RunGuardian:
@@ -227,28 +173,12 @@ class RunGuardian:
     memory_budget_mb:
         Resident-set ceiling in MiB sampled after each phase; ``None``
         disables the memory guard.
-    ramp_horizon_s:
-        Predictive lookahead for the memory guard: when a live-telemetry
-        sampler is attached to the run, a breach fires as soon as the
-        sampled RSS ramp rate would cross the budget within this many
-        seconds — spilling *before* the hard ceiling is hit.  ``None``
-        disables prediction; without a sampler the guard is purely
-        reactive either way.
     stall_passes / stall_merge_fraction:
         A matching breaches the stall detector when it needed at least
         ``stall_passes`` worklist passes yet merged at most
         ``stall_merge_fraction`` of the level's vertices.
     tolerance / sample_every:
         Forwarded to :class:`InvariantAuditor`.
-    spill_dir:
-        Directory for the out-of-core spill rung.  ``None`` (default)
-        disables the rung — memory breaches then take the pre-existing
-        ladder unchanged.  When set, the first memory-budget breach
-        migrates the run onto the sharded backend spilling under this
-        directory instead of degrading toward abort.
-    spill_shards:
-        Shard count for the spill rung's store (``None`` uses the
-        store's default).
     faults:
         Optional :class:`FaultPlan` whose phase faults this guardian
         injects (chaos testing only).
@@ -263,21 +193,16 @@ class RunGuardian:
         *,
         phase_deadline_s: float | None = None,
         memory_budget_mb: float | None = None,
-        ramp_horizon_s: float | None = 10.0,
         stall_passes: int = 128,
         stall_merge_fraction: float = 0.02,
         tolerance: float = 1e-6,
         sample_every: int = 4,
-        spill_dir: str | os.PathLike | None = None,
-        spill_shards: int | None = None,
         faults: FaultPlan | None = None,
     ) -> None:
         if phase_deadline_s is not None and phase_deadline_s <= 0:
             raise ValueError("phase_deadline_s must be positive")
         if memory_budget_mb is not None and memory_budget_mb <= 0:
             raise ValueError("memory_budget_mb must be positive")
-        if ramp_horizon_s is not None and ramp_horizon_s <= 0:
-            raise ValueError("ramp_horizon_s must be positive")
         if stall_passes < 1:
             raise ValueError("stall_passes must be >= 1")
         if not 0.0 <= stall_merge_fraction <= 1.0:
@@ -287,18 +212,11 @@ class RunGuardian:
         )
         self.phase_deadline_s = phase_deadline_s
         self.memory_budget_mb = memory_budget_mb
-        self.ramp_horizon_s = ramp_horizon_s
-        if spill_shards is not None and spill_shards < 1:
-            raise ValueError("spill_shards must be >= 1")
         self.stall_passes = stall_passes
         self.stall_merge_fraction = stall_merge_fraction
-        self.spill_dir = spill_dir
-        self.spill_shards = spill_shards
         self.faults = faults
         self._ctx: "RunContext" | None = None
         self._rung = 0
-        self._spilled = False
-        self._spill_level = -1
         self._input_graph: "CommunityGraph" | None = None
 
     # --------------------------------------------------------------- binding
@@ -312,8 +230,6 @@ class RunGuardian:
         self._ctx = ctx
         self._input_graph = input_graph
         self._rung = 0
-        self._spilled = False
-        self._spill_level = -1
 
     def _require_ctx(self) -> "RunContext":
         if self._ctx is None:
@@ -411,49 +327,11 @@ class RunGuardian:
             GuardianBreach(f"{detail} [{reason}]"), stacklevel=3
         )
         ctx.log.warning("guardian breach (%s): %s", reason, detail)
-        self._degrade(reason, kind=kind, level=level)
+        self._degrade(reason)
 
-    def _degrade(
-        self, reason: str, *, kind: str = "", level: int = -1
-    ) -> None:
+    def _degrade(self, reason: str) -> None:
         """Apply the first applicable remaining ladder rung."""
         ctx = self._require_ctx()
-        # A predicted ramp breach is a memory breach: same remedy, taken
-        # earlier — before the hard ceiling is crossed.
-        if self.spill_dir is not None and kind in (
-            "memory_budget",
-            "memory_ramp",
-        ):
-            if not self._spilled and not getattr(
-                ctx.backend, "sharded", False
-            ):
-                # The spill rung sits above the regular ladder and fires
-                # at most once, for memory breaches only: instead of
-                # trading away parallelism or audit strictness, move the
-                # run's working set out of core and keep going at full
-                # fidelity.  It does not consume a regular rung — if
-                # memory pressure persists even out-of-core, the
-                # ordinary ladder (and eventually abort) still stands
-                # behind it.
-                self._spilled = True
-                self._spill_level = level
-                self._spill(ctx, reason)
-                return
-            if self._spilled and level <= self._spill_level:
-                # Grace window: the spill takes effect at the next level
-                # boundary (the engine spills the graph when the level
-                # is entered), so the remaining phases of the breaching
-                # level still run in-memory.  Degrading again before the
-                # remedy could possibly work would burn the ladder down
-                # to abort on the very breach the spill is answering.
-                ctx.log.warning(
-                    "guardian: memory breach (%s) within the spill "
-                    "grace window (spilled at level %d); not degrading "
-                    "further",
-                    reason,
-                    self._spill_level,
-                )
-                return
         while self._rung < len(LADDER_RUNGS):
             rung = LADDER_RUNGS[self._rung]
             self._rung += 1
@@ -472,34 +350,6 @@ class RunGuardian:
             reason=reason,
             report=ctx.recovery,
         )
-
-    def _spill(self, ctx: "RunContext", reason: str) -> None:
-        """Migrate the live run onto the out-of-core sharded backend.
-
-        The backend swap takes effect immediately; the engine spills the
-        community graph at the next level boundary and streams every
-        phase from the on-disk store from then on.  Results are
-        bit-identical to the in-memory run (docs/OUT_OF_CORE.md).
-        """
-        from repro.parallel.backends import ShardedBackend
-
-        ctx.backend = ShardedBackend(
-            spill_dir=self.spill_dir,
-            n_shards=self.spill_shards,
-            chunks_per_worker=getattr(ctx.backend, "chunks_per_worker", 1),
-        )
-        transition = f"spill({reason})"
-        ctx.recovery.ladder.append(transition)
-        ctx.recovery.spills += 1
-        ctx.tracer.counter("guardian.spills").inc()
-        ctx.tracer.counter("guardian.degradations").inc()
-        with ctx.tracer.span("guardian_spill", rung="spill") as sp:
-            sp.set(
-                reason=reason,
-                transition=transition,
-                spill_dir=str(self.spill_dir),
-            )
-        ctx.log.warning("guardian degradation: %s", transition)
 
     def _apply_rung(
         self, ctx: "RunContext", rung: str, reason: str

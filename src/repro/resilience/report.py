@@ -40,9 +40,6 @@ class RecoveryReport:
     guardian_breaches:
         Run-guardian watchdog breaches (phase deadline, matching stall,
         memory budget) and invariant-audit interventions.
-    spills:
-        Guardian spill-rung migrations: the run was moved onto the
-        out-of-core sharded backend after a memory-budget breach.
     checkpoints_written:
         Level checkpoints persisted by the driver.
     checkpoints_invalid:
@@ -77,7 +74,6 @@ class RecoveryReport:
     degraded_chunks: int = 0
     chunk_failures: int = 0
     guardian_breaches: int = 0
-    spills: int = 0
     checkpoints_written: int = 0
     checkpoints_invalid: int = 0
     wal_torn_records: int = 0
@@ -97,7 +93,6 @@ class RecoveryReport:
             or self.degraded_chunks > 0
             or self.chunk_failures > 0
             or self.guardian_breaches > 0
-            or self.spills > 0
             or self.checkpoints_invalid > 0
             or self.wal_torn_records > 0
             or self.wal_replayed > 0
@@ -141,8 +136,6 @@ class RecoveryReport:
             parts.append(f"chunk_failures={self.chunk_failures}")
         if self.guardian_breaches:
             parts.append(f"guardian_breaches={self.guardian_breaches}")
-        if self.spills:
-            parts.append(f"spills={self.spills}")
         if self.ladder:
             parts.append(f"ladder=[{' -> '.join(self.ladder)}]")
         if self.checkpoints_invalid:

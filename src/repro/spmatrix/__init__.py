@@ -16,20 +16,10 @@ from repro.spmatrix.ops import (
     contract_via_spgemm,
     matrix_modularity,
 )
-from repro.spmatrix.spill import (
-    read_spill,
-    scratch_memmap,
-    spill_nbytes,
-    write_spill,
-)
 
 __all__ = [
     "CSRMatrix",
     "spgemm",
-    "read_spill",
-    "scratch_memmap",
-    "spill_nbytes",
-    "write_spill",
     "adjacency_matrix",
     "selector_matrix",
     "contract_via_spgemm",

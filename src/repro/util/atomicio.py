@@ -1,10 +1,10 @@
 """Atomic file writes: the tmp + flush + fsync + ``os.replace`` rule.
 
 Every durable artifact in the pipeline — checkpoints, bench ledgers,
-trace exports, reports, Perfetto timelines, and the out-of-core spill
-shards — follows the same durability contract: the payload is written
-to a temporary file in the destination directory, flushed and fsynced,
-then ``os.replace``-d into place.  A crash mid-write can never leave a
+trace exports, reports, Perfetto timelines, stream snapshots — follows
+the same durability contract: the payload is written to a temporary
+file in the destination directory, flushed and fsynced, then
+``os.replace``-d into place.  A crash mid-write can never leave a
 truncated file under the final name; readers either see the previous
 complete version or the new complete version, never a torn one.
 
@@ -14,9 +14,9 @@ writers from different processes never collide, and stale temporaries
 from a crashed writer are recognisable and safe to delete.
 
 Note the contract covers *torn writes under the final name*, not media
-corruption after the rename — spill shards layer a checksummed header
-on top (:mod:`repro.spmatrix.spill`) to catch bit rot and truncation
-that happens to a file at rest.
+corruption after the rename — readers that must catch bit rot or
+truncation of a file at rest validate its contents themselves (the
+checkpoint loader does, and quarantines a file that fails).
 """
 
 from __future__ import annotations

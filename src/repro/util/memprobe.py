@@ -7,9 +7,9 @@ resident memory at phase boundaries, and the live-telemetry sampler
 thread.  Both care about the *same* quantity, for the same reason:
 
 **Anonymous** resident pages are what a memory budget should bound.
-File-backed pages (the sharded spill store's memmaps) are evictable by
-the OS at will, so counting them would keep a run "over budget" even
-after the spill rung has moved its working set onto disk.
+File-backed pages (anything memory-mapped from a file) are evictable
+by the OS at will, so counting them would hold a run "over budget" on
+memory the kernel can reclaim whenever it needs to.
 
 :func:`rss_anon_mb` probes, best first:
 
@@ -112,10 +112,9 @@ def trim_memory() -> None:
     taken after a large phase can stay inflated by memory that is
     *gone* from the program's perspective.  Collecting cycles and
     calling ``malloc_trim`` first makes budget checks judge live
-    memory, not allocator history — in particular, after the spill rung
-    migrates a run out of core, the retired in-memory working set
-    actually leaves the resident set instead of re-breaching the budget
-    every phase.  No-op where ``malloc_trim`` does not exist.
+    memory, not allocator history — a large temporary freed by the
+    previous phase leaves the resident set instead of breaching the
+    budget.  No-op where ``malloc_trim`` does not exist.
     """
     import gc
 

@@ -128,7 +128,7 @@ def atomic_write_faults(monkeypatch):
 
     Patches the canonical writer *and* every ``repro`` module that
     bound it by name, so all durable-artifact writers (checkpoints,
-    snapshots, ledgers, traces, status files, spill stores, WAL
+    snapshots, ledgers, traces, status files, WAL
     manifests) route through the corruptor.
     """
     import repro.util.atomicio as aio

@@ -13,12 +13,11 @@ import json
 import numpy as np
 import pytest
 
-from repro.errors import CheckpointError, ReproError, SpillError
+from repro.errors import CheckpointError, ReproError
 from repro.metrics import Partition
 from repro.obs import Tracer, read_trace, write_trace
 from repro.obs.telemetry import TelemetrySampler, read_status
 from repro.resilience import CheckpointManager, CheckpointState
-from repro.spmatrix.spill import read_spill, write_spill
 from repro.stream.delta import EdgeStore
 from repro.stream.store import ServiceState, SnapshotStore
 from repro.types import VERTEX_DTYPE
@@ -231,27 +230,3 @@ class TestStatusCorruption:
         sampler.sample_once()
         with pytest.raises(ReproError):
             read_status(status)
-
-
-# -------------------------------------------------------------- spill store
-class TestSpillCorruption:
-    def test_bitflip_payload_fails_checksum(
-        self, tmp_path, atomic_write_faults
-    ):
-        path = tmp_path / "shard.spill"
-        atomic_write_faults.bitflip("shard.spill", offset=-8)
-        write_spill(path, {"a": np.arange(64, dtype=np.float64)})
-        # Flip the last payload byte (offset -8 lands inside array "a").
-        data = bytearray(path.read_bytes())
-        data[-1] ^= 0xFF
-        path.write_bytes(bytes(data))
-        with pytest.raises(SpillError):
-            arrs = read_spill(path)
-            np.asarray(arrs["a"])
-
-    def test_torn_spill_raises(self, tmp_path, atomic_write_faults):
-        path = tmp_path / "shard2.spill"
-        atomic_write_faults.torn("shard2.spill", keep=0.3)
-        write_spill(path, {"a": np.arange(64, dtype=np.float64)})
-        with pytest.raises(SpillError):
-            read_spill(path)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.generators import karate_club
+from repro.errors import GuardianBreach
+from repro.generators import karate_club, planted_partition_graph
 from repro.graph import write_edgelist, save_npz
 
 
@@ -145,6 +146,179 @@ class TestDetect:
         save_npz(karate_club(), path)
         rc = main(["detect", str(path)])
         assert rc == 0
+
+
+class TestMemoryBudget:
+    """A memory-budget breach walks the guardian's ladder to
+    checkpoint-and-abort; the checkpoint resumes to the plain labels."""
+
+    def test_breach_aborts_with_resumable_checkpoint(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import itertools
+        import tempfile
+
+        import repro.resilience.guardian as guardian_module
+
+        graph_file = str(tmp_path / "planted.txt")
+        write_edgelist(planted_partition_graph(2000, seed=7), graph_file)
+        plain = tmp_path / "plain.txt"
+        assert main(["detect", graph_file, "-o", str(plain)]) == 0
+        assert "8 levels" in capsys.readouterr().err
+
+        # Three RSS samples per level (after score, match and contract):
+        # levels 0 and 1 sit under the budget, level 2 is far over it.
+        sample = itertools.count(1)
+
+        def fake_rss():
+            return 10.0 if next(sample) <= 6 else 10_000.0
+
+        made = []
+        real_mkdtemp = tempfile.mkdtemp
+
+        def recording_mkdtemp(*args, **kwargs):
+            path = real_mkdtemp(*args, **kwargs)
+            made.append(path)
+            return path
+
+        monkeypatch.setattr(guardian_module, "_rss_mb", fake_rss)
+        monkeypatch.setattr(tempfile, "mkdtemp", recording_mkdtemp)
+        ck = tmp_path / "ck"
+        with pytest.warns(GuardianBreach, match="memory_budget@level2"):
+            rc = main(
+                [
+                    "detect",
+                    graph_file,
+                    "-o",
+                    str(tmp_path / "aborted.txt"),
+                    "--memory-budget",
+                    "100",
+                    "--checkpoint-dir",
+                    str(ck),
+                ]
+            )
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert (
+            "ladder=[halve-chunks(memory_budget@level2) -> "
+            "lower-audit(memory_budget@level2) -> "
+            "abort(memory_budget@level2)]"
+        ) in err
+        assert "level_00002.ckpt.npz" in err
+        assert "--resume" in err
+        assert not any("repro-spill-" in path for path in made)
+
+        resumed = tmp_path / "resumed.txt"
+        rc = main(
+            [
+                "detect",
+                graph_file,
+                "-o",
+                str(resumed),
+                "--checkpoint-dir",
+                str(ck),
+                "--resume",
+            ]
+        )
+        assert rc == 0
+        assert "resumed_from_level=2" in capsys.readouterr().err
+        assert resumed.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--backend", "sharded"],
+            ["--matcher", "gmm"],
+            ["--contractor", "shard"],
+            ["--spill-dir", "sp"],
+            ["--shards", "4"],
+        ],
+    )
+    def test_out_of_core_options_are_gone(self, karate_file, extra, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", karate_file, *extra])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err or "unrecognized arguments" in err
+
+
+class TestOldArtifacts:
+    def test_spill_era_status_and_ledger_render(self, tmp_path, capsys):
+        import json
+
+        from repro.bench.ledger import read_ledger, render_ledger, write_ledger
+        from tests.test_bench_ledger import make_record
+
+        # A status.json as written by a run that spilled, before the
+        # out-of-core tier was removed: it carries the spill counters
+        # and guardian.spills, which the renderer must ignore.
+        status = {
+            "schema": "repro-status",
+            "version": 1,
+            "pid": 5647,
+            "state": "stopped",
+            "started_unix": 1792220191.5399692,
+            "updated_unix": 1792220191.5843832,
+            "interval_s": 0.05,
+            "phase": "done",
+            "level": None,
+            "levels_done": 5,
+            "n_communities": 25,
+            "rss_mb": 21.4296875,
+            "rss_source": "rss_anon",
+            "peak_rss_mb": 21.4296875,
+            "ramp_mb_s": None,
+            "gc_collections": 75,
+            "spill_bytes": 125208,
+            "spilled_levels": 4,
+            "open_level_stores": 1,
+            "workers_alive": 0,
+            "n_samples": 1,
+            "guardian": {
+                "breaches": 1,
+                "spills": 1,
+                "ladder": ["spill(memory_budget@level0)"],
+            },
+            "meta": {"command": "detect"},
+        }
+        status_path = tmp_path / "status.json"
+        status_path.write_text(json.dumps(status, indent=1) + "\n")
+        assert main(["watch", str(status_path), "--once"]) == 0
+        out = capsys.readouterr().out
+        assert "[STOPPED]" in out
+        assert "5 level(s) done, 25 communities" in out
+        assert (
+            "guardian : 1 breach(es), ladder: spill(memory_budget@level0)"
+            in out
+        )
+
+        # A ledger repetition whose recovery block is the one the spill
+        # rung's smoke baseline recorded.
+        path = write_ledger(make_record(name="spill"), directory=tmp_path)
+        doc = json.loads(path.read_text())
+        doc["config"]["memory_budget_mb"] = 150.0
+        doc["repetitions"][0]["recovery"] = {
+            "checkpoints_invalid": 0,
+            "checkpoints_written": 0,
+            "chunk_failures": 0,
+            "chunk_timeouts": 0,
+            "degraded_chunks": 0,
+            "guardian_breaches": 1,
+            "invalid_chunks": 0,
+            "ladder": ["spill(memory_budget@level0)"],
+            "resumed_from_level": None,
+            "retries": 0,
+            "spills": 1,
+            "worker_deaths": 0,
+        }
+        path.write_text(json.dumps(doc))
+        record = read_ledger(path)
+        assert record.repetitions[0].recovery["spills"] == 1
+        text = render_ledger(record)
+        assert (
+            "rep 0: guardian_breaches=1, "
+            "ladder=[spill(memory_budget@level0)]"
+        ) in text
 
 
 class TestGenerate:
@@ -533,17 +707,18 @@ class TestKernels:
         rc = main(["kernels"])
         assert rc == 0
         out = capsys.readouterr().out
-        for kind in ("scorer", "matcher", "contractor"):
-            assert f"{kind}s (3 registered)" in out
-        for name in ("worklist", "sweep", "gmm", "bucket", "chains", "shard"):
+        assert "scorers (3 registered)" in out
+        assert "matchers (2 registered)" in out
+        assert "contractors (2 registered)" in out
+        for name in ("worklist", "sweep", "bucket", "chains"):
             assert name in out
-        assert "sharded" in out  # capability column
+        assert "deterministic" in out  # capability column
 
     def test_kind_filter(self, capsys):
         rc = main(["kernels", "--kind", "contractor"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "bucket" in out and "shard" in out
+        assert "bucket" in out and "chains" in out
         assert "worklist" not in out
 
 

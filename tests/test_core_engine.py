@@ -27,12 +27,8 @@ from repro.types import NO_VERTEX, SCORE_DTYPE
 class TestRegistry:
     def test_builtins_discoverable(self):
         assert kernel_names("scorer") == ("conductance", "modularity", "weight")
-        assert kernel_names("matcher") == ("gmm", "sweep", "worklist")
-        assert kernel_names("contractor") == (
-            "bucket",
-            "chains",
-            "shard",
-        )
+        assert kernel_names("matcher") == ("sweep", "worklist")
+        assert kernel_names("contractor") == ("bucket", "chains")
 
     def test_kernel_kinds(self):
         assert KERNEL_KINDS == ("scorer", "matcher", "contractor")

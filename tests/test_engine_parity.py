@@ -13,7 +13,6 @@ matcher × contractor × scorer combination.
 import numpy as np
 import pytest
 
-import repro.core.engine as engine_module
 from repro.core import (
     AgglomerationEngine,
     RunContext,
@@ -21,11 +20,7 @@ from repro.core import (
     detect_communities,
 )
 from repro.generators import planted_partition_graph, rmat_graph
-from repro.parallel.backends import (
-    ProcessPoolBackend,
-    SerialBackend,
-    ShardedBackend,
-)
+from repro.parallel.backends import ProcessPoolBackend, SerialBackend
 
 MATCHERS = ["worklist", "sweep"]
 CONTRACTORS = ["bucket", "chains"]
@@ -108,93 +103,6 @@ class TestBackendParity:
         base = detect_communities(sbm)
         named = detect_communities(sbm, backend="serial")
         assert_runs_identical(base, named)
-
-
-class TestShardedParity:
-    """The out-of-core path never changes results, only residency."""
-
-    @pytest.mark.parametrize("scorer", SCORERS)
-    def test_sharded_backend_matches_serial(self, sbm, scorer, tmp_path):
-        base = detect_communities(sbm, scorer)
-        backend = ShardedBackend(spill_dir=tmp_path, n_shards=4)
-        sharded = detect_communities(sbm, scorer, backend=backend)
-        assert backend.spilled_levels > 0, "run must actually spill"
-        backend.release()
-        assert_runs_identical(base, sharded)
-
-    def test_sharded_backend_matches_serial_rmat(self, rmat, tmp_path):
-        base = detect_communities(rmat)
-        backend = ShardedBackend(spill_dir=tmp_path, n_shards=3)
-        sharded = detect_communities(rmat, backend=backend)
-        backend.release()
-        assert_runs_identical(base, sharded)
-
-    @pytest.mark.parametrize("n_shards", [1, 2, 16])
-    def test_shard_count_never_changes_results(self, sbm, n_shards, tmp_path):
-        base = detect_communities(sbm)
-        backend = ShardedBackend(spill_dir=tmp_path, n_shards=n_shards)
-        sharded = detect_communities(sbm, backend=backend)
-        backend.release()
-        assert_runs_identical(base, sharded)
-
-    def test_sharded_backend_by_name(self, sbm):
-        base = detect_communities(sbm)
-        named = detect_communities(sbm, backend="sharded")
-        assert_runs_identical(base, named)
-
-    def test_gmm_matcher_matches_worklist(self, sbm):
-        base = detect_communities(sbm, matcher="worklist")
-        gmm = detect_communities(sbm, matcher="gmm")
-        assert_runs_identical(base, gmm)
-
-    def test_shard_contractor_matches_bucket(self, sbm):
-        base = detect_communities(sbm, contractor="bucket")
-        shard = detect_communities(sbm, contractor="shard")
-        assert_runs_identical(base, shard)
-
-    def test_keeps_at_most_two_level_stores(self, sbm, tmp_path):
-        backend = ShardedBackend(spill_dir=tmp_path)
-        result = detect_communities(sbm, backend=backend)
-        assert result.n_levels > 2, "fixture must produce a multi-level run"
-        remaining = sorted(p.name for p in tmp_path.iterdir())
-        assert len(remaining) <= 2
-        backend.release()
-        assert list(tmp_path.iterdir()) == []
-
-    def test_spilled_levels_stream(self, sbm, tmp_path, monkeypatch):
-        # The streamed twins are bit-identical, so only call counts show
-        # that a spilled level ran them instead of the in-memory kernels.
-        calls = {"score": 0, "match": 0, "contract": 0}
-
-        def counting(key, fn):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        for key, name in (
-            ("score", "score_sharded"),
-            ("match", "match_gmm_capped"),
-            ("contract", "contract_sharded"),
-        ):
-            monkeypatch.setattr(
-                engine_module, name, counting(key, getattr(engine_module, name))
-            )
-
-        serial = detect_communities(sbm)
-        assert calls == {"score": 0, "match": 0, "contract": 0}
-
-        backend = ShardedBackend(spill_dir=tmp_path, n_shards=4)
-        sharded = detect_communities(sbm, backend=backend)
-        backend.release()
-        assert backend.spilled_levels > 0, "run must actually spill"
-        assert calls == {
-            "score": backend.spilled_levels,
-            "match": sharded.n_levels,
-            "contract": sharded.n_levels,
-        }
-        assert_runs_identical(serial, sharded)
 
 
 class TestResumeParity:

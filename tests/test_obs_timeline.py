@@ -1,11 +1,8 @@
 """Unit and integration tests for the per-level quality timeline."""
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from repro.bench.ledger import read_ledger
 from repro.core import detect_communities
 from repro.generators import planted_partition_graph
 from repro.metrics import coverage, modularity
@@ -189,22 +186,43 @@ class TestTunerField:
 
 class TestOldTimelines:
     def test_committed_kernel_ledger_timelines_load(self):
-        # BENCH_kernels.json was written while every level carried a
-        # "tuner" key; from_dict drops that key and no other.
-        path = (
-            Path(__file__).resolve().parents[1]
-            / "benchmarks"
-            / "ledgers"
-            / "BENCH_kernels.json"
-        )
-        record = read_ledger(path)
-        assert len(record.repetitions) == 12
-        for rep in record.repetitions:
-            levels = rep.quality["levels"]
-            assert levels and all("tuner" in lvl for lvl in levels)
-            tl = QualityTimeline.from_dict(rep.quality)
-            assert tl.n_levels == len(levels)
-            assert tl.final.modularity == levels[-1]["modularity"]
+        # The retired kernel-shootout ledger (BENCH_kernels.json) was
+        # written while every level carried a "tuner" key; these are its
+        # first two levels of repetition 0.  from_dict drops that key
+        # and no other.
+        def level(i, counts, cov, passes, frac, mod, n):
+            return {
+                "community_sizes": {
+                    "counts": counts + [0] * (22 - len(counts)),
+                    "edges": [float(2**k) for k in range(21)],
+                    "max": 2 ** i * 2,
+                    "sum": 999.0,
+                    "total": n,
+                },
+                "coverage": cov,
+                "level": i,
+                "matching_passes": passes,
+                "merge_fraction": frac,
+                "mirror_coverage": 1.0 - cov,
+                "modularity": mod,
+                "n_communities": n,
+                "tuner": None,
+            }
+
+        quality = {
+            "version": 1,
+            "levels": [
+                level(0, [69, 465], 0.20224719101123595, 9,
+                      0.46546546546546547, 0.19806222672902474, 534),
+                level(1, [20, 28, 243], 0.26270151441133366, 7,
+                      0.4550561797752809, 0.25513911567418235, 291),
+            ],
+        }
+        levels = quality["levels"]
+        tl = QualityTimeline.from_dict(quality)
+        assert tl.n_levels == len(levels) == 2
+        assert tl.final.modularity == levels[-1]["modularity"]
+        assert tl.final.n_communities == 291
         levels[0]["wibble"] = 1
         with pytest.raises(TypeError):
-            QualityTimeline.from_dict(rep.quality)
+            QualityTimeline.from_dict(quality)
