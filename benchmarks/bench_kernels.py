@@ -12,7 +12,6 @@ from repro.core import (
     match_locally_dominant,
 )
 from repro.graph import CSRAdjacency, connected_components
-from repro.parallel import parallel_edge_scores
 
 
 @pytest.fixture(scope="module")
@@ -32,11 +31,6 @@ def matched(rmat, scored):
 
 def test_kernel_scoring(benchmark, rmat):
     scores = benchmark(ModularityScorer().score, rmat)
-    assert len(scores) == rmat.n_edges
-
-
-def test_kernel_scoring_process_pool(benchmark, rmat):
-    scores = benchmark(parallel_edge_scores, rmat, n_workers=2)
     assert len(scores) == rmat.n_edges
 
 

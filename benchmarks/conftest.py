@@ -73,7 +73,6 @@ def traced_runs(datasets):
                 "contractor": "bucket",
                 "scale": SCALE,
                 "seed": SEED,
-                "n_workers": 1,
             },
             host=host_info(),
             created_unix=time.time(),

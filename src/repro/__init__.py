@@ -30,7 +30,6 @@ from repro import (
     kernels,
     metrics,
     obs,
-    parallel,
     platform,
     pregel,
     resilience,
@@ -66,7 +65,6 @@ __all__ = [
     "kernels",
     "metrics",
     "obs",
-    "parallel",
     "platform",
     "pregel",
     "resilience",

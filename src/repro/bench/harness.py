@@ -23,7 +23,6 @@ from repro.obs.sinks import phase_totals
 from repro.obs.telemetry import NullTelemetry, TelemetrySampler
 from repro.obs.timeline import NullTimeline, QualityTimeline
 from repro.obs.trace import NullTracer, Tracer, as_tracer
-from repro.parallel.backends import ExecutionBackend, as_backend
 from repro.platform.kernels import TraceRecorder
 from repro.platform.machine import MachineModel
 from repro.platform.sim import simulate_sweep, simulate_time
@@ -105,7 +104,6 @@ def run_with_trace(
     timeline: QualityTimeline | NullTimeline | None = None,
     checkpoint_dir: str | None = None,
     resume: bool = False,
-    backend: "ExecutionBackend | str | None" = None,
     guardian: "RunGuardian | NullGuardian | None" = None,
     telemetry: "TelemetrySampler | NullTelemetry | None" = None,
     memprof: "PhaseMemoryProfiler | NullMemoryProfiler | None" = None,
@@ -119,8 +117,6 @@ def run_with_trace(
     :mod:`repro.bench.ledger`).  ``checkpoint_dir``/``resume`` pass
     straight through to :func:`~repro.core.agglomeration.detect_communities`
     so long benchmark runs survive interruption (see docs/RESILIENCE.md).
-    ``backend`` selects the execution backend by name or instance (see
-    docs/ARCHITECTURE.md); the run span records which backend ran.
     ``guardian`` attaches a :class:`~repro.resilience.RunGuardian`
     supervising the run (watchdog, invariant audits, degradation
     ladder) — its recovery accounting lands on the result and hence the
@@ -131,7 +127,6 @@ def run_with_trace(
     """
     recorder = TraceRecorder()
     tr = as_tracer(tracer)
-    backend_obj = as_backend(backend)
     with tr.span("run", graph=graph_name) as sp:
         result = detect_communities(
             graph,
@@ -144,7 +139,6 @@ def run_with_trace(
             timeline=timeline,
             checkpoint_dir=checkpoint_dir,
             resume=resume,
-            backend=backend_obj,
             guardian=guardian,
             telemetry=telemetry,
             memprof=memprof,
@@ -153,7 +147,6 @@ def run_with_trace(
             items=graph.n_edges,
             matcher=matcher,
             contractor=contractor,
-            backend=backend_obj.name,
             n_levels=result.n_levels,
             terminated_by=result.terminated_by,
         )

@@ -87,7 +87,7 @@ class Repetition:
     recovery or guardian action fired (``None`` for clean runs), so
     degraded benchmark numbers are never mistaken for healthy ones;
     ``attribution`` is the :func:`~repro.obs.attribution.attribute_run`
-    block (hotspots, worker imbalance, serial fraction, Amdahl ceiling)
+    block (phase and per-level times, hotspots, consistency verdict)
     when the repetition was traced (``None`` otherwise), so the ledger
     records not just *how fast* but *why that fast*; ``telemetry`` is
     the :meth:`~repro.obs.telemetry.TelemetrySampler.stats` block
@@ -609,8 +609,6 @@ def render_ledger(record: RunRecord) -> str:
         )
     if rep is not None and rep.attribution:
         a = rep.attribution
-        w = a.get("workers") or {}
-        am = a.get("amdahl") or {}
         hot = a.get("hotspots") or []
         n_bad = len((a.get("consistency") or {}).get("violations") or [])
         lines = ["attribution (repetition 0):"]
@@ -621,17 +619,6 @@ def render_ledger(record: RunRecord) -> str:
                     f"{h['name']} {h['self_s']:.4f}s" for h in hot[:3]
                 )
             )
-        lines.append(
-            f"  workers: {w.get('n_lanes', 0)} lane(s), "
-            f"imbalance {w.get('imbalance', 0.0):.2f}, "
-            f"queue wait {w.get('queue_wait_s', 0.0):.4f}s"
-        )
-        lines.append(
-            f"  serial fraction "
-            f"{100.0 * am.get('serial_fraction', 1.0):.1f}% -> "
-            f"Amdahl ceiling {am.get('ceiling_at_n', 1.0):.2f}x "
-            f"at N={am.get('n_workers', 1)}"
-        )
         lines.append(
             "  consistency: "
             + ("OK" if n_bad == 0 else f"{n_bad} violation(s)")
@@ -648,12 +635,7 @@ def render_ledger(record: RunRecord) -> str:
             ladder = rec.get("ladder") or []
             parts = [
                 f"{key}={rec[key]}"
-                for key in (
-                    "retries",
-                    "degraded_chunks",
-                    "chunk_failures",
-                    "guardian_breaches",
-                )
+                for key in ("retries", "guardian_breaches")
                 if rec.get(key)
             ]
             if ladder:

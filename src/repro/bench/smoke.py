@@ -31,7 +31,6 @@ from repro.bench.ledger import (
 from repro.core.registry import kernel_names
 from repro.generators import planted_partition_graph
 from repro.obs import QualityTimeline, Tracer
-from repro.parallel.backends import backend_names, create_backend
 from repro.resilience.guardian import RunGuardian
 from repro.resilience.invariants import AUDIT_MODES
 
@@ -46,8 +45,6 @@ def run_smoke(
     seed: int = 1,
     matcher: str = "worklist",
     contractor: str = "bucket",
-    backend: str | None = None,
-    n_workers: int = 1,
     directory: str = ".",
     audit: str = "sample",
     trace_out: str | None = None,
@@ -78,12 +75,6 @@ def run_smoke(
     if reps < 1:
         raise ValueError("reps must be at least 1")
     graph = planted_partition_graph(n_vertices, seed=seed)
-    backend_obj = None
-    if backend is not None or n_workers > 1:
-        backend_obj = create_backend(
-            backend or "process-pool",
-            n_workers=n_workers if n_workers > 1 else None,
-        )
     record = RunRecord(
         name=name,
         graph={
@@ -96,8 +87,6 @@ def run_smoke(
             "matcher": matcher,
             "contractor": contractor,
             "seed": seed,
-            "backend": backend_obj.name if backend_obj is not None else "serial",
-            "n_workers": backend_obj.n_workers if backend_obj is not None else 1,
             "audit": audit,
         },
         host=host_info(),
@@ -133,7 +122,6 @@ def run_smoke(
                 contractor=contractor,  # type: ignore[arg-type]
                 tracer=tracer,
                 timeline=timeline,
-                backend=backend_obj,
                 guardian=guardian,
                 telemetry=sampler,
                 memprof=profiler,
@@ -227,19 +215,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--contractor", default="bucket", choices=kernel_names("contractor")
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        choices=backend_names(),
-        help="execution backend for the scoring phase "
-        "(default: serial, or process-pool when --workers > 1)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the backend (implies process-pool)",
-    )
-    parser.add_argument(
         "--out-dir", default=".", help="directory for the ledger file"
     )
     parser.add_argument(
@@ -311,8 +286,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         seed=args.seed,
         matcher=args.matcher,
         contractor=args.contractor,
-        backend=args.backend,
-        n_workers=args.workers,
         directory=args.out_dir,
         audit=args.audit,
         trace_out=args.trace_out,

@@ -51,7 +51,6 @@ from repro.graph import (
 from repro.graph.graph import CommunityGraph
 from repro.metrics import Partition, average_conductance, coverage, modularity
 from repro.obs import Tracer, as_tracer, render_profile, write_trace
-from repro.parallel.backends import backend_names, create_backend
 from repro.resilience.guardian import RunGuardian
 from repro.resilience.invariants import AUDIT_MODES
 
@@ -196,22 +195,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
     if args.algorithm == "parallel":
         scorer = create_kernel("scorer", args.scorer)
-        # --backend names an execution backend explicitly; bare
-        # --workers N keeps its historical meaning of a process pool.
-        backend = None
-        if args.backend is not None or args.workers > 1:
-            backend = create_backend(
-                args.backend or "process-pool",
-                n_workers=args.workers if args.workers > 1 else None,
-            )
-            if backend.n_workers > 1 and not hasattr(
-                scorer, "score_with_backend"
-            ):
-                print(
-                    f"note: the {args.scorer} scorer does not support "
-                    f"backend execution; scoring in-process",
-                    file=sys.stderr,
-                )
         guardian = None
         if (
             args.audit != "off"
@@ -258,7 +241,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                     tracer=tracer,
                     checkpoint_dir=args.checkpoint_dir,
                     resume=args.resume,
-                    backend=backend,
                     guardian=guardian,
                     telemetry=telemetry,
                     memprof=memprof,
@@ -267,7 +249,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                     items=graph.n_edges,
                     n_levels=result.n_levels,
                     terminated_by=result.terminated_by,
-                    backend=backend.name if backend is not None else "serial",
                 )
         except RunAbortedError as exc:
             _stop_live(state="failed")
@@ -338,8 +319,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             "scorer": args.scorer,
             "matcher": args.matcher,
             "contractor": args.contractor,
-            "backend": args.backend or "serial",
-            "workers": args.workers,
             "n_vertices": graph.n_vertices,
             "n_edges": graph.n_edges,
         },
@@ -1040,21 +1019,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refine", action="store_true", help="run local refinement")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="score each level on a supervised worker-process pool "
-        "(modularity scorer only; see docs/RESILIENCE.md)",
-    )
-    p.add_argument(
-        "--backend",
-        default=None,
-        choices=backend_names(),
-        help="execution backend phases run chunked work on "
-        "(default: serial, or process-pool when --workers > 1; "
-        "see docs/ARCHITECTURE.md)",
-    )
-    p.add_argument(
         "--audit",
         default="sample",
         choices=AUDIT_MODES,
@@ -1069,8 +1033,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         default=None,
         help="soft per-phase deadline; a breach steps the guardian's "
-        "degradation ladder (serial backend, smaller chunks, lighter "
-        "audits, finally checkpoint-and-abort)",
+        "degradation ladder (lighter audits, then checkpoint-and-abort)",
     )
     p.add_argument(
         "--memory-budget",
@@ -1078,8 +1041,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="MB",
         default=None,
         help="soft resident-memory budget sampled after each phase; a "
-        "breach steps the guardian's degradation ladder (serial backend, "
-        "smaller chunks, lighter audits, finally checkpoint-and-abort)",
+        "breach steps the guardian's degradation ladder (lighter audits, "
+        "then checkpoint-and-abort)",
     )
     p.add_argument(
         "--checkpoint-dir",
@@ -1119,7 +1082,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--telemetry",
         action="store_true",
-        help="sample RSS/GC/worker counters in the background and "
+        help="sample RSS/GC counters in the background and "
         "record them into the trace (parallel algorithm only)",
     )
     p.add_argument(
@@ -1258,8 +1221,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Render a JSONL run trace — plus an optional benchmark "
         "ledger — into a self-contained Markdown (or HTML) report: phase "
         "breakdown, per-level timeline with quality curve, hotspot "
-        "ranking, worker-lane/Amdahl analysis, and the trace consistency "
-        "verdict (see docs/OBSERVABILITY.md).",
+        "ranking, and the trace consistency verdict "
+        "(see docs/OBSERVABILITY.md).",
     )
     p.add_argument("trace", help="JSONL trace from --trace-out")
     p.add_argument(

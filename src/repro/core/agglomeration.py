@@ -8,7 +8,7 @@ matching of positively-scored community pairs.
 
 The loop itself lives in :mod:`repro.core.engine` — a
 :class:`~repro.core.engine.RunContext` carries the cross-cutting
-services (tracer, timeline, recovery, checkpoints, backend), phase
+services (tracer, timeline, recovery, checkpoints), phase
 kernels resolve by name through :mod:`repro.core.registry`, and
 :class:`~repro.core.engine.AgglomerationEngine` drives them.  This
 module keeps the historical one-call entry point:
@@ -41,7 +41,6 @@ from repro.obs.memprof import NullMemoryProfiler, PhaseMemoryProfiler
 from repro.obs.telemetry import NullTelemetry, TelemetrySampler
 from repro.obs.timeline import NullTimeline, QualityTimeline
 from repro.obs.trace import NullTracer, Tracer
-from repro.parallel.backends import ExecutionBackend
 from repro.platform.kernels import TraceRecorder
 from repro.resilience.guardian import NullGuardian, RunGuardian
 from repro.util.log import get_logger
@@ -65,7 +64,6 @@ def detect_communities(
     checkpoint_dir: str | os.PathLike | None = None,
     resume: bool = False,
     checkpoint_every: int = 1,
-    backend: ExecutionBackend | str | None = None,
     guardian: RunGuardian | NullGuardian | None = None,
     telemetry: "TelemetrySampler | NullTelemetry | None" = None,
     memprof: "PhaseMemoryProfiler | NullMemoryProfiler | None" = None,
@@ -124,12 +122,6 @@ def detect_communities(
         fresh run.
     checkpoint_every:
         Persist every N-th level (default: every level).
-    backend:
-        Execution backend phases may request chunked parallel execution
-        from — an :class:`~repro.parallel.backends.ExecutionBackend`
-        instance or a registered name (``"serial"``, ``"process-pool"``).
-        ``None`` runs serial.  Backend choice never changes results,
-        only the execution profile.
     guardian:
         Optional :class:`~repro.resilience.RunGuardian` supervising the
         run — per-phase soft deadlines, matching-stall detection, a
@@ -162,7 +154,6 @@ def detect_communities(
     ctx = RunContext.create(
         tracer=tracer,
         timeline=timeline,
-        backend=backend,
         recorder=recorder,
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=checkpoint_every,

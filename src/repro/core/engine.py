@@ -6,7 +6,7 @@ pipeline as an explicit composition instead of a monolithic loop:
 
 * :class:`RunContext` owns every cross-cutting service a run needs
   (tracer, quality timeline, recovery report, checkpoint manager,
-  simulated-work recorder, execution backend, progress callback, RNG
+  simulated-work recorder, progress callback, RNG
   seed, logger) and is passed **once** through every layer, replacing
   the ad-hoc kwarg plumbing the driver had grown.
 * :class:`PhaseKernel` is the one protocol scorers, matchers and
@@ -18,13 +18,6 @@ pipeline as an explicit composition instead of a monolithic loop:
   member-count bookkeeping, checkpoint/resume, and the quality
   timeline — everything that is *driver* policy rather than kernel
   arithmetic.
-
-Any phase can request chunked parallel execution from
-``ctx.backend`` (an :class:`~repro.parallel.backends.ExecutionBackend`);
-the modularity scorer uses it to score each level on the supervised
-worker pool when the backend provides parallelism.  Backend choice
-never changes results — kernels are deterministic and chunk writes are
-disjoint — only the execution profile.
 
 :func:`repro.core.agglomeration.detect_communities` is a thin
 compatibility wrapper over this engine; see docs/ARCHITECTURE.md for
@@ -62,7 +55,6 @@ from repro.obs.telemetry import (
 )
 from repro.obs.timeline import NullTimeline, QualityTimeline, as_timeline
 from repro.obs.trace import NullTracer, Tracer, as_tracer
-from repro.parallel.backends import ExecutionBackend, as_backend
 from repro.platform.kernels import TraceRecorder
 from repro.resilience.checkpoint import CheckpointManager, CheckpointState
 from repro.resilience.guardian import (
@@ -167,7 +159,7 @@ class RunContext:
     """Cross-cutting services of one agglomeration run.
 
     Built once (usually via :meth:`create`) and passed through every
-    layer — engine, phase kernels, backends — so no layer re-plumbs
+    layer — engine and phase kernels — so no layer re-plumbs
     tracer/timeline/recovery/checkpoint arguments individually.
 
     Attributes
@@ -176,9 +168,6 @@ class RunContext:
         Wall-clock span tracer (normalized; never ``None``).
     timeline:
         Per-level quality timeline (normalized; never ``None``).
-    backend:
-        Execution backend phase kernels may request chunked parallel
-        execution from.
     recovery:
         Accumulator for every recovery action taken during the run.
     recorder:
@@ -207,7 +196,6 @@ class RunContext:
 
     tracer: Tracer | NullTracer
     timeline: QualityTimeline | NullTimeline
-    backend: ExecutionBackend
     recovery: RecoveryReport = field(default_factory=RecoveryReport)
     recorder: TraceRecorder | None = None
     checkpoints: CheckpointManager | None = None
@@ -225,7 +213,6 @@ class RunContext:
         *,
         tracer: Tracer | NullTracer | None = None,
         timeline: QualityTimeline | NullTimeline | None = None,
-        backend: ExecutionBackend | str | None = None,
         recorder: TraceRecorder | None = None,
         recovery: RecoveryReport | None = None,
         checkpoint_dir: Any = None,
@@ -242,7 +229,6 @@ class RunContext:
         return cls(
             tracer=as_tracer(tracer),
             timeline=as_timeline(timeline),
-            backend=as_backend(backend),
             recovery=recovery if recovery is not None else RecoveryReport(),
             recorder=recorder,
             checkpoints=(
@@ -284,9 +270,6 @@ class ScoreKernel:
     Built-in scorers validate their own output (``validates_output``
     class attribute); external protocol implementations are validated
     here, once, instead of re-validating every scorer every level.
-    When the scorer offers backend execution (``score_with_backend``)
-    and the context's backend provides parallelism, scoring runs
-    chunked on that backend with recovery accounted to the run.
     """
 
     kind = "scorer"
@@ -299,17 +282,7 @@ class ScoreKernel:
     def run(
         self, ctx: RunContext, graph: CommunityGraph, **inputs: Any
     ) -> np.ndarray:
-        backend_score = getattr(self.scorer, "score_with_backend", None)
-        if backend_score is not None and ctx.backend.n_workers > 1:
-            scores = backend_score(
-                graph,
-                ctx.backend,
-                tracer=ctx.tracer,
-                recorder=ctx.recorder,
-                report=ctx.recovery,
-            )
-        else:
-            scores = self.scorer.score(graph, ctx.recorder)
+        scores = self.scorer.score(graph, ctx.recorder)
         if self._needs_validation:
             scores = validate_scores(scores, scorer=self.name)
         return scores
@@ -386,10 +359,9 @@ class AgglomerationEngine:
     The engine is configured once with its three phase kernels (by
     registry name, raw callable, or scorer instance) and termination
     criteria; :meth:`run` then executes any number of runs, each against
-    its own :class:`RunContext`.  Results are bit-identical across
-    execution backends and identical to the historical
-    ``detect_communities`` driver — the parity suite in
-    ``tests/test_engine_parity.py`` enforces both.
+    its own :class:`RunContext`.  Results are identical to those of the
+    historical ``detect_communities`` loop — the parity suite in
+    ``tests/test_engine_parity.py`` enforces it.
     """
 
     def __init__(
@@ -461,8 +433,6 @@ class AgglomerationEngine:
             scorer=self.score_kernel.name,
             matcher=self.match_kernel.name,
             contractor=self.contract_kernel.name,
-            backend=ctx.backend.name,
-            n_workers=ctx.backend.n_workers,
             seed=ctx.seed,
         ) as run_span:
             if resume:
@@ -558,13 +528,6 @@ class AgglomerationEngine:
                 items=graph.n_edges,
             )
             ctx.telemetry.publish_phase("done", None)
-
-        # Fold pool-level recovery accounting (e.g. ParallelModularityScorer)
-        # into the run's report; use a fresh scorer per run to avoid carrying
-        # counts across runs.
-        scorer_report = getattr(self.score_kernel.scorer, "report", None)
-        if isinstance(scorer_report, RecoveryReport):
-            ctx.recovery.merge(scorer_report)
 
         return AgglomerationResult(
             partition=dendrogram.final_partition(),

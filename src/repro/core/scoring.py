@@ -71,9 +71,6 @@ class EdgeScorer(Protocol):
     ``validates_output = True`` class attribute so the engine skips its
     driver-side re-validation; external implementations without the
     attribute are validated once by the engine's score phase.
-    Implementations may additionally offer ``score_with_backend`` (see
-    :meth:`ModularityScorer.score_with_backend`) to run chunked on a
-    :class:`~repro.parallel.backends.ExecutionBackend`.
     """
 
     name: str
@@ -124,34 +121,6 @@ class ModularityScorer:
         return validate_scores(
             scores.astype(SCORE_DTYPE, copy=False), scorer=self.name
         )
-
-    def score_with_backend(
-        self,
-        graph: CommunityGraph,
-        backend,
-        *,
-        tracer=None,
-        recorder: TraceRecorder | None = None,
-        report=None,
-    ) -> np.ndarray:
-        """Score chunked on an execution backend — bit-identical to
-        :meth:`score` (same arithmetic over disjoint chunk slices).
-
-        The engine's score phase calls this instead of :meth:`score`
-        whenever the run's backend provides parallelism
-        (``backend.n_workers > 1``); recovery actions taken by the
-        backend accumulate into ``report``.
-        """
-        from repro.parallel.pool import parallel_edge_scores
-
-        scores = parallel_edge_scores(
-            graph,
-            backend=backend,
-            tracer=tracer,
-            report=report,
-        )
-        _record_scoring(recorder, graph, self.name)
-        return scores
 
 
 class ConductanceScorer:

@@ -19,7 +19,6 @@ __all__ = [
     "CheckpointError",
     "WalError",
     "StreamStateError",
-    "ChunkFailureError",
     "RunAbortedError",
 ]
 
@@ -99,39 +98,29 @@ class StreamStateError(ReproError):
     """
 
 
-class ChunkFailureError(ReproError):
-    """A pool chunk failed even after retries and in-process fallback.
-
-    This is the unrecoverable end of the :class:`repro.resilience.RetryPolicy`
-    escalation ladder; seeing it means the failure is deterministic in the
-    chunk itself (bad input, bug), not worker-process flakiness.  Each
-    escalation to this error is counted in
-    :attr:`repro.resilience.RecoveryReport.chunk_failures`.
-    """
-
-
 class GuardianBreach(UserWarning):
-    """A run-guardian watchdog threshold was breached and absorbed.
+    """A run-guardian watchdog threshold was breached.
 
-    Emitted by :class:`repro.resilience.RunGuardian` when a phase
-    deadline, matching-stall, or memory-budget breach triggers a rung of
-    the degradation ladder instead of an abort — the run continues in a
-    degraded mode, and this warning (plus the
-    :attr:`~repro.resilience.RecoveryReport.ladder` record and the
-    ``guardian.*`` metrics) is how the degradation stays visible.
+    Emitted by :class:`repro.resilience.RunGuardian` for every phase
+    deadline, matching-stall, or memory-budget breach, before the breach
+    takes its rung of the degradation ladder.  When that rung lowers the
+    audit strictness the run continues in a degraded mode, and this
+    warning (plus the :attr:`~repro.resilience.RecoveryReport.ladder`
+    record and the ``guardian.*`` metrics) is how the degradation stays
+    visible.
     """
 
 
 class RunAbortedError(ReproError):
     """The run guardian exhausted its degradation ladder and stopped the run.
 
-    Raised only after every softer rung (backend downgrade, chunk
-    halving, audit lowering) has been spent; the engine writes a final
-    checkpoint first when a checkpoint directory is configured, so the
-    run is resumable.  Attributes ``reason`` (the breach that spent the
-    last rung), ``checkpoint_path`` (the final checkpoint, or ``None``),
-    and ``report`` (the run's :class:`~repro.resilience.RecoveryReport`)
-    carry the forensics.
+    Raised once the softer rung (audit lowering) has been spent, or at
+    the first breach when there is no audit to lower; the engine writes
+    a final checkpoint first when a checkpoint directory is configured,
+    so the run is resumable.  Attributes ``reason`` (the breach that
+    spent the last rung), ``checkpoint_path`` (the final checkpoint, or
+    ``None``), and ``report`` (the run's
+    :class:`~repro.resilience.RecoveryReport`) carry the forensics.
     """
 
     def __init__(

@@ -5,7 +5,7 @@ Four layers:
 * :mod:`repro.obs.trace` — :class:`Tracer` / :class:`Span` nested
   wall-clock spans, with a zero-cost :class:`NullTracer` default;
 * :mod:`repro.obs.metrics` — counters, gauges, fixed-bucket histograms,
-  mergeable across registries and exportable in Prometheus text format;
+  exportable in Prometheus text format;
 * :mod:`repro.obs.timeline` — :class:`QualityTimeline`, the per-level
   algorithm-quality trajectory (modularity, coverage, merge fraction)
   that the benchmark ledger embeds;
@@ -13,9 +13,8 @@ Four layers:
   (:func:`write_trace` / :func:`read_trace`) and the per-level console
   profile table (:func:`render_profile`);
 * :mod:`repro.obs.attribution` — the performance-attribution analyzer:
-  self-times, hotspot ranking, worker-lane statistics, load imbalance,
-  serial fraction / Amdahl ceiling, and the trace consistency
-  invariants (:func:`attribute_run`);
+  self-times, hotspot ranking, and the trace consistency invariants
+  (:func:`attribute_run`);
 * :mod:`repro.obs.perfetto` — Chrome trace-event export
   (:func:`write_perfetto`) openable in ``ui.perfetto.dev``;
 * :mod:`repro.obs.report` — the self-contained Markdown/HTML run
@@ -35,14 +34,10 @@ package measures what the current machine actually did.  See
 """
 
 from repro.obs.attribution import (
-    amdahl_ceiling,
     attribute_run,
     consistency_report,
     hotspots,
-    load_imbalance,
     self_times,
-    serial_fraction,
-    worker_stats,
 )
 from repro.obs.metrics import (
     Counter,
@@ -127,10 +122,6 @@ __all__ = [
     "attribute_run",
     "self_times",
     "hotspots",
-    "worker_stats",
-    "load_imbalance",
-    "serial_fraction",
-    "amdahl_ceiling",
     "consistency_report",
     "to_chrome_trace",
     "write_perfetto",

@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 #: Power-of-two bucket upper bounds — a sensible default for count-like
-#: distributions (pass counts, bucket occupancies, chunk sizes).
+#: distributions (pass counts, bucket occupancies).
 DEFAULT_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 
@@ -47,10 +47,6 @@ class Counter:
         if n < 0:
             raise ValueError("counters only increase; use a Gauge")
         self.value += n
-
-    def merge(self, other: "Counter") -> None:
-        """Fold another counter's count into this one (sums)."""
-        self.value += other.value
 
 
 class Gauge:
@@ -82,18 +78,6 @@ class Gauge:
         if value > self.max:
             self.max = value
         self.n_sets += 1
-
-    def merge(self, other: "Gauge") -> None:
-        """Fold another gauge in: extremes union, other's last value wins
-        (when it was ever set)."""
-        if other.n_sets == 0:
-            return
-        if other.min < self.min:
-            self.min = other.min
-        if other.max > self.max:
-            self.max = other.max
-        self.value = other.value
-        self.n_sets += other.n_sets
 
 
 class Histogram:
@@ -149,22 +133,6 @@ class Histogram:
     def mean(self) -> float:
         return self.sum / self.total if self.total else 0.0
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram in (bucket-wise count addition).
-
-        The two histograms must have identical edges — merging across
-        different bucketings would silently misattribute samples.
-        """
-        if other.edges != self.edges:
-            raise ValueError(
-                f"histogram {self.name!r}: cannot merge edges "
-                f"{list(other.edges)} into {list(self.edges)}"
-            )
-        for k, c in enumerate(other.counts):
-            self.counts[k] += c
-        self.total += other.total
-        self.sum += other.sum
-
 
 class MetricsRegistry:
     """Get-or-create store of named metrics."""
@@ -198,86 +166,6 @@ class MetricsRegistry:
                 name, edges if edges is not None else DEFAULT_BUCKETS
             )
             return h
-
-    def merge(self, other: "MetricsRegistry | NullMetricsRegistry") -> None:
-        """Fold another registry's metrics into this one by name.
-
-        Metrics absent here are created; histograms merge bucket-wise
-        and raise on mismatched edges.  This is how worker-process
-        registries are aggregated into the parent's (see
-        :mod:`repro.parallel.pool`).
-        """
-        for name, c in other.counters.items():
-            self.counter(name).merge(c)
-        for name, g in other.gauges.items():
-            self.gauge(name).merge(g)
-        for name, h in other.histograms.items():
-            self.histogram(name, h.edges).merge(h)
-
-    @classmethod
-    def from_snapshot(cls, snapshot: dict) -> "MetricsRegistry":
-        """Rebuild a registry from :meth:`snapshot` output.
-
-        The inverse used to ship metrics across process boundaries:
-        workers send snapshots (plain dicts pickle cheaply), the parent
-        rebuilds and :meth:`merge`-s them.
-
-        The snapshot is validated on ingest: a histogram whose
-        ``counts`` length does not match its ``edges`` (the signature of
-        a schema drift between worker and parent builds), a negative
-        bucket count, a bucket/total mismatch, or a NaN gauge value all
-        raise :class:`ValueError` naming the offending metric — the
-        alternative is samples silently landing in the wrong buckets
-        after a parent-side merge.
-        """
-        if not isinstance(snapshot, dict):
-            raise ValueError(
-                f"metrics snapshot must be a dict, got {type(snapshot).__name__}"
-            )
-        reg = cls()
-        for name, value in snapshot.get("counters", {}).items():
-            if int(value) < 0:
-                raise ValueError(
-                    f"counter {name!r}: snapshot value {value} is negative"
-                )
-            reg.counter(name).inc(int(value))
-        for name, g in snapshot.get("gauges", {}).items():
-            value = float(g["value"])
-            if math.isnan(value):
-                raise ValueError(
-                    f"gauge {name!r}: snapshot value is NaN"
-                )
-            gauge = reg.gauge(name)
-            gauge.value = value
-            gauge.min = float(g["min"]) if g["min"] is not None else float("inf")
-            gauge.max = (
-                float(g["max"]) if g["max"] is not None else float("-inf")
-            )
-            gauge.n_sets = int(g["n_sets"])
-        for name, h in snapshot.get("histograms", {}).items():
-            edges = list(h["edges"])
-            counts = [int(c) for c in h["counts"]]
-            if len(counts) != len(edges) + 1:
-                raise ValueError(
-                    f"histogram {name!r}: snapshot has {len(counts)} counts "
-                    f"for {len(edges)} edges (expected {len(edges) + 1}; "
-                    "bucket schema mismatch between worker and parent?)"
-                )
-            if any(c < 0 for c in counts):
-                raise ValueError(
-                    f"histogram {name!r}: snapshot has negative bucket counts"
-                )
-            total = int(h["total"])
-            if total != sum(counts):
-                raise ValueError(
-                    f"histogram {name!r}: snapshot total {total} does not "
-                    f"match bucket sum {sum(counts)}"
-                )
-            hist = reg.histogram(name, edges)
-            hist.counts = counts
-            hist.total = total
-            hist.sum = float(h["sum"])
-        return reg
 
     def render_prometheus(self, *, namespace: str = "repro") -> str:
         """Render every metric in the Prometheus text exposition format.
@@ -389,10 +277,6 @@ _NULL_HISTOGRAM = _NullHistogram()
 class NullMetricsRegistry:
     """No-op registry handing out shared null metric instances."""
 
-    counters: dict = {}
-    gauges: dict = {}
-    histograms: dict = {}
-
     def counter(self, name: str) -> _NullCounter:
         return _NULL_COUNTER
 
@@ -401,9 +285,6 @@ class NullMetricsRegistry:
 
     def histogram(self, name: str, edges=None) -> _NullHistogram:
         return _NULL_HISTOGRAM
-
-    def merge(self, other) -> None:
-        return None
 
     def render_prometheus(self, *, namespace: str = "repro") -> str:
         return ""

@@ -2,19 +2,19 @@
 
 Converts a span list into the JSON trace-event format that
 ``ui.perfetto.dev`` and ``chrome://tracing`` open directly, so a run's
-per-level score/match/contract pipeline and the worker flight-recorder
-lanes become a zoomable timeline instead of a table.
+per-level score/match/contract pipeline becomes a zoomable timeline
+instead of a table.
 
 The mapping:
 
 * every span becomes one complete event (``"ph": "X"``) with ``ts`` and
   ``dur`` in microseconds, relative to the earliest span start in the
   trace (Perfetto only needs a common origin, not absolute time);
-* ``pid``/``tid`` place each span on its lane — worker flight records
-  carry their worker's real OS pid, so each worker renders as its own
-  process track under the parent;
-* metadata events (``"ph": "M"``) name the tracks: the parent process
-  becomes ``repro (parent)``, each worker ``worker <pid>``;
+* ``pid``/``tid`` place each span on its lane — a span carries the OS
+  pid of the process that recorded it, so a span from another process
+  renders as its own process track beside the parent;
+* metadata events (``"ph": "M"``) name the tracks: the process of the
+  first span becomes ``repro (parent)``, any other ``worker <pid>``;
 * span level, item count, and attributes ride along in ``args``;
 * telemetry counter samples (schema v3) become counter events
   (``"ph": "C"``) — Perfetto renders each distinct sample name as its
@@ -65,17 +65,9 @@ def to_chrome_trace(
     samples = list(samples or ())
     events: list[dict] = []
     starts = [s.start_ns for s in spans] + [s.ts_ns for s in samples]
-    if spans:
-        parent_pid = next(
-            (s.pid for s in spans if s.pid is not None and s.name != "worker_chunk"),
-            None,
-        )
-        if parent_pid is None:
-            parent_pid = os.getpid()
-    else:
-        parent_pid = next(
-            (s.pid for s in samples if s.pid is not None), os.getpid()
-        )
+    parent_pid = next(
+        (s.pid for s in (spans or samples) if s.pid is not None), os.getpid()
+    )
     origin_ns = min(starts) if starts else 0
 
     lanes: set[tuple[int, int]] = set()

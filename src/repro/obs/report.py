@@ -6,12 +6,9 @@ comparison attaches:
 
 * the per-phase breakdown (total and self time, contraction share — the
   paper's §IV-C 40–80 % claim, checked on *this* run);
-* the per-level table: phase seconds, worker imbalance, and — when a
-  benchmark ledger rides along — the quality curve (modularity /
-  coverage per level);
+* the per-level table: phase seconds and — when a benchmark ledger
+  rides along — the quality curve (modularity / coverage per level);
 * the hotspot ranking by self-time (the optimization worklist);
-* worker-lane statistics and the Amdahl decomposition from
-  :mod:`repro.obs.attribution`;
 * the consistency-invariant verdict, so a report built from a skewed or
   mis-parented trace says so on its face.
 
@@ -144,7 +141,7 @@ def render_report(
                 quality_by_level[s["level"]] = s
     if attr["levels"]:
         has_quality = bool(quality_by_level)
-        headers = ["level", "score s", "match s", "contract s", "imbalance"]
+        headers = ["level", "score s", "match s", "contract s"]
         if has_quality:
             headers += ["communities", "modularity", "coverage"]
         rows = []
@@ -154,7 +151,6 @@ def render_report(
                 _fmt_s(lv["score_s"]),
                 _fmt_s(lv["match_s"]),
                 _fmt_s(lv["contract_s"]),
-                f"{lv['imbalance']:.2f}" if lv["imbalance"] else "-",
             ]
             if has_quality:
                 q = quality_by_level.get(lv["level"])
@@ -186,53 +182,6 @@ def render_report(
                         f"{100.0 * h['share']:.1f}%",
                     ]
                     for i, h in enumerate(attr["hotspots"])
-                ],
-            ),
-            "",
-        ]
-
-    # ------------------------------------------------------------- workers
-    w = attr["workers"]
-    amdahl = attr["amdahl"]
-    serial = attr["serial"]
-    out += ["## Parallel efficiency", ""]
-    if w["source"] is None:
-        out += ["No worker-lane data in this trace (untraced pool?).", ""]
-    else:
-        lane_rows = [
-            [f"`{pid}`", _fmt_s(busy)]
-            for pid, busy in w["busy_s"].items()
-        ]
-        out += [
-            f"Lane source: `{w['source']}` — {w['n_lanes']} lane(s), "
-            f"{w['n_chunks']} chunk(s).",
-            "",
-            _table(["worker (pid)", "busy s"], lane_rows),
-            "",
-            _table(
-                ["metric", "value"],
-                [
-                    ["load imbalance (max/mean busy)", f"{w['imbalance']:.2f}"],
-                    ["total exec time", _fmt_s(w["exec_s"])],
-                    ["total queue wait", _fmt_s(w["queue_wait_s"])],
-                    [
-                        "serial fraction",
-                        f"{100.0 * serial['fraction']:.1f}% "
-                        f"({_fmt_s(serial['serial_s'])}s of "
-                        f"{_fmt_s(serial['total_s'])}s)",
-                    ],
-                    [
-                        f"Amdahl ceiling at N={amdahl['n_workers']}",
-                        f"{amdahl['ceiling_at_n']:.2f}×",
-                    ],
-                    [
-                        "Amdahl ceiling (N→∞)",
-                        (
-                            f"{amdahl['ceiling_inf']:.2f}×"
-                            if amdahl["ceiling_inf"] != float("inf")
-                            else "unbounded"
-                        ),
-                    ],
                 ],
             ),
             "",
@@ -369,8 +318,7 @@ def render_report(
     else:
         out += [
             f"All {cons['checked']} spans satisfy the timing invariants "
-            "(child coverage, window containment, worker-lane overlap "
-            "budget).",
+            "(child coverage, window containment).",
             "",
         ]
     return "\n".join(out).rstrip() + "\n"

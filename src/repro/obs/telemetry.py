@@ -7,8 +7,6 @@ periodically records
 
 * anonymous RSS (:func:`repro.util.memprobe.rss_anon_mb`),
 * cumulative GC collections,
-* live worker count (heartbeats piggybacked on the pool's metrics
-  queue),
 * the current phase/level (published by the engine via ``RunContext``)
 
 into the trace as schema-v3 **counter samples**
@@ -54,8 +52,6 @@ __all__ = [
     "NullTelemetry",
     "NULL_TELEMETRY",
     "as_telemetry",
-    "record_worker_heartbeat",
-    "workers_alive",
     "read_status",
     "render_status",
     "STATUS_FILENAME",
@@ -75,39 +71,6 @@ STATUS_VERSION = 1
 #: track (counter tracks plot numbers, not strings).  ``idle`` covers
 #: between-level housekeeping; ``done`` is published when the run ends.
 PHASE_IDS = {"idle": 0, "score": 1, "match": 2, "contract": 3, "done": 4}
-
-#: A worker whose last heartbeat is older than this is counted dead.
-WORKER_LIVENESS_WINDOW_S = 15.0
-
-# ------------------------------------------------------ worker heartbeats
-#: pid -> monotonic_ns of the worker's last payload.  Written by the
-#: parent's pool drain loop (single writer per key; dict item assignment
-#: is atomic under the GIL), read by the sampler thread.
-_worker_heartbeats: dict[int, int] = {}
-
-
-def record_worker_heartbeat(pid: int) -> None:
-    """Note that worker ``pid`` delivered a payload just now.
-
-    Called by the supervised pool's drain loop, which only runs when a
-    tracer is attached — the untraced path never reaches here.  Cheap
-    enough to call per payload (one dict store).
-    """
-    _worker_heartbeats[pid] = time.monotonic_ns()
-
-
-def workers_alive(
-    *, window_s: float = WORKER_LIVENESS_WINDOW_S, now_ns: int | None = None
-) -> int:
-    """Number of workers heard from within the liveness window."""
-    now = time.monotonic_ns() if now_ns is None else now_ns
-    horizon = now - int(window_s * 1e9)
-    return sum(1 for ts in list(_worker_heartbeats.values()) if ts >= horizon)
-
-
-def _reset_worker_heartbeats() -> None:
-    """Test hook: forget all heartbeats."""
-    _worker_heartbeats.clear()
 
 
 # --------------------------------------------------------------- sampler
@@ -302,8 +265,6 @@ class TelemetrySampler:
         tr.record_counter(
             "gc_collections", gc_collections, ts_ns=ts, unit="count"
         )
-        n_workers = workers_alive(now_ns=ts)
-        tr.record_counter("workers_alive", n_workers, ts_ns=ts, unit="count")
         phase, level = self._phase, self._level
         tr.record_counter(
             "phase_id", PHASE_IDS.get(phase, -1), ts_ns=ts, unit="phase"
@@ -335,7 +296,6 @@ class TelemetrySampler:
             "peak_rss_mb": self.peak_rss_mb,
             "ramp_mb_s": ramp,
             "gc_collections": gc_collections,
-            "workers_alive": n_workers,
             "n_samples": self.n_samples,
             "guardian": {
                 "breaches": getattr(recovery, "guardian_breaches", 0),
@@ -520,7 +480,6 @@ def render_status(
             )
         ),
         f"  memory   : {mem}",
-        f"  workers  : {status.get('workers_alive', 0)} alive",
         f"  gc       : {status.get('gc_collections', 0)} collections",
         f"  guardian : {gline}",
         f"  heartbeat: {heartbeat}, {status.get('n_samples', 0)} samples",

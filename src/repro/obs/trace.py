@@ -50,8 +50,8 @@ __all__ = [
 ]
 
 #: Version of the span/trace event schema emitted by the sinks.
-#: v2 added per-span ``pid``/``tid``/``epoch_ns`` so multi-process
-#: traces (worker flight-recorder lanes) align on one clock.
+#: v2 added per-span ``pid``/``tid``/``epoch_ns`` so spans from more
+#: than one process align on one clock.
 #: v3 added **counter events** (``{"event": "counter_sample", "type":
 #: "counter", ...}`` records interleaved with spans): timestamped
 #: time-series samples from the live-telemetry sampler
@@ -84,13 +84,14 @@ class Span:
     pid, tid:
         OS process id and native thread id that executed the region.
         Stamped on every span (not just run-level meta) so spans from
-        worker processes land on their own lanes in exported traces.
+        different processes land on their own lanes in exported traces.
     epoch_ns:
         The owning tracer's monotonic-clock epoch (``time.monotonic_ns``
         at tracer creation).  CLOCK_MONOTONIC is machine-wide on Linux,
-        so worker-recorded timestamps sharing this epoch align with
-        parent spans; a span whose epoch differs is from another clock
-        domain and must not be compared by raw timestamp.
+        so timestamps recorded against this epoch in another process
+        align with this tracer's spans; a span whose epoch differs is
+        from another clock domain and must not be compared by raw
+        timestamp.
     attrs:
         Free-form attributes stamped via :meth:`_SpanHandle.set`.
     """
@@ -123,7 +124,7 @@ class CounterSample:
     Unlike the end-of-run metric snapshot (one aggregate value per
     counter), counter samples are a *time series*: the telemetry
     sampler records one per sampling tick, so resource usage (anonymous
-    RSS, GC collections, live workers) becomes a curve over the run
+    RSS, GC collections) becomes a curve over the run
     rather than a single total.  ``ts_ns`` shares the owning tracer's
     monotonic clock, making samples directly comparable to span
     windows; ``unit`` is a display hint (``"MiB"``, ``"bytes"``,
@@ -206,8 +207,7 @@ class Tracer:
         self.counter_samples: list[CounterSample] = []
         self.metrics = MetricsRegistry()
         #: Monotonic-clock epoch stamped on every span this tracer
-        #: records; worker lanes recorded against the same machine clock
-        #: share it, which is what lets lanes align in exported traces.
+        #: records, so spans align in exported traces.
         self.epoch_ns = time.monotonic_ns()
         self._stack: list[Span] = []
         self._next_id = 0
@@ -229,48 +229,6 @@ class Tracer:
         )
         self._next_id += 1
         return _SpanHandle(self, span)
-
-    def record_span(
-        self,
-        name: str,
-        *,
-        start_ns: int,
-        end_ns: int,
-        level: int | None = None,
-        pid: int | None = None,
-        tid: int | None = None,
-        items: int = 0,
-        **attrs: Any,
-    ) -> Span:
-        """Append an externally-measured, already-finished span.
-
-        This is how worker flight records become trace lanes: the worker
-        measured its own chunk window (same machine monotonic clock) and
-        shipped the timestamps home; the parent records them here without
-        re-timing.  The span parents onto the innermost open span, so
-        draining flight records inside the ``pool_run`` region nests the
-        lanes correctly.  ``pid`` defaults to the calling process;
-        ``tid`` defaults to ``pid`` (worker processes are
-        single-threaded), keeping one lane per worker in trace viewers.
-        """
-        parent = self._stack[-1].span_id if self._stack else None
-        pid = os.getpid() if pid is None else int(pid)
-        span = Span(
-            name=name,
-            span_id=self._next_id,
-            parent_id=parent,
-            level=level,
-            start_ns=int(start_ns),
-            end_ns=int(end_ns),
-            items=int(items),
-            pid=pid,
-            tid=pid if tid is None else int(tid),
-            epoch_ns=self.epoch_ns,
-            attrs=dict(attrs) if attrs else {},
-        )
-        self._next_id += 1
-        self.spans.append(span)
-        return span
 
     def record_counter(
         self,
@@ -359,9 +317,6 @@ class NullTracer:
 
     def span(self, name: str, **_kw: Any) -> _NullSpanHandle:
         return _NULL_HANDLE
-
-    def record_span(self, name: str, **_kw: Any) -> None:
-        return None
 
     def record_counter(self, name: str, value: float, **_kw: Any) -> None:
         return None

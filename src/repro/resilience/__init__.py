@@ -4,9 +4,9 @@ The paper's pipeline is a long-running score → match → contract loop over
 shared arrays; this subpackage is what lets a real deployment of it
 survive the failures that loop meets in production:
 
-* :mod:`repro.resilience.retry` — the :class:`RetryPolicy` escalation
-  ladder the hardened :class:`repro.parallel.SharedArrayPool` follows
-  when a worker dies, stalls, or emits garbage;
+* :mod:`repro.resilience.retry` — the :class:`RetryPolicy` backoff
+  schedule the streaming service follows when an incremental repair
+  fails;
 * :mod:`repro.resilience.report` — :class:`RecoveryReport`, the recovery
   accounting attached to every
   :class:`~repro.core.agglomeration.AgglomerationResult`;

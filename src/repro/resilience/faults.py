@@ -1,18 +1,7 @@
 """Deterministic fault injection for the chaos test suite.
 
-A :class:`FaultPlan` maps ``(chunk_index, attempt)`` pairs to
-:class:`FaultSpec` actions.  The pool's worker wrapper consults the plan
-*inside the forked child*, so an injected fault behaves exactly like the
-production failure it models:
-
-* ``kill`` — the worker calls ``os._exit`` before touching the output
-  (a crashed/OOM-killed process);
-* ``delay`` — the worker sleeps past the per-chunk deadline (a wedged or
-  starved process);
-* ``corrupt`` — the worker computes its chunk, then overwrites the output
-  slice with NaN (silent data corruption).
-
-A plan can additionally target whole *pipeline phases* — keyed by
+A :class:`FaultPlan` maps named injection points to :class:`FaultSpec`
+actions.  One fault family targets whole *pipeline phases* — keyed by
 ``(phase, level)`` and consulted by the run guardian
 (:class:`repro.resilience.RunGuardian`) as the phase starts — so the
 chaos suite can exercise the run-level watchdog and degradation ladder
@@ -25,15 +14,10 @@ deterministically:
   guard.
 
 Plans are static data built ahead of the run, so injection is fully
-deterministic: :meth:`FaultPlan.seeded` derives every decision from
-``(seed, chunk_index, attempt)`` alone, independent of scheduling order.
-Chunk faults fire only in worker processes — the parent's in-process
-degraded path executes the same chunk function directly, faults
-bypassed, which is what makes "kill every worker attempt" a recoverable
-scenario.  Phase faults fire in the driver process, before the phase's
-kernel runs, and never touch its output.
+deterministic.  Phase faults fire in the process running the engine,
+before the phase's kernel runs, and never touch its output.
 
-A third fault family targets the *streaming detection service* — keyed
+A second fault family targets the *streaming detection service* — keyed
 by ``(crash_point, index)`` and consulted by
 :class:`repro.stream.service.DetectionService` and its write-ahead log
 at named protocol points (``wal-append``, ``apply``, ``snapshot`` …) —
@@ -55,21 +39,10 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, Literal
 
-import numpy as np
-
 __all__ = ["FaultSpec", "FaultPlan", "truncate_file"]
 
-FaultKind = Literal[
-    "kill",
-    "delay",
-    "corrupt",
-    "stall",
-    "memory_pressure",
-    "sigkill",
-]
+FaultKind = Literal["stall", "memory_pressure", "sigkill"]
 
-#: Kinds injected inside forked worker processes (chunk faults).
-CHUNK_FAULT_KINDS = ("kill", "delay", "corrupt")
 #: Kinds injected in the driver process at phase entry (phase faults).
 PHASE_FAULT_KINDS = ("stall", "memory_pressure")
 #: Kinds injected at streaming-service crash points (service faults).
@@ -78,22 +51,18 @@ SERVICE_FAULT_KINDS = ("sigkill",)
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """One injected fault: what to do to a chunk attempt or a phase.
+    """One injected fault: what to do to a phase or at a crash point.
 
-    ``delay_s`` parameterizes ``delay`` and ``stall``; ``alloc_mb`` the
-    size of the transient ``memory_pressure`` allocation; ``exit_code``
-    the ``kill`` exit status.
+    ``delay_s`` parameterizes ``stall``; ``alloc_mb`` the size of the
+    transient ``memory_pressure`` allocation.
     """
 
     kind: FaultKind
     delay_s: float = 0.0
-    exit_code: int = 17
     alloc_mb: float = 64.0
 
     def __post_init__(self) -> None:
-        if self.kind not in (
-            CHUNK_FAULT_KINDS + PHASE_FAULT_KINDS + SERVICE_FAULT_KINDS
-        ):
+        if self.kind not in PHASE_FAULT_KINDS + SERVICE_FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}")
         if self.delay_s < 0:
             raise ValueError("delay_s must be non-negative")
@@ -105,22 +74,16 @@ class FaultSpec:
 class FaultPlan:
     """A deterministic schedule of faults.
 
-    ``faults`` keys chunk faults by ``(chunk_index, attempt)``;
     ``phase_faults`` keys phase faults by ``(phase_name, level)``;
     ``service_faults`` keys service faults by ``(crash_point, index)``.
     """
 
-    faults: dict[tuple[int, int], FaultSpec] = field(default_factory=dict)
     phase_faults: dict[tuple[str, int], FaultSpec] = field(
         default_factory=dict
     )
     service_faults: dict[tuple[str, int], FaultSpec] = field(
         default_factory=dict
     )
-
-    def decide(self, chunk_index: int, attempt: int) -> FaultSpec | None:
-        """The fault to inject for this chunk attempt, if any."""
-        return self.faults.get((chunk_index, attempt))
 
     def decide_phase(self, phase: str, level: int) -> FaultSpec | None:
         """The fault to inject at this phase of this level, if any."""
@@ -132,26 +95,13 @@ class FaultPlan:
 
     @property
     def n_faults(self) -> int:
-        return (
-            len(self.faults) + len(self.phase_faults) + len(self.service_faults)
-        )
-
-    def add(
-        self, chunk_index: int, attempt: int, spec: FaultSpec
-    ) -> "FaultPlan":
-        """Schedule one chunk fault; chainable."""
-        if spec.kind not in CHUNK_FAULT_KINDS:
-            raise ValueError(
-                f"{spec.kind!r} is a phase fault; use add_phase()"
-            )
-        self.faults[(chunk_index, attempt)] = spec
-        return self
+        return len(self.phase_faults) + len(self.service_faults)
 
     def add_phase(self, phase: str, level: int, spec: FaultSpec) -> "FaultPlan":
         """Schedule one phase fault; chainable."""
         if spec.kind not in PHASE_FAULT_KINDS:
             raise ValueError(
-                f"{spec.kind!r} is a chunk fault; use add()"
+                f"{spec.kind!r} is not a phase fault; use add_service()"
             )
         self.phase_faults[(phase, level)] = spec
         return self
@@ -162,52 +112,12 @@ class FaultPlan:
         """Schedule one service crash-point fault; chainable."""
         if spec.kind not in SERVICE_FAULT_KINDS:
             raise ValueError(
-                f"{spec.kind!r} is not a service fault; use "
-                "add()/add_phase()"
+                f"{spec.kind!r} is not a service fault; use add_phase()"
             )
         self.service_faults[(point, index)] = spec
         return self
 
     # -------------------------------------------------------------- builders
-    @classmethod
-    def kill_first_attempt(
-        cls, chunks: Iterable[int], *, exit_code: int = 17
-    ) -> "FaultPlan":
-        """Kill the first attempt of each listed chunk; retries succeed."""
-        return cls(
-            {
-                (c, 0): FaultSpec("kill", exit_code=exit_code)
-                for c in chunks
-            }
-        )
-
-    @classmethod
-    def kill_every_attempt(
-        cls, chunks: Iterable[int], *, attempts: int, exit_code: int = 17
-    ) -> "FaultPlan":
-        """Kill all ``attempts`` worker attempts — forces degraded mode."""
-        return cls(
-            {
-                (c, a): FaultSpec("kill", exit_code=exit_code)
-                for c in chunks
-                for a in range(attempts)
-            }
-        )
-
-    @classmethod
-    def delay_first_attempt(
-        cls, chunks: Iterable[int], *, delay_s: float
-    ) -> "FaultPlan":
-        """Stall the first attempt of each listed chunk past a deadline."""
-        return cls(
-            {(c, 0): FaultSpec("delay", delay_s=delay_s) for c in chunks}
-        )
-
-    @classmethod
-    def corrupt_first_attempt(cls, chunks: Iterable[int]) -> "FaultPlan":
-        """NaN-corrupt the first attempt's output of each listed chunk."""
-        return cls({(c, 0): FaultSpec("corrupt") for c in chunks})
-
     @classmethod
     def stall_phase(
         cls, phase: str, levels: Iterable[int], *, delay_s: float
@@ -253,47 +163,6 @@ class FaultPlan:
         return cls(
             service_faults={(point, i): FaultSpec("sigkill") for i in indices}
         )
-
-    @classmethod
-    def seeded(
-        cls,
-        seed: int,
-        n_chunks: int,
-        *,
-        p_kill: float = 0.0,
-        p_delay: float = 0.0,
-        p_corrupt: float = 0.0,
-        delay_s: float = 0.05,
-        faulty_attempts: int = 1,
-    ) -> "FaultPlan":
-        """Draw one independent fault decision per (chunk, attempt).
-
-        Each decision uses a generator keyed by ``(seed, chunk, attempt)``,
-        so the plan is a pure function of its arguments — rebuilding it
-        with the same seed yields the identical schedule regardless of
-        execution order, which is what makes chaos runs reproducible.
-        """
-        if min(p_kill, p_delay, p_corrupt) < 0 or (
-            p_kill + p_delay + p_corrupt
-        ) > 1.0:
-            raise ValueError(
-                "fault probabilities must be non-negative and sum to <= 1"
-            )
-        faults: dict[tuple[int, int], FaultSpec] = {}
-        for chunk in range(n_chunks):
-            for attempt in range(faulty_attempts):
-                r = float(
-                    np.random.default_rng([seed, chunk, attempt]).random()
-                )
-                if r < p_kill:
-                    faults[(chunk, attempt)] = FaultSpec("kill")
-                elif r < p_kill + p_delay:
-                    faults[(chunk, attempt)] = FaultSpec(
-                        "delay", delay_s=delay_s
-                    )
-                elif r < p_kill + p_delay + p_corrupt:
-                    faults[(chunk, attempt)] = FaultSpec("corrupt")
-        return cls(faults)
 
 
 def truncate_file(path: str | os.PathLike, *, keep_fraction: float = 0.5) -> int:

@@ -1,7 +1,7 @@
 """Run guardian: phase watchdog, invariant audits, degradation ladder.
 
-PR 2's supervised pool keeps individual *chunks* alive; nothing defended
-the *run*.  :class:`RunGuardian` is that missing tier — a
+Checkpoints let a crashed run resume; :class:`RunGuardian` defends the
+run while it is still alive — a
 :class:`~repro.core.engine.RunContext` service the engine consults at
 phase boundaries:
 
@@ -16,15 +16,16 @@ phase boundaries:
   :class:`~repro.errors.InvariantViolation` immediately (corruption is
   never degraded around).
 * **Degradation ladder** — each watchdog breach takes the next
-  applicable rung instead of dying::
+  applicable rung::
 
-      process-pool backend -> serial backend
-      chunk size halving (backend rechunked)
       audit strictness lowering (full -> sample -> off)
       checkpoint-and-raise RunAbortedError
 
-  Every breach kind, a memory-budget breach included, walks the same
-  ladder.  Every transition lands in :attr:`RecoveryReport.ladder`, the
+  Every rung acts: the first breach lowers the audit strictness, and
+  the next one aborts.  A run with audits ``off`` has nothing to lower,
+  so its first breach aborts.  Every breach kind, a memory-budget
+  breach included, walks the same ladder.  Every transition lands in
+  :attr:`RecoveryReport.ladder`, the
   ``guardian.breaches`` / ``guardian.degradations`` counters, a
   ``guardian_breach`` span, and a :class:`~repro.errors.GuardianBreach`
   warning — degraded runs finish, but never silently; an aborted run
@@ -32,7 +33,7 @@ phase boundaries:
 
 The default construction path (``guardian=None`` everywhere) resolves to
 the shared :data:`NULL_GUARDIAN`, whose hooks are no-ops — the unguarded
-pipeline pays nothing, and backend parity stays bit-identical.
+pipeline pays nothing.
 
 Deterministic chaos testing hooks in through
 :attr:`~repro.resilience.faults.FaultPlan.phase_faults`: ``stall`` sleeps
@@ -67,11 +68,7 @@ _log = get_logger("resilience.guardian")
 
 #: Ladder rungs, softest first.  ``abort`` is always last and always
 #: applicable.
-LADDER_RUNGS = ("serial-backend", "halve-chunks", "lower-audit", "abort")
-
-#: Cap on backend re-chunking: stop halving once a backend is already
-#: split this many chunks per worker.
-MAX_CHUNKS_PER_WORKER = 64
+LADDER_RUNGS = ("lower-audit", "abort")
 
 
 # Shared probe implementations live in repro.util.memprobe (the
@@ -355,24 +352,6 @@ class RunGuardian:
         self, ctx: "RunContext", rung: str, reason: str
     ) -> bool:
         """Try one rung; False means inapplicable (skip to the next)."""
-        if rung == "serial-backend":
-            if ctx.backend.n_workers <= 1:
-                return False
-            from repro.parallel.backends import SerialBackend
-
-            ctx.backend = SerialBackend(
-                chunks_per_worker=getattr(ctx.backend, "chunks_per_worker", 1)
-            )
-            return True
-        if rung == "halve-chunks":
-            rechunked = getattr(ctx.backend, "rechunked", None)
-            current = getattr(ctx.backend, "chunks_per_worker", None)
-            if rechunked is None or current is None:
-                return False
-            if current >= MAX_CHUNKS_PER_WORKER:
-                return False
-            ctx.backend = rechunked(2)
-            return True
         if rung == "lower-audit":
             if self.auditor.mode == "off":
                 return False

@@ -1,10 +1,10 @@
 """Recovery accounting: what the fault-tolerant layer had to do.
 
 A :class:`RecoveryReport` is a plain mutable record threaded through the
-execution stack: the pool increments it as chunks die, time out, produce
-invalid output, or fall back to in-process execution, the run guardian
-records watchdog breaches and degradation-ladder transitions, and the
-driver adds checkpoint activity.  The final report rides on
+execution stack: the run guardian records watchdog breaches and
+degradation-ladder transitions, the engine adds checkpoint activity, and
+the streaming service counts repair retries, WAL recovery and reruns.
+The final report rides on
 :class:`repro.core.agglomeration.AgglomerationResult`, so a caller can
 always answer "did this run recover from anything?" without parsing logs.
 """
@@ -23,20 +23,8 @@ class RecoveryReport:
     Attributes
     ----------
     retries:
-        Chunk re-executions scheduled after a failed attempt.
-    worker_deaths:
-        Worker processes that exited with a non-zero code (crash/kill).
-    chunk_timeouts:
-        Chunk attempts terminated for exceeding the per-chunk deadline.
-    invalid_chunks:
-        Chunk attempts whose output failed parent-side validation
-        (e.g. NaN/inf scores in the shared output slice).
-    degraded_chunks:
-        Chunks that exhausted their retry budget and ran in-process.
-    chunk_failures:
-        Chunks whose output was *still* invalid after the in-process
-        fallback — the :class:`~repro.errors.ChunkFailureError`
-        escalations at the unrecoverable end of the retry ladder.
+        Streaming-service repair re-executions scheduled after a failed
+        attempt.
     guardian_breaches:
         Run-guardian watchdog breaches (phase deadline, matching stall,
         memory budget) and invariant-audit interventions.
@@ -62,17 +50,12 @@ class RecoveryReport:
     ladder:
         Ordered degradation-ladder transitions taken by the run guardian
         or the streaming service (e.g.
-        ``"serial-backend(phase_deadline@level0)"``,
+        ``"lower-audit(phase_deadline@level0)"``,
         ``"full-rerun(drift@seq12)"``), empty when the run never
         degraded.
     """
 
     retries: int = 0
-    worker_deaths: int = 0
-    chunk_timeouts: int = 0
-    invalid_chunks: int = 0
-    degraded_chunks: int = 0
-    chunk_failures: int = 0
     guardian_breaches: int = 0
     checkpoints_written: int = 0
     checkpoints_invalid: int = 0
@@ -87,11 +70,6 @@ class RecoveryReport:
         resumed."""
         return (
             self.retries > 0
-            or self.worker_deaths > 0
-            or self.chunk_timeouts > 0
-            or self.invalid_chunks > 0
-            or self.degraded_chunks > 0
-            or self.chunk_failures > 0
             or self.guardian_breaches > 0
             or self.checkpoints_invalid > 0
             or self.wal_torn_records > 0
@@ -100,20 +78,6 @@ class RecoveryReport:
             or self.resumed_from_level is not None
             or bool(self.ladder)
         )
-
-    def merge(self, other: "RecoveryReport") -> "RecoveryReport":
-        """Fold another report's counts into this one (in place)."""
-        for f in fields(self):
-            if f.name == "resumed_from_level":
-                if other.resumed_from_level is not None:
-                    self.resumed_from_level = other.resumed_from_level
-            elif f.name == "ladder":
-                self.ladder.extend(other.ladder)
-            else:
-                setattr(
-                    self, f.name, getattr(self, f.name) + getattr(other, f.name)
-                )
-        return self
 
     def as_dict(self) -> dict:
         """JSON-ready dump (attached to trace metadata, the benchmark
@@ -126,14 +90,8 @@ class RecoveryReport:
         """One-line human summary for CLI stderr."""
         parts = [
             f"retries={self.retries}",
-            f"worker_deaths={self.worker_deaths}",
-            f"timeouts={self.chunk_timeouts}",
-            f"invalid_chunks={self.invalid_chunks}",
-            f"degraded={self.degraded_chunks}",
             f"checkpoints={self.checkpoints_written}",
         ]
-        if self.chunk_failures:
-            parts.append(f"chunk_failures={self.chunk_failures}")
         if self.guardian_breaches:
             parts.append(f"guardian_breaches={self.guardian_breaches}")
         if self.ladder:

@@ -1,30 +1,20 @@
-"""Retry policy: how hard the pool fights for a failed chunk.
+"""Retry policy: how hard the streaming service fights for a failed repair.
 
-The escalation ladder for one chunk is fixed; the policy only sets its
-parameters:
-
-1. run the chunk in a worker process (attempt 0);
-2. on worker death, per-chunk deadline overrun, or invalid output, retry
-   in a fresh worker after a capped exponential backoff — up to
-   ``max_retries`` times;
-3. after the retry budget is spent, *degrade*: execute the chunk
-   in-process in the parent, where a crashing worker cannot take the
-   result with it.
-
-Because chunks write disjoint slices of the shared output block,
-re-execution is idempotent — a recovered run is bit-identical to a
-fault-free one, which is what the chaos suite asserts.
+When an incremental repair of a batch fails, the service retries it
+after a capped exponential backoff, up to ``max_retries`` times; after
+the retry budget is spent it escalates to a full re-detection over the
+whole store (see :mod:`repro.stream.service`).  The policy only sets
+the parameters of that schedule.
 
 Backoffs can additionally carry *decorrelated jitter* (``jitter=True``):
-when a shared fault (a dead worker host, a full disk, an overloaded
-service) fails many chunks at once, a deterministic schedule wakes every
-retry at the same instant and the herd stampedes the same resource
-again.  Jittered delays follow the decorrelated-jitter rule
+when a shared fault (a full disk, an overloaded service) fails many
+repairs at once, a deterministic schedule wakes every retry at the same
+instant and the herd stampedes the same resource again.  Jittered delays
+follow the decorrelated-jitter rule
 ``d_k = min(cap, uniform(base, 3·d_{k-1}))`` with the random draw keyed
 by ``(jitter_seed, token, retry)`` — a pure function of its inputs, so
-tests stay deterministic while distinct ``token`` values (the pool
-passes the chunk's offset, the streaming service its batch sequence
-number) spread retries apart in time.
+tests stay deterministic while distinct ``token`` values (the streaming
+service passes its batch sequence number) spread retries apart in time.
 """
 
 from __future__ import annotations
@@ -38,24 +28,19 @@ __all__ = ["RetryPolicy"]
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Parameters of the chunk-failure escalation ladder.
+    """Parameters of the repair-retry backoff schedule.
 
     Attributes
     ----------
     max_retries:
-        Worker re-executions allowed per chunk after the first attempt;
-        ``0`` means any failure degrades straight to in-process execution.
+        Re-executions allowed after the first attempt; ``0`` means any
+        failure escalates at once.
     backoff_base_s:
         Delay before the first retry.
     backoff_factor:
         Multiplier applied per subsequent retry.
     backoff_cap_s:
         Upper bound on any single backoff delay.
-    chunk_timeout_s:
-        Per-attempt wall-clock deadline; a worker still running past it is
-        terminated and the chunk is treated as failed.  ``None`` disables
-        deadline enforcement (the default — a healthy chunk's duration is
-        workload-dependent).
     jitter:
         Randomize each delay with the decorrelated-jitter rule so
         simultaneous failures don't retry in lockstep.  Off by default:
@@ -71,7 +56,6 @@ class RetryPolicy:
     backoff_base_s: float = 0.05
     backoff_factor: float = 2.0
     backoff_cap_s: float = 1.0
-    chunk_timeout_s: float | None = None
     jitter: bool = False
     jitter_seed: int = 0
 
@@ -84,14 +68,12 @@ class RetryPolicy:
             raise ValueError("backoff_factor must be at least 1")
         if self.backoff_cap_s < self.backoff_base_s:
             raise ValueError("backoff_cap_s must be at least backoff_base_s")
-        if self.chunk_timeout_s is not None and self.chunk_timeout_s <= 0:
-            raise ValueError("chunk_timeout_s must be positive or None")
 
     def backoff_s(self, retry: int, *, token: int = 0) -> float:
         """Backoff before the ``retry``-th re-execution (1-based).
 
-        ``token`` identifies the retrying unit (chunk offset, batch
-        sequence number, …); with :attr:`jitter` enabled, different
+        ``token`` identifies the retrying unit (a batch sequence
+        number, …); with :attr:`jitter` enabled, different
         tokens draw different delays so synchronized failures fan out
         instead of thundering back together.  Without jitter the token
         is ignored and the schedule is the capped exponential.
@@ -124,19 +106,4 @@ class RetryPolicy:
         return tuple(
             self.backoff_s(k, token=token)
             for k in range(1, self.max_retries + 1)
-        )
-
-    @classmethod
-    def none(cls) -> "RetryPolicy":
-        """No retries: any worker failure degrades to in-process at once."""
-        return cls(max_retries=0)
-
-    @classmethod
-    def fast(cls) -> "RetryPolicy":
-        """Tight backoffs for tests and interactive runs."""
-        return cls(
-            max_retries=3,
-            backoff_base_s=0.001,
-            backoff_factor=2.0,
-            backoff_cap_s=0.01,
         )

@@ -1,8 +1,8 @@
 """Shared fixtures for the test suite, plus a per-test timeout guard.
 
-The timeout guard exists for the fault-injection suite: it exercises a
-worker-process pool under injected crashes and delays, and a supervision
-bug there hangs rather than fails.  ``pytest-timeout`` is not a
+The timeout guard exists for the fault-injection suite: it stalls
+pipeline phases and kills the streaming service under test, and a
+recovery bug there hangs rather than fails.  ``pytest-timeout`` is not a
 dependency of this repo, so a minimal SIGALRM-based equivalent lives
 here — a ``@pytest.mark.timeout(seconds)`` marker (or the
 ``REPRO_TEST_TIMEOUT`` environment variable as a suite-wide default)

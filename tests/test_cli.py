@@ -101,45 +101,41 @@ class TestDetect:
         assert "resumed_from_level=1" in captured.err
         assert captured.out == full_out
 
-    def test_workers_pool_matches_serial(self, karate_file, capsys):
-        assert main(["detect", karate_file]) == 0
-        serial_out = capsys.readouterr().out
-        assert main(["detect", karate_file, "--workers", "2"]) == 0
-        assert capsys.readouterr().out == serial_out
+    @pytest.mark.parametrize(
+        "extra", [["--workers", "2"], ["--backend", "serial"]]
+    )
+    def test_pool_options_are_gone(self, karate_file, extra, capsys):
+        from repro.bench.smoke import main as smoke_main
 
-    def test_backend_selectable_by_name(self, karate_file, capsys):
-        assert main(["detect", karate_file]) == 0
-        default_out = capsys.readouterr().out
-        for backend in ["serial", "process-pool"]:
-            assert (
-                main(["detect", karate_file, "--backend", backend]) == 0
-            )
-            assert capsys.readouterr().out == default_out
+        for entry, argv in (
+            (main, ["detect", karate_file, *extra]),
+            (smoke_main, extra),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                entry(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_backend_identity_in_trace(self, karate_file, tmp_path):
-        import json
+    def test_import_loads_no_multiprocessing(self):
+        import os
+        import subprocess
+        import sys
 
-        trace = tmp_path / "trace.jsonl"
-        rc = main(
-            [
-                "detect",
-                karate_file,
-                "--backend",
-                "serial",
-                "--trace-out",
-                str(trace),
-            ]
+        code = (
+            "import sys, repro.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'multiprocessing'))"
         )
-        assert rc == 0
-        events = [
-            json.loads(line) for line in trace.read_text().splitlines()
-        ]
-        spans = [e for e in events if e.get("event") == "span"]
-        (engine_span,) = [
-            e for e in spans if e["name"] == "agglomeration"
-        ]
-        assert engine_span["attrs"]["backend"] == "serial"
-        assert "terminated_by" in engine_span["attrs"]
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out.strip() == "[]"
 
     def test_npz_input(self, tmp_path, capsys):
         path = tmp_path / "k.npz"
@@ -200,8 +196,7 @@ class TestMemoryBudget:
         err = capsys.readouterr().err
         assert rc == 3
         assert (
-            "ladder=[halve-chunks(memory_budget@level2) -> "
-            "lower-audit(memory_budget@level2) -> "
+            "ladder=[lower-audit(memory_budget@level2) -> "
             "abort(memory_budget@level2)]"
         ) in err
         assert "level_00002.ckpt.npz" in err
@@ -319,6 +314,40 @@ class TestOldArtifacts:
             "rep 0: guardian_breaches=1, "
             "ladder=[spill(memory_budget@level0)]"
         ) in text
+
+    def test_committed_smoke_ledgers_load_and_render(self):
+        from pathlib import Path
+
+        from repro.bench.ledger import read_ledger, render_ledger
+
+        # Both ledgers were written while the process pool existed: their
+        # configs carry backend/n_workers and their attribution blocks
+        # carry workers/serial/amdahl.
+        bench = Path(__file__).resolve().parents[1] / "benchmarks"
+        base = str(bench / "baselines" / "smoke.json")
+        dated = str(bench / "ledgers" / "BENCH_smoke-2026-08-08.json")
+        for path in (base, dated):
+            text = render_ledger(read_ledger(path))
+            assert "  hotspots: " in text
+            assert "  consistency: OK" in text
+            assert "Amdahl" not in text
+        assert (
+            main(
+                [
+                    "compare",
+                    base,
+                    dated,
+                    "--tolerance",
+                    "5.0",
+                    "--noise-floor",
+                    "1.0",
+                    "--quality-tolerance",
+                    "0.05",
+                ]
+            )
+            == 0
+        )
+        assert main(["trend", base, dated]) == 0
 
 
 class TestGenerate:

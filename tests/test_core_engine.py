@@ -20,7 +20,6 @@ from repro.core.engine import _limit_matching
 from repro.core.matching import MatchingResult, match_locally_dominant
 from repro.errors import ScoreValidationError
 from repro.obs.trace import NullTracer, Tracer
-from repro.parallel.backends import SerialBackend
 from repro.types import NO_VERTEX, SCORE_DTYPE
 
 
@@ -87,14 +86,9 @@ class TestRunContext:
     def test_create_defaults(self):
         ctx = RunContext.create()
         assert isinstance(ctx.tracer, NullTracer)
-        assert ctx.backend.name == "serial"
-        assert ctx.backend.n_workers == 1
+        assert not hasattr(ctx, "backend")
         assert ctx.checkpoints is None
         assert ctx.recovery.retries == 0
-
-    def test_create_normalizes_backend_name(self):
-        ctx = RunContext.create(backend="serial")
-        assert isinstance(ctx.backend, SerialBackend)
 
     def test_checkpoint_every_validation(self):
         with pytest.raises(ValueError, match="checkpoint_every"):
@@ -163,7 +157,8 @@ class TestRunSpan:
         assert span.attrs["scorer"] == "modularity"
         assert span.attrs["matcher"] == "sweep"
         assert span.attrs["contractor"] == "bucket"
-        assert span.attrs["backend"] == "serial"
+        assert "backend" not in span.attrs
+        assert "n_workers" not in span.attrs
         assert span.attrs["terminated_by"] == res.terminated_by
         assert span.attrs["n_levels"] == res.n_levels
         assert span.items == karate.n_edges

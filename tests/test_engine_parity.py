@@ -1,10 +1,10 @@
-"""Golden parity: the engine, the legacy wrapper, and every backend
+"""Golden parity: the engine, the legacy wrapper, and checkpoint resume
 produce bit-identical partitions and dendrograms.
 
 ``detect_communities`` is a compatibility wrapper over
 :class:`~repro.core.engine.AgglomerationEngine`; these tests pin that
-the wrapper, a hand-built engine run, and runs across execution
-backends and checkpoint resume all agree exactly — partitions,
+the wrapper, a hand-built engine run, and runs across checkpoint
+resume all agree exactly — partitions,
 dendrogram maps, per-level stats and termination reason — on seeded
 RMAT and planted-partition (SBM) workloads across every
 matcher × contractor × scorer combination.
@@ -20,7 +20,6 @@ from repro.core import (
     detect_communities,
 )
 from repro.generators import planted_partition_graph, rmat_graph
-from repro.parallel.backends import ProcessPoolBackend, SerialBackend
 
 MATCHERS = ["worklist", "sweep"]
 CONTRACTORS = ["bucket", "chains"]
@@ -86,23 +85,6 @@ class TestWrapperEngineParity:
         first = engine.run(sbm)
         second = engine.run(sbm)
         assert_runs_identical(first, second)
-
-
-class TestBackendParity:
-    def test_serial_backend_matches_default(self, sbm):
-        base = detect_communities(sbm)
-        serial = detect_communities(sbm, backend=SerialBackend())
-        assert_runs_identical(base, serial)
-
-    def test_process_pool_matches_serial(self, sbm):
-        base = detect_communities(sbm)
-        pooled = detect_communities(sbm, backend=ProcessPoolBackend(2))
-        assert_runs_identical(base, pooled)
-
-    def test_backend_by_name(self, sbm):
-        base = detect_communities(sbm)
-        named = detect_communities(sbm, backend="serial")
-        assert_runs_identical(base, named)
 
 
 class TestResumeParity:

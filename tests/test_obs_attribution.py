@@ -1,32 +1,23 @@
 """Tests for the performance-attribution analyzer (`repro.obs.attribution`).
 
-The consistency invariant — every parent span covers its children, and
-worker lanes fit their pool region with at most ``n_workers``-fold
-overlap — is verified here both on synthetic span trees with planted
-violations and on real traced runs over the serial *and* process-pool
-backends.
+The consistency invariant — every parent span covers its children — is
+verified here both on synthetic span trees with planted violations and
+on real traced runs.
 """
 
 from __future__ import annotations
-
-import math
 
 import pytest
 
 from repro.core import create_kernel, detect_communities
 from repro.obs import Tracer
 from repro.obs.attribution import (
-    amdahl_ceiling,
     attribute_run,
     consistency_report,
     hotspots,
-    load_imbalance,
     self_times,
-    serial_fraction,
-    worker_stats,
 )
 from repro.obs.trace import Span
-from repro.parallel.backends import ProcessPoolBackend
 
 
 def span(
@@ -76,19 +67,6 @@ class TestSelfTimes:
         selfs = self_times(serial_tree())
         assert sum(selfs.values()) == pytest.approx(10.0)
 
-    def test_worker_lanes_excluded_from_tree(self):
-        spans = [
-            span("pool_run", 1, 0.0, 2.0, parent=0),
-            # Two overlapping lanes — 3s of busy inside a 2s parent.
-            span("worker_chunk", 2, 0.0, 1.5, parent=1, pid=2001),
-            span("worker_chunk", 3, 0.0, 1.5, parent=1, pid=2002),
-            span("root", 0, 0.0, 2.0),
-        ]
-        selfs = self_times(spans)
-        assert 2 not in selfs and 3 not in selfs
-        # pool_run keeps its full duration: lanes don't drain it.
-        assert selfs[1] == pytest.approx(2.0)
-
     def test_negative_residue_clamped(self):
         spans = [
             span("child", 1, 0.0, 1.001, parent=0),
@@ -136,103 +114,6 @@ class TestHotspots:
         assert hotspots([]) == []
 
 
-class TestLoadImbalance:
-    def test_balanced_is_one(self):
-        assert load_imbalance({"a": 2.0, "b": 2.0}) == pytest.approx(1.0)
-
-    def test_skew(self):
-        assert load_imbalance([3.0, 1.0]) == pytest.approx(1.5)
-
-    def test_empty_and_zero(self):
-        assert load_imbalance({}) == 0.0
-        assert load_imbalance({"a": 0.0}) == 0.0
-
-
-class TestWorkerStats:
-    def test_groups_lanes_by_pid(self):
-        spans = [
-            span("pool_run", 1, 0.0, 2.0, parent=0),
-            span(
-                "worker_chunk", 2, 0.0, 1.0, parent=1, pid=2001,
-                attrs={"queue_wait_s": 0.25},
-            ),
-            span(
-                "worker_chunk", 3, 1.0, 2.0, parent=1, pid=2001,
-                attrs={"queue_wait_s": 0.25},
-            ),
-            span("worker_chunk", 4, 0.0, 2.0, parent=1, pid=2002),
-            span("root", 0, 0.0, 2.0),
-        ]
-        w = worker_stats(spans)
-        assert w["source"] == "worker_chunk"
-        assert w["n_lanes"] == 2
-        assert w["n_chunks"] == 3
-        assert w["busy_s"]["2001"] == pytest.approx(2.0)
-        assert w["busy_s"]["2002"] == pytest.approx(2.0)
-        assert w["imbalance"] == pytest.approx(1.0)
-        assert w["queue_wait_s"] == pytest.approx(0.5)
-        assert w["exec_s"] == pytest.approx(4.0)
-
-    def test_falls_back_to_pool_chunk(self):
-        spans = [
-            span("pool_chunk", 1, 0.0, 1.0, parent=0),
-            span("root", 0, 0.0, 2.0),
-        ]
-        assert worker_stats(spans)["source"] == "pool_chunk"
-
-    def test_no_lanes(self):
-        w = worker_stats(serial_tree())
-        assert w["source"] is None
-        assert w["n_lanes"] == 0
-        assert w["imbalance"] == 0.0
-
-
-class TestSerialFractionAndAmdahl:
-    def test_fully_serial(self):
-        sf = serial_fraction(serial_tree())
-        assert sf["fraction"] == pytest.approx(1.0)
-        assert sf["parallel_s"] == 0.0
-
-    def test_pool_regions_count_as_parallel(self):
-        spans = [
-            span(
-                "pool_run", 1, 2.0, 6.0, parent=0,
-                attrs={"mode": "processes", "n_workers": 4},
-            ),
-            span("root", 0, 0.0, 10.0),
-        ]
-        sf = serial_fraction(spans)
-        assert sf["parallel_s"] == pytest.approx(4.0)
-        assert sf["fraction"] == pytest.approx(0.6)
-
-    def test_inline_pool_is_serial(self):
-        spans = [
-            span("pool_run", 1, 2.0, 6.0, parent=0, attrs={"mode": "inline"}),
-            span("root", 0, 0.0, 10.0),
-        ]
-        assert serial_fraction(spans)["fraction"] == pytest.approx(1.0)
-
-    def test_empty(self):
-        assert serial_fraction([])["fraction"] == 1.0
-
-    def test_amdahl_endpoints(self):
-        assert amdahl_ceiling(0.0, 8) == 8.0
-        assert amdahl_ceiling(1.0, 8) == pytest.approx(1.0)
-        assert amdahl_ceiling(0.5, math.inf) == pytest.approx(2.0)
-
-    def test_amdahl_law(self):
-        # f=0.1 at N=10: 1 / (0.1 + 0.9/10)
-        assert amdahl_ceiling(0.1, 10) == pytest.approx(1.0 / 0.19)
-
-    def test_amdahl_validation(self):
-        with pytest.raises(ValueError):
-            amdahl_ceiling(-0.1, 4)
-        with pytest.raises(ValueError):
-            amdahl_ceiling(1.1, 4)
-        with pytest.raises(ValueError):
-            amdahl_ceiling(0.5, 0)
-
-
 class TestConsistencyReport:
     def test_clean_tree(self):
         assert consistency_report(serial_tree()) == []
@@ -253,30 +134,6 @@ class TestConsistencyReport:
         ]
         report = consistency_report(spans)
         assert any(v["kind"] == "containment" for v in report)
-
-    def test_lane_overlap_violation(self):
-        spans = [
-            # 1 worker allowed, but two full-width lanes = 2x overlap.
-            span(
-                "pool_run", 0, 0.0, 1.0,
-                attrs={"mode": "processes", "n_workers": 1},
-            ),
-            span("worker_chunk", 1, 0.0, 1.0, parent=0, pid=2001),
-            span("worker_chunk", 2, 0.0, 1.0, parent=0, pid=2002),
-        ]
-        report = consistency_report(spans)
-        assert any(v["kind"] == "lane_overlap" for v in report)
-
-    def test_lanes_within_worker_budget_ok(self):
-        spans = [
-            span(
-                "pool_run", 0, 0.0, 1.0,
-                attrs={"mode": "processes", "n_workers": 2},
-            ),
-            span("worker_chunk", 1, 0.0, 1.0, parent=0, pid=2001),
-            span("worker_chunk", 2, 0.0, 1.0, parent=0, pid=2002),
-        ]
-        assert consistency_report(spans) == []
 
     def test_lane_from_foreign_clock_domain(self):
         spans = [
@@ -303,34 +160,10 @@ class TestAttributeRun:
         block = attribute_run(serial_tree())
         assert block["version"] == 1
         assert set(block["phases"]) == {"score", "match", "contract"}
-        for key in (
-            "levels",
-            "hotspots",
-            "workers",
-            "serial",
-            "amdahl",
-            "consistency",
-        ):
+        for key in ("levels", "hotspots", "consistency"):
             assert key in block
-
-    def test_n_workers_from_span_attrs_not_lane_pids(self):
-        # A fork-per-chunk pool leaves one pid per chunk; the Amdahl N
-        # must come from the stamped pool width instead.
-        spans = [
-            span(
-                "pool_run", 0, 0.0, 1.0,
-                attrs={"mode": "processes", "n_workers": 2},
-            ),
-        ] + [
-            span(
-                "worker_chunk", i, 0.1 * i, 0.1 * i + 0.05,
-                parent=0, pid=3000 + i,
-            )
-            for i in range(1, 7)
-        ]
-        block = attribute_run(spans)
-        assert block["workers"]["n_lanes"] == 6
-        assert block["amdahl"]["n_workers"] == 2
+        for key in ("workers", "serial", "amdahl"):
+            assert key not in block
 
     def test_per_level_breakdown(self):
         spans = [
@@ -351,12 +184,12 @@ class TestAttributeRun:
     def test_empty_trace(self):
         block = attribute_run([])
         assert block["consistency"]["checked"] == 0
-        assert block["serial"]["fraction"] == 1.0
+        assert block["levels"] == []
 
 
 @pytest.mark.timeout(120)
 class TestRealRunConsistency:
-    """The invariant holds on real traces from both execution backends."""
+    """The invariant holds on real traces."""
 
     def test_serial_backend(self, karate):
         tr = Tracer()
@@ -365,21 +198,4 @@ class TestRealRunConsistency:
         )
         block = attribute_run(list(tr.spans))
         assert block["consistency"]["violations"] == []
-        assert block["serial"]["fraction"] == pytest.approx(1.0)
         assert block["phases"]["match"]["total_s"] > 0
-
-    def test_process_pool_backend(self, karate):
-        tr = Tracer()
-        detect_communities(
-            karate,
-            create_kernel("scorer", "modularity"),
-            tracer=tr,
-            backend=ProcessPoolBackend(2),
-        )
-        block = attribute_run(list(tr.spans))
-        assert block["consistency"]["violations"] == []
-        lanes = [s for s in tr.spans if s.name == "worker_chunk"]
-        assert lanes, "process pool must flight-record worker lanes"
-        assert block["workers"]["source"] == "worker_chunk"
-        assert block["amdahl"]["n_workers"] == 2
-        assert 0.0 <= block["serial"]["fraction"] <= 1.0

@@ -8,7 +8,6 @@ from repro.core.termination import TerminationCriteria
 from repro.bench.harness import run_with_trace
 from repro.generators import karate_club, planted_partition_graph
 from repro.obs import NULL_TRACER, Tracer
-from repro.parallel.pool import parallel_edge_scores
 from repro.pregel.engine import PregelEngine
 from repro.pregel.programs import ComponentsProgram
 from repro.util.timing import Timer
@@ -148,33 +147,6 @@ class TestPregelSpans:
         traced = PregelEngine(g)
         states_t = traced.run(ComponentsProgram(), tracer=Tracer())
         assert states == states_t
-
-
-class TestPoolSpans:
-    def test_inline_chunk_spans(self, graph):
-        tr = Tracer()
-        scores = parallel_edge_scores(graph, n_workers=1, tracer=tr)
-        assert len(scores) == graph.n_edges
-        runs = tr.find("pool_run")
-        chunks = tr.find("pool_chunk")
-        assert len(runs) == 1
-        assert runs[0].attrs["mode"] == "inline"
-        assert len(chunks) == runs[0].attrs["n_chunks"]
-        assert sum(c.items for c in chunks) == graph.n_edges
-
-    def test_process_chunk_spans(self, graph):
-        pytest.importorskip("multiprocessing.shared_memory")
-        tr = Tracer()
-        scores = parallel_edge_scores(graph, n_workers=2, tracer=tr)
-        np.testing.assert_allclose(
-            scores, parallel_edge_scores(graph, n_workers=1)
-        )
-        runs = tr.find("pool_run")
-        chunks = tr.find("pool_chunk")
-        assert len(runs) == 1
-        if runs[0].attrs["mode"] == "processes":
-            assert all("worker_s" in c.attrs for c in chunks)
-            assert all(c.attrs["worker_s"] >= 0 for c in chunks)
 
 
 class TestHarnessIntegration:

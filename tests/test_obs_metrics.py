@@ -187,100 +187,6 @@ class TestNaNRejection:
         assert g.max == float("inf")
 
 
-class TestMerge:
-    def test_counter_merge(self):
-        a, b = Counter("c"), Counter("c")
-        a.inc(3)
-        b.inc(4)
-        a.merge(b)
-        assert a.value == 7
-
-    def test_gauge_merge_extremes_and_last(self):
-        a, b = Gauge("g"), Gauge("g")
-        a.set(5)
-        b.set(1)
-        b.set(10)
-        a.merge(b)
-        assert a.min == 1
-        assert a.max == 10
-        assert a.value == 10  # other's last value wins
-        assert a.n_sets == 3
-
-    def test_gauge_merge_unset_other_is_noop(self):
-        a, b = Gauge("g"), Gauge("g")
-        a.set(5)
-        a.merge(b)
-        assert a.value == 5
-        assert a.n_sets == 1
-
-    def test_histogram_merge(self):
-        a = Histogram("h", edges=[1, 2, 4])
-        b = Histogram("h", edges=[1, 2, 4])
-        a.observe(1)
-        b.observe(3)
-        b.observe(100)
-        a.merge(b)
-        assert a.counts == [1, 0, 1, 1]
-        assert a.total == 3
-        assert a.sum == 104.0
-
-    def test_histogram_merge_rejects_mismatched_edges(self):
-        a = Histogram("h", edges=[1, 2])
-        b = Histogram("h", edges=[1, 2, 4])
-        with pytest.raises(ValueError, match="cannot merge"):
-            a.merge(b)
-
-    def test_registry_merge_creates_and_folds(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("shared").inc(1)
-        b.counter("shared").inc(2)
-        b.counter("only_b").inc(5)
-        b.gauge("g").set(3)
-        b.histogram("h", edges=[1, 2]).observe(1)
-        a.merge(b)
-        assert a.counters["shared"].value == 3
-        assert a.counters["only_b"].value == 5
-        assert a.gauges["g"].value == 3
-        assert a.histograms["h"].total == 1
-
-    def test_registry_merge_mismatched_histogram_edges_raises(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("h", edges=[1, 2]).observe(1)
-        b.histogram("h", edges=[1, 2, 4]).observe(1)
-        with pytest.raises(ValueError, match="cannot merge"):
-            a.merge(b)
-
-    def test_null_registry_merge_is_noop(self):
-        reg = NullMetricsRegistry()
-        other = MetricsRegistry()
-        other.counter("c").inc(1)
-        reg.merge(other)
-        assert reg.snapshot()["counters"] == {}
-
-
-class TestFromSnapshot:
-    def test_round_trip(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc(7)
-        reg.gauge("g").set(2)
-        reg.gauge("g").set(9)
-        reg.histogram("h", edges=[1, 2]).observe_many([0.5, 1.5, 9])
-        rebuilt = MetricsRegistry.from_snapshot(reg.snapshot())
-        assert rebuilt.snapshot() == reg.snapshot()
-
-    def test_unset_gauge_round_trip(self):
-        reg = MetricsRegistry()
-        reg.gauge("g")  # created but never set
-        rebuilt = MetricsRegistry.from_snapshot(reg.snapshot())
-        assert rebuilt.gauges["g"].n_sets == 0
-        assert rebuilt.snapshot() == reg.snapshot()
-        # merging the rebuilt unset gauge must stay a no-op
-        reg2 = MetricsRegistry()
-        reg2.gauge("g").set(4)
-        reg2.merge(rebuilt)
-        assert reg2.gauges["g"].value == 4
-
-
 class TestPrometheus:
     def test_counter_exposition(self):
         reg = MetricsRegistry()
@@ -333,72 +239,3 @@ class TestPrometheus:
                 name, value = line.rsplit(" ", 1)
                 assert name
                 float(value)  # every sample value parses as a number
-
-
-class TestFromSnapshotValidation:
-    """Worker snapshots are validated on ingest, before any merge."""
-
-    def good_snapshot(self):
-        reg = MetricsRegistry()
-        reg.counter("chunks").inc(3)
-        reg.gauge("load").set(0.5)
-        reg.histogram("wait", [1.0, 2.0]).observe(1.5)
-        return reg.snapshot()
-
-    def test_round_trip(self):
-        snap = self.good_snapshot()
-        reg = MetricsRegistry.from_snapshot(snap)
-        assert reg.snapshot() == snap
-
-    def test_rejects_non_dict(self):
-        with pytest.raises(ValueError, match="must be a dict"):
-            MetricsRegistry.from_snapshot([("counters", {})])  # type: ignore[arg-type]
-
-    def test_rejects_negative_counter(self):
-        snap = self.good_snapshot()
-        snap["counters"]["chunks"] = -1
-        with pytest.raises(ValueError, match="'chunks'.*negative"):
-            MetricsRegistry.from_snapshot(snap)
-
-    def test_rejects_nan_gauge(self):
-        snap = self.good_snapshot()
-        snap["gauges"]["load"]["value"] = float("nan")
-        with pytest.raises(ValueError, match="'load'.*NaN"):
-            MetricsRegistry.from_snapshot(snap)
-
-    def test_rejects_bucket_count_mismatch(self):
-        snap = self.good_snapshot()
-        snap["histograms"]["wait"]["counts"] = [0, 1]  # needs len(edges)+1 == 3
-        with pytest.raises(
-            ValueError, match="bucket schema mismatch between worker and parent"
-        ):
-            MetricsRegistry.from_snapshot(snap)
-
-    def test_rejects_negative_bucket_count(self):
-        snap = self.good_snapshot()
-        snap["histograms"]["wait"]["counts"] = [0, -1, 2]
-        snap["histograms"]["wait"]["total"] = 1
-        with pytest.raises(ValueError, match="'wait'.*negative bucket"):
-            MetricsRegistry.from_snapshot(snap)
-
-    def test_rejects_total_bucket_sum_mismatch(self):
-        snap = self.good_snapshot()
-        snap["histograms"]["wait"]["total"] = 99
-        with pytest.raises(ValueError, match="total 99 does not match"):
-            MetricsRegistry.from_snapshot(snap)
-
-    def test_merge_after_ingest_preserves_bucket_boundaries(self):
-        parent = MetricsRegistry()
-        parent.histogram("wait", [1.0, 2.0]).observe(0.5)
-        worker = MetricsRegistry.from_snapshot(self.good_snapshot())
-        parent.merge(worker)
-        h = parent.histograms["wait"]
-        assert h.edges == (1.0, 2.0)
-        assert h.total == 2
-
-    def test_merge_rejects_mismatched_edges_after_ingest(self):
-        parent = MetricsRegistry()
-        parent.histogram("wait", [5.0]).observe(0.5)
-        worker = MetricsRegistry.from_snapshot(self.good_snapshot())
-        with pytest.raises(ValueError, match="cannot merge edges"):
-            parent.merge(worker)

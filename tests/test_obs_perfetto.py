@@ -15,13 +15,18 @@ def make_trace():
     with tr.span("level", level=0):
         with tr.span("score", level=0) as sp:
             sp.set(items=7, scorer="modularity")
-    tr.record_span(
-        "worker_chunk",
-        start_ns=tr.spans[0].start_ns,
-        end_ns=tr.spans[0].end_ns,
-        pid=999_999,
-        lo=0,
-        hi=7,
+    # A span recorded by another process lands on its own pid's track.
+    tr.spans.append(
+        Span(
+            name="worker_chunk",
+            span_id=len(tr.spans),
+            start_ns=tr.spans[0].start_ns,
+            end_ns=tr.spans[0].end_ns,
+            pid=999_999,
+            tid=999_999,
+            epoch_ns=tr.epoch_ns,
+            attrs={"lo": 0, "hi": 7},
+        )
     )
     return tr
 

@@ -78,10 +78,11 @@ class TestRenderReport:
             "## Phase breakdown",
             "## Per-level timeline",
             "## Hotspots (by self-time)",
-            "## Parallel efficiency",
             "## Trace consistency",
         ):
             assert heading in md
+        assert "## Parallel efficiency" not in md
+        assert "imbalance" not in md
 
     def test_ledger_fuses_quality_and_repetitions(self):
         md = render_report(trace_data(traced_run()), ledger=toy_ledger())

@@ -12,7 +12,7 @@ from repro.obs.sinks import (
     render_profile,
     write_trace,
 )
-from repro.obs.trace import SCHEMA_VERSION, NullTracer, Tracer
+from repro.obs.trace import SCHEMA_VERSION, NullTracer, Span, Tracer
 
 
 def make_tracer(n_levels: int = 2) -> Tracer:
@@ -321,11 +321,22 @@ class TestSchemaV2:
 
     def test_round_trip_preserves_identity_fields(self, tmp_path):
         tr = Tracer()
-        with tr.span("pool_run"):
-            tr.record_span(
-                "worker_chunk", start_ns=1, end_ns=2, pid=4242,
-                queue_wait_s=0.1,
+        with tr.span("pool_run") as handle:
+            pass
+        # A span recorded by another process keeps its own pid and tid.
+        tr.spans.append(
+            Span(
+                name="worker_chunk",
+                span_id=handle.span.span_id + 1,
+                parent_id=handle.span.span_id,
+                start_ns=1,
+                end_ns=2,
+                pid=4242,
+                tid=4242,
+                epoch_ns=tr.epoch_ns,
+                attrs={"queue_wait_s": 0.1},
             )
+        )
         path = tmp_path / "t.jsonl"
         write_trace(tr, path)
         loaded = read_trace(path).spans
@@ -333,8 +344,8 @@ class TestSchemaV2:
         lane = by_name["worker_chunk"]
         assert lane.pid == 4242 and lane.tid == 4242
         root = by_name["pool_run"]
-        assert root.pid == tr.spans[-1].pid
-        assert root.tid == tr.spans[-1].tid
+        assert root.pid == handle.span.pid
+        assert root.tid == handle.span.tid
         assert root.epoch_ns == tr.epoch_ns
 
     def test_v1_file_loads_with_defaults(self, tmp_path):

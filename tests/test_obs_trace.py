@@ -193,49 +193,3 @@ class TestSpanIdentity:
 
     def test_null_tracer_epoch_zero(self):
         assert NullTracer.epoch_ns == 0
-
-
-class TestRecordSpan:
-    """Externally-measured spans (worker flight records)."""
-
-    def test_parents_onto_open_span(self):
-        tr = Tracer()
-        with tr.span("pool_run") as handle:
-            lane = tr.record_span(
-                "worker_chunk", start_ns=10, end_ns=20, pid=4242
-            )
-        assert lane.parent_id == handle.span.span_id
-        assert lane.start_ns == 10 and lane.end_ns == 20
-
-    def test_worker_pid_kept_tid_defaults_to_pid(self):
-        tr = Tracer()
-        lane = tr.record_span("worker_chunk", start_ns=0, end_ns=1, pid=4242)
-        assert lane.pid == 4242
-        assert lane.tid == 4242
-
-    def test_pid_defaults_to_current_process(self):
-        import os
-
-        tr = Tracer()
-        lane = tr.record_span("x", start_ns=0, end_ns=1)
-        assert lane.pid == os.getpid()
-
-    def test_items_and_attrs(self):
-        tr = Tracer()
-        lane = tr.record_span(
-            "worker_chunk", start_ns=0, end_ns=1, items=5, lo=0, hi=5,
-            queue_wait_s=0.25,
-        )
-        assert lane.items == 5
-        assert lane.attrs == {"lo": 0, "hi": 5, "queue_wait_s": 0.25}
-
-    def test_appended_in_call_order_with_unique_ids(self):
-        tr = Tracer()
-        a = tr.record_span("a", start_ns=0, end_ns=1)
-        b = tr.record_span("b", start_ns=1, end_ns=2)
-        assert [s.name for s in tr.spans] == ["a", "b"]
-        assert a.span_id != b.span_id
-
-    def test_null_tracer_noop(self):
-        assert NULL_TRACER.record_span("x", start_ns=0, end_ns=1) is None
-        assert NULL_TRACER.spans == ()

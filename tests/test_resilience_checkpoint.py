@@ -221,6 +221,33 @@ class TestResume:
         # Restored per-level stats match the uninterrupted run's exactly.
         assert resumed.levels == full.levels
 
+    def test_torn_newest_checkpoint_resumes_one_level_back(
+        self, karate, tmp_path
+    ):
+        baseline = detect_communities(karate)
+        partial = detect_communities(
+            karate,
+            termination=TerminationCriteria(max_levels=2),
+            checkpoint_dir=tmp_path,
+        )
+        assert partial.recovery.checkpoints_written == 2
+        # Tear the newest checkpoint mid-byte: resume must fall back to
+        # the previous level and still reproduce the uninterrupted answer.
+        manager = CheckpointManager(tmp_path)
+        truncate_file(
+            manager.path_for(max(manager.levels_on_disk())),
+            keep_fraction=0.4,
+        )
+        resumed = detect_communities(
+            karate, checkpoint_dir=tmp_path, resume=True
+        )
+        assert resumed.recovery.checkpoints_invalid == 1
+        assert resumed.recovery.resumed_from_level == 1
+        np.testing.assert_array_equal(
+            resumed.partition.labels, baseline.partition.labels
+        )
+        assert resumed.levels == baseline.levels
+
     def test_resume_from_empty_dir_runs_fresh(self, karate, tmp_path):
         full = detect_communities(karate)
         resumed = detect_communities(

@@ -10,57 +10,7 @@ class TestFaultSpec:
         with pytest.raises(ValueError):
             FaultSpec("explode")
         with pytest.raises(ValueError):
-            FaultSpec("delay", delay_s=-1.0)
-
-    def test_defaults(self):
-        spec = FaultSpec("kill")
-        assert spec.exit_code == 17
-
-
-class TestFaultPlan:
-    def test_decide_hits_only_scheduled_attempts(self):
-        plan = FaultPlan.kill_first_attempt([0, 2])
-        assert plan.decide(0, 0).kind == "kill"
-        assert plan.decide(2, 0).kind == "kill"
-        assert plan.decide(1, 0) is None
-        assert plan.decide(0, 1) is None  # retry attempt is clean
-
-    def test_kill_every_attempt_covers_all_attempts(self):
-        plan = FaultPlan.kill_every_attempt([1], attempts=3)
-        assert plan.n_faults == 3
-        for attempt in range(3):
-            assert plan.decide(1, attempt).kind == "kill"
-
-    def test_delay_and_corrupt_builders(self):
-        delayed = FaultPlan.delay_first_attempt([0], delay_s=0.5)
-        assert delayed.decide(0, 0).delay_s == 0.5
-        corrupt = FaultPlan.corrupt_first_attempt([3])
-        assert corrupt.decide(3, 0).kind == "corrupt"
-
-    def test_add_is_chainable(self):
-        plan = FaultPlan().add(0, 0, FaultSpec("kill")).add(
-            0, 1, FaultSpec("corrupt")
-        )
-        assert plan.n_faults == 2
-
-    def test_seeded_is_deterministic(self):
-        a = FaultPlan.seeded(7, 16, p_kill=0.3, p_corrupt=0.2)
-        b = FaultPlan.seeded(7, 16, p_kill=0.3, p_corrupt=0.2)
-        assert a.faults == b.faults
-
-    def test_seeded_depends_on_seed(self):
-        a = FaultPlan.seeded(1, 64, p_kill=0.5)
-        b = FaultPlan.seeded(2, 64, p_kill=0.5)
-        assert a.faults != b.faults
-
-    def test_seeded_probability_zero_is_empty(self):
-        assert FaultPlan.seeded(0, 32).n_faults == 0
-
-    def test_seeded_probability_validation(self):
-        with pytest.raises(ValueError):
-            FaultPlan.seeded(0, 4, p_kill=0.8, p_delay=0.8)
-        with pytest.raises(ValueError):
-            FaultPlan.seeded(0, 4, p_kill=-0.1)
+            FaultSpec("stall", delay_s=-1.0)
 
 
 class TestTruncateFile:
@@ -99,21 +49,13 @@ class TestPhaseFaults:
         assert spec.kind == "memory_pressure"
         assert spec.alloc_mb == 32.0
 
-    def test_phase_and_chunk_plans_compose(self):
-        plan = FaultPlan.kill_first_attempt([0]).add_phase(
-            "score", 0, FaultSpec("stall", delay_s=0.1)
-        )
-        assert plan.decide(0, 0).kind == "kill"
-        assert plan.decide_phase("score", 0).kind == "stall"
-        assert plan.n_faults == 2
-
     def test_kind_segregation_enforced(self):
-        # phase injectors only into the phase table, chunk ones only
-        # into the chunk table
+        # phase injectors only into the phase table, service ones only
+        # into the service table
         with pytest.raises(ValueError):
-            FaultPlan().add_phase("score", 0, FaultSpec("corrupt"))
+            FaultPlan().add_phase("score", 0, FaultSpec("sigkill"))
         with pytest.raises(ValueError):
-            FaultPlan().add(0, 0, FaultSpec("memory_pressure"))
+            FaultPlan().add_service("apply", 0, FaultSpec("memory_pressure"))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

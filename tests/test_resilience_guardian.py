@@ -2,10 +2,9 @@
 breach accounting, and the inert null guardian.
 
 These tests drive :class:`RunGuardian` directly against a hand-built
-:class:`RunContext` — no engine, no worker processes — so each rung and
-threshold is exercised in isolation.  The end-to-end ladder walks (real
-engine, injected faults, process pool) live in
-``tests/test_chaos_guardian.py``.
+:class:`RunContext` — no engine — so each rung and threshold is
+exercised in isolation.  The end-to-end ladder walks (real engine,
+injected faults) live in ``tests/test_chaos_guardian.py``.
 """
 
 import time
@@ -19,7 +18,6 @@ from repro.core.engine import RunContext
 from repro.core.matching import MatchingResult, match_locally_dominant
 from repro.errors import GuardianBreach, RunAbortedError
 from repro.obs import Tracer
-from repro.parallel.backends import ProcessPoolBackend, SerialBackend
 from repro.resilience import RecoveryReport
 from repro.resilience.guardian import (
     LADDER_RUNGS,
@@ -32,12 +30,8 @@ from repro.resilience.guardian import (
 from repro.types import NO_VERTEX, VERTEX_DTYPE
 
 
-def _ctx(backend=None):
-    return RunContext.create(tracer=Tracer(), backend=backend)
-
-
-def _bound(guardian, karate, backend=None):
-    ctx = _ctx(backend)
+def _bound(guardian, karate):
+    ctx = RunContext.create(tracer=Tracer())
     guardian.bind(ctx, karate)
     return ctx
 
@@ -93,13 +87,13 @@ class TestNullGuardian:
 class TestWatchdog:
     def test_deadline_breach_degrades(self, karate):
         g = RunGuardian("sample", phase_deadline_s=0.005)
-        ctx = _bound(g, karate)  # serial: first rung inapplicable
+        ctx = _bound(g, karate)
         with pytest.warns(GuardianBreach, match="deadline"):
             with g.phase("score", 0):
                 time.sleep(0.02)
         assert ctx.recovery.guardian_breaches == 1
-        assert ctx.recovery.ladder == ["halve-chunks(phase_deadline@level0)"]
-        assert ctx.backend.chunks_per_worker == 2
+        assert ctx.recovery.ladder == ["lower-audit(phase_deadline@level0)"]
+        assert g.auditor.mode == "off"
 
     def test_fast_phase_no_breach(self, karate):
         g = RunGuardian("sample", phase_deadline_s=5.0)
@@ -117,7 +111,7 @@ class TestWatchdog:
             with g.phase("contract", 2):
                 pass
         assert ctx.recovery.guardian_breaches == 1
-        assert ctx.recovery.ladder == ["halve-chunks(memory_budget@level2)"]
+        assert ctx.recovery.ladder == ["lower-audit(memory_budget@level2)"]
 
     def test_propagating_exception_skips_checks(self, karate):
         g = RunGuardian("sample", phase_deadline_s=1e-9, memory_budget_mb=1e-9)
@@ -166,7 +160,7 @@ class TestStallDetector:
         with pytest.warns(GuardianBreach, match="stall"):
             g.observe_matching(3, stalled, 1000)
         assert ctx.recovery.guardian_breaches == 1
-        assert ctx.recovery.ladder == ["halve-chunks(matching_stall@level3)"]
+        assert ctx.recovery.ladder == ["lower-audit(matching_stall@level3)"]
 
     def test_fast_convergence_no_breach(self, karate):
         g = RunGuardian("sample", stall_passes=100)
@@ -183,68 +177,50 @@ class TestStallDetector:
 
 
 class TestLadder:
-    def test_full_walk_from_process_pool(self, karate):
+    def test_full_walk_from_serial(self, karate):
         g = RunGuardian("sample", phase_deadline_s=0.001)
-        ctx = _bound(g, karate, backend=ProcessPoolBackend(2))
-        rungs = []
-        for level in range(3):
-            with pytest.warns(GuardianBreach):
-                with g.phase("score", level):
-                    time.sleep(0.01)
-            rungs.append(ctx.recovery.ladder[-1])
-        assert rungs == [
-            "serial-backend(phase_deadline@level0)",
-            "halve-chunks(phase_deadline@level1)",
-            "lower-audit(phase_deadline@level2)",
-        ]
-        assert isinstance(ctx.backend, SerialBackend)
-        assert ctx.backend.chunks_per_worker == 2
-        assert g.auditor.mode == "off"  # sample lowered once
-        with pytest.warns(GuardianBreach), pytest.raises(RunAbortedError) as ei:
-            with g.phase("score", 3):
-                time.sleep(0.01)
-        exc = ei.value
-        assert exc.reason == "phase_deadline@level3"
-        assert exc.report is ctx.recovery
-        assert ctx.recovery.ladder[-1] == "abort(phase_deadline@level3)"
-        assert ctx.recovery.guardian_breaches == 4
-        assert len(ctx.recovery.ladder) == len(LADDER_RUNGS)
-
-    def test_serial_backend_rung_skipped_when_already_serial(self, karate):
-        g = RunGuardian("full", phase_deadline_s=0.001)
-        ctx = _bound(g, karate)  # default serial backend
-        with pytest.warns(GuardianBreach):
-            with g.phase("score", 0):
-                time.sleep(0.01)
-        # serial-backend inapplicable: the ladder starts at halve-chunks
-        assert ctx.recovery.ladder == ["halve-chunks(phase_deadline@level0)"]
-
-    def test_audit_off_skips_lower_audit_rung(self, karate):
-        g = RunGuardian("off", phase_deadline_s=0.001)
         ctx = _bound(g, karate)
         with pytest.warns(GuardianBreach):
             with g.phase("score", 0):
                 time.sleep(0.01)
-        assert ctx.recovery.ladder == ["halve-chunks(phase_deadline@level0)"]
-        # next breach: lower-audit inapplicable (already off) -> abort
-        with pytest.warns(GuardianBreach), pytest.raises(RunAbortedError):
+        assert ctx.recovery.ladder == ["lower-audit(phase_deadline@level0)"]
+        assert g.auditor.mode == "off"  # sample lowered once
+        with pytest.warns(GuardianBreach), pytest.raises(RunAbortedError) as ei:
             with g.phase("score", 1):
                 time.sleep(0.01)
-        assert ctx.recovery.ladder[-1] == "abort(phase_deadline@level1)"
+        exc = ei.value
+        assert exc.reason == "phase_deadline@level1"
+        assert exc.report is ctx.recovery
+        assert ctx.recovery.ladder == [
+            "lower-audit(phase_deadline@level0)",
+            "abort(phase_deadline@level1)",
+        ]
+        assert ctx.recovery.guardian_breaches == 2
+        assert len(ctx.recovery.ladder) == len(LADDER_RUNGS)
 
-    def test_serial_swap_preserves_chunking(self, karate):
-        g = RunGuardian("sample", phase_deadline_s=0.001)
-        ctx = _bound(
-            g, karate, backend=ProcessPoolBackend(2, chunks_per_worker=4)
-        )
+    def test_first_breach_lowers_audit(self, karate):
+        g = RunGuardian("full", phase_deadline_s=0.001)
+        ctx = _bound(g, karate)
         with pytest.warns(GuardianBreach):
             with g.phase("score", 0):
                 time.sleep(0.01)
-        assert isinstance(ctx.backend, SerialBackend)
-        assert ctx.backend.chunks_per_worker == 4
+        assert ctx.recovery.ladder == ["lower-audit(phase_deadline@level0)"]
+        assert g.auditor.mode == "sample"
+
+    def test_audit_off_skips_lower_audit_rung(self, karate):
+        g = RunGuardian("off", phase_deadline_s=0.001)
+        ctx = _bound(g, karate)
+        # lower-audit inapplicable (already off): the first breach aborts
+        with pytest.warns(GuardianBreach), pytest.raises(RunAbortedError) as ei:
+            with g.phase("score", 0):
+                time.sleep(0.01)
+        assert ei.value.reason == "phase_deadline@level0"
+        assert ctx.recovery.ladder == ["abort(phase_deadline@level0)"]
 
     def test_bind_resets_ladder(self, karate):
-        g = RunGuardian("sample", phase_deadline_s=0.001)
+        # full audits: the first run lowers them to sample, so the second
+        # run still has a strictness to lower
+        g = RunGuardian("full", phase_deadline_s=0.001)
         ctx1 = _bound(g, karate)
         with pytest.warns(GuardianBreach):
             with g.phase("score", 0):
@@ -256,7 +232,7 @@ class TestLadder:
             with g.phase("score", 0):
                 time.sleep(0.01)
         # fresh run starts from the top of the ladder again
-        assert ctx2.recovery.ladder == ["halve-chunks(phase_deadline@level0)"]
+        assert ctx2.recovery.ladder == ["lower-audit(phase_deadline@level0)"]
 
 
 class TestAuditHooks:
@@ -331,23 +307,12 @@ class TestRecoveryReport:
     def test_ladder_in_report_dict_and_summary(self):
         rep = RecoveryReport()
         rep.guardian_breaches = 2
-        rep.ladder.extend(["serial-backend(x)", "abort(y)"])
+        rep.ladder.extend(["lower-audit(x)", "abort(y)"])
         d = rep.as_dict()
         assert d["guardian_breaches"] == 2
-        assert d["ladder"] == ["serial-backend(x)", "abort(y)"]
+        assert d["ladder"] == ["lower-audit(x)", "abort(y)"]
         assert rep.any_recovery()
-        assert "serial-backend(x)" in rep.summary()
-
-    def test_merge_extends_ladder(self):
-        a = RecoveryReport()
-        a.ladder.append("serial-backend(x)")
-        a.guardian_breaches = 1
-        b = RecoveryReport()
-        b.ladder.append("halve-chunks(y)")
-        b.guardian_breaches = 2
-        a.merge(b)
-        assert a.ladder == ["serial-backend(x)", "halve-chunks(y)"]
-        assert a.guardian_breaches == 3
+        assert "lower-audit(x)" in rep.summary()
 
     def test_run_aborted_error_attributes(self):
         rep = RecoveryReport()

@@ -38,21 +38,11 @@ from repro.obs.telemetry import (
     PHASE_IDS,
     NullTelemetry,
     TelemetrySampler,
-    _reset_worker_heartbeats,
     as_telemetry,
     read_status,
-    record_worker_heartbeat,
     render_status,
-    workers_alive,
 )
 from repro.resilience.guardian import RunGuardian
-
-
-@pytest.fixture(autouse=True)
-def fresh_heartbeats():
-    _reset_worker_heartbeats()
-    yield
-    _reset_worker_heartbeats()
 
 
 # ----------------------------------------------------------- null path
@@ -118,7 +108,9 @@ class TestSampler:
         sampler.publish_phase("match", 2)
         status = sampler.sample_once()
         names = {s.name for s in tracer.counter_samples}
-        assert {"gc_collections", "workers_alive", "phase_id"} <= names
+        assert {"gc_collections", "phase_id"} <= names
+        assert "workers_alive" not in names
+        assert "workers_alive" not in status
         # the Linux CI box always has an RSS probe; tolerate its absence
         if status["rss_mb"] is not None:
             assert "rss_anon_mb" in names
@@ -240,22 +232,6 @@ class TestLifecycle:
         ).start()
         sampler.stop(state="failed")
         assert read_status(status_path)["state"] == "failed"
-
-
-# --------------------------------------------------- worker heartbeats
-class TestWorkerHeartbeats:
-    def test_liveness_window(self):
-        record_worker_heartbeat(111)
-        record_worker_heartbeat(222)
-        assert workers_alive() == 2
-        # shrink the window to zero-ish: everything is stale
-        assert workers_alive(window_s=0.0) in (0, 1, 2)  # racy lower bound
-        assert workers_alive(window_s=1e-9, now_ns=2**62) == 0
-
-    def test_rerecord_refreshes(self):
-        record_worker_heartbeat(333)
-        record_worker_heartbeat(333)
-        assert workers_alive() == 1
 
 
 # ------------------------------------------------------ status + watch
