@@ -21,7 +21,11 @@ Apply path per batch:
    :class:`~repro.core.engine.AgglomerationEngine` kernels.  Untouched
    vertices can only move if their whole community moves, and the work
    is proportional to the frontier, not the graph;
-4. **degrade when needed** — the drift ladder below.
+4. **measure** — the repair's final community graph carries every
+   store row (as a super-node self weight, an edge or a frontier
+   loop), so its closed-form modularity and coverage are the new
+   partition's quality over the whole store, in O(communities);
+5. **degrade when needed** — the drift ladder below.
 
 Degradation ladder (each rung recorded in
 :class:`~repro.resilience.report.RecoveryReport` and on the
@@ -65,8 +69,9 @@ from repro.core.engine import AgglomerationEngine, RunContext
 from repro.core.termination import TerminationCriteria
 from repro.errors import ReproError, StreamStateError
 from repro.graph.build import from_edges
+from repro.graph.graph import CommunityGraph
 from repro.metrics.coverage import coverage
-from repro.metrics.modularity import modularity
+from repro.metrics.modularity import community_graph_modularity, modularity
 from repro.metrics.partition import Partition
 from repro.obs.timeline import StreamTimeline
 from repro.resilience.faults import FaultPlan
@@ -95,6 +100,20 @@ CRASH_POINTS = (
 )
 
 _log = get_logger("stream.service")
+
+#: How far the reported quality may sit from a from-scratch recompute
+#: before :meth:`DetectionService.verify` fails (float rounding only).
+_QUALITY_TOLERANCE = 1e-9
+
+
+def _quality(graph: CommunityGraph) -> tuple[float, float]:
+    """(modularity, coverage) of the partition ``graph`` contracts to.
+
+    Every vertex of an engine run's final graph is one community and
+    every input edge lands in a self weight or an edge of it, so both
+    follow in O(communities) from self weights and strengths.
+    """
+    return community_graph_modularity(graph), graph.coverage()
 
 
 @dataclass
@@ -199,6 +218,10 @@ class DetectionService:
         self.store = EdgeStore.empty()
         self.labels: np.ndarray | None = None
         self.ref_modularity = 0.0
+        #: The (modularity, coverage) pair last reported; ``None`` until
+        #: this object applies a batch or runs a rerun.  ``verify()``
+        #: checks it against a from-scratch recompute.
+        self.quality: tuple[float, float] | None = None
         #: Last applied edge-batch sequence (exactly-once key).
         self.batch_seq = 0
         #: Last WAL record sequence folded into in-memory state.
@@ -360,10 +383,11 @@ class DetectionService:
         bootstrap = self.labels is None
 
         reason: str | None = None
+        quality: tuple[float, float] | None = None
         attempt = 0
         while True:
             try:
-                self._repair(stats.touched_vertices)
+                quality = self._repair(stats.touched_vertices)
                 break
             except (ReproError, ValueError) as exc:
                 attempt += 1
@@ -394,10 +418,12 @@ class DetectionService:
 
         q = cov = float("nan")
         if reason is None:
-            graph = self.store.as_graph()
-            part = Partition(self.labels)
-            q = modularity(graph, part)
-            cov = coverage(graph, part)
+            if quality is None:
+                # No row, so no repair graph: measure from scratch.
+                graph = self.store.as_graph()
+                part = Partition(self.labels)
+                quality = modularity(graph, part), coverage(graph, part)
+            q, cov = quality
             if bootstrap:
                 self.ref_modularity = q
             elif (
@@ -424,6 +450,7 @@ class DetectionService:
                 self._pending_reason = reason
             else:
                 q, cov = self._escalate(reason)
+        self.quality = q, cov
 
         latency_s = time.perf_counter() - t0
         self.timeline.record_batch(
@@ -456,7 +483,7 @@ class DetectionService:
         )
 
     # -------------------------------------------------------------- repair
-    def _repair(self, touched: np.ndarray) -> None:
+    def _repair(self, touched: np.ndarray) -> tuple[float, float] | None:
         """Re-detect only the neighborhoods ``touched`` belongs to.
 
         Touched communities dissolve into singleton vertices; untouched
@@ -465,6 +492,10 @@ class DetectionService:
         communities by community id, then touched members by vertex id),
         so the repair is a deterministic function of (labels, store,
         touched) — the crash-equivalence contract rests on this.
+
+        Returns the new partition's (modularity, coverage) over the
+        whole store, read off the run's final community graph, or
+        ``None`` when nothing was touched and no repair ran.
         """
         n = self.store.n_vertices
         labels = (
@@ -482,7 +513,7 @@ class DetectionService:
             )
         if not len(touched):
             self.labels = labels
-            return
+            return None
         k = int(labels.max()) + 1 if len(labels) else 0
         touched_comm = np.zeros(k, dtype=bool)
         touched_comm[labels[touched]] = True
@@ -509,6 +540,7 @@ class DetectionService:
         self.labels = Partition.from_labels(
             result.partition.labels[reduced]
         ).labels
+        return _quality(result.final_graph)
 
     # ------------------------------------------------------------- degrade
     def _escalate(self, reason: str) -> tuple[float, float]:
@@ -522,14 +554,17 @@ class DetectionService:
         return self._execute_rerun(reason)
 
     def _execute_rerun(self, reason: str) -> tuple[float, float]:
-        """Full from-scratch re-detection over the whole store."""
+        """Full from-scratch re-detection over the whole store.
+
+        Returns (and keeps) the new partition's (modularity, coverage),
+        read off the run's final community graph like a repair's.
+        """
         graph = self.store.as_graph()
         result = self._engine.run(
             graph, RunContext.create(seed=self.config.seed)
         )
         self.labels = result.partition.labels
-        q = modularity(graph, result.partition)
-        cov = coverage(graph, result.partition)
+        q, cov = self.quality = _quality(result.final_graph)
         self.ref_modularity = q
         self.report.stream_reruns += 1
         self.report.ladder.append(f"full-rerun({reason}@batch{self.batch_seq})")
@@ -566,8 +601,10 @@ class DetectionService:
 
         Verifies the canonical store invariants, label density, label /
         store consistency, a full WAL re-scan (every surviving frame
-        must still pass its CRCs), and quality finiteness.  This is the
-        ``repro replay --verify`` gate.
+        must still pass its CRCs), quality finiteness, and that the
+        last reported (modularity, coverage) matches a from-scratch
+        recompute over the store (skipped while :attr:`quality` is
+        ``None``).  This is the ``repro replay --verify`` gate.
         """
         checks: dict[str, bool] = {}
         try:
@@ -585,15 +622,23 @@ class DetectionService:
             checks["labels_dense"] = False
             checks["labels_cover_store"] = False
         try:
-            n_wal = sum(1 for _ in self.wal.records())
+            for _ in self.wal.records():
+                pass
             checks["wal_integrity"] = True
-            checks["wal_records"] = True if n_wal >= 0 else False
         except ReproError:
             checks["wal_integrity"] = False
-        if checks.get("labels_cover_store") and self.store.n_edges:
+        if checks.get("labels_cover_store"):
             graph = self.store.as_graph()
-            q = modularity(graph, self.partition)
-            checks["modularity_finite"] = bool(np.isfinite(q))
+            part = self.partition
+            q = modularity(graph, part)
+            if self.store.n_edges:
+                checks["modularity_finite"] = bool(np.isfinite(q))
+            if self.quality is not None:
+                fresh = (q, coverage(graph, part))
+                checks["quality_matches"] = all(
+                    abs(kept - now) <= _QUALITY_TOLERANCE
+                    for kept, now in zip(self.quality, fresh)
+                )
         return {"ok": all(checks.values()), "checks": checks}
 
     # --------------------------------------------------------------- close

@@ -121,7 +121,14 @@ class SnapshotStore:
 
     # ----------------------------------------------------------------- save
     def save(self, state: ServiceState) -> Path:
-        """Atomically persist one snapshot; returns its path."""
+        """Atomically persist one snapshot; returns its path.
+
+        Members are stored uncompressed (~24 B per store row): deflating
+        the whole store costs a stream far more than the disk it saves.
+        The zip's per-member CRC-32, checked as each member is read, and
+        :meth:`load_seq`'s validation guard the bytes either way, and
+        older compressed snapshots load unchanged.
+        """
         if state.batch_seq > state.wal_seq:
             raise ValueError(
                 f"batch_seq {state.batch_seq} > wal_seq {state.wal_seq}"
@@ -133,7 +140,7 @@ class SnapshotStore:
             )
         final = self.path_for(state.wal_seq)
         with atomic_write(final, mode="wb") as fh:
-            np.savez_compressed(
+            np.savez(
                 fh,
                 schema=np.int64(SNAPSHOT_SCHEMA_VERSION),
                 wal_seq=np.int64(state.wal_seq),

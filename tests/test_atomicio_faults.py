@@ -126,6 +126,20 @@ class TestCheckpointCorruption:
 
 
 # --------------------------------------------------------- stream snapshots
+def _path_state(n=200):
+    """A snapshot state over a weighted path of ``n`` vertices."""
+    edges = EdgeStore(
+        n,
+        np.arange(n - 1, dtype=VERTEX_DTYPE),
+        np.arange(1, n, dtype=VERTEX_DTYPE),
+        np.linspace(0.5, 2.0, n - 1),
+    )
+    labels = Partition.from_labels(np.arange(n) // 10).labels
+    return ServiceState(
+        wal_seq=9, batch_seq=7, store=edges, labels=labels, ref_modularity=0.625
+    )
+
+
 class TestSnapshotCorruption:
     @pytest.mark.parametrize(
         "mode,kwargs", [("torn", {}), ("bitflip", {"offset": 0})]
@@ -147,6 +161,61 @@ class TestSnapshotCorruption:
         state, n_invalid = store.load_latest()
         assert state is None and n_invalid == 1
         assert list(tmp_path.glob("*.corrupt"))
+
+    def test_payload_bitflip_caught_by_member_crc(self, tmp_path):
+        # Members are stored, not deflated, so a flip inside the weight
+        # array leaves a well-formed, valid-looking store: only the
+        # member's CRC-32 can catch it.
+        import struct
+        import zipfile
+
+        store = SnapshotStore(tmp_path)
+        path = store.save(_path_state())
+        with zipfile.ZipFile(path) as zf:
+            info = zf.getinfo("w.npy")
+        assert info.compress_type == zipfile.ZIP_STORED
+        data = bytearray(path.read_bytes())
+        fn_len, extra_len = struct.unpack_from(
+            "<HH", data, info.header_offset + 26
+        )
+        payload_start = info.header_offset + 30 + fn_len + extra_len
+        data[payload_start + info.compress_size // 2] ^= 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="CRC"):
+            store.load_seq(9)
+        state, n_invalid = store.load_latest()
+        assert state is None and n_invalid == 1
+        assert list(tmp_path.glob("*.corrupt"))
+
+    def test_compressed_snapshot_still_loads(self, tmp_path):
+        # Data directories written before snapshots went uncompressed
+        # must keep recovering.
+        from repro.stream.store import SNAPSHOT_SCHEMA_VERSION
+
+        store = SnapshotStore(tmp_path)
+        saved = _path_state()
+        with open(store.path_for(saved.wal_seq), "wb") as fh:
+            np.savez_compressed(
+                fh,
+                schema=np.int64(SNAPSHOT_SCHEMA_VERSION),
+                wal_seq=np.int64(saved.wal_seq),
+                batch_seq=np.int64(saved.batch_seq),
+                n_vertices=np.int64(saved.store.n_vertices),
+                lo=saved.store.lo,
+                hi=saved.store.hi,
+                w=saved.store.w,
+                labels=saved.labels,
+                ref_modularity=np.float64(saved.ref_modularity),
+            )
+        loaded = store.load_seq(saved.wal_seq)
+        assert (loaded.wal_seq, loaded.batch_seq, loaded.ref_modularity) == (
+            saved.wal_seq,
+            saved.batch_seq,
+            saved.ref_modularity,
+        )
+        assert loaded.store.equals(saved.store)
+        np.testing.assert_array_equal(loaded.labels, saved.labels)
+        assert loaded.labels.dtype == saved.labels.dtype
 
 
 # -------------------------------------------------------------- WAL manifest

@@ -1,16 +1,23 @@
 """Tests for the streaming detection service (stream/service.py)."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import StreamStateError
-from repro.metrics import Partition
+from repro.metrics import Partition, coverage, modularity
+from repro.stream.delta import OP_DELETE, OP_INSERT
 from repro.stream.service import (
     CRASH_POINTS,
     DetectionService,
     StreamConfig,
 )
 from repro.stream.wal import KIND_RERUN
+from repro.types import VERTEX_DTYPE
 
 
 def _cfg(**kw):
@@ -34,6 +41,40 @@ def _feed(svc, n_batches=6, seed=0, n=12):
         i, j = _two_blocks(rng, n=n)
         results.append(svc.ingest(i, j))
     return results
+
+
+def _float_stream(seed, n_batches=8):
+    """Batches of ``(i, j, w, op)`` that make quality sums order-sensitive.
+
+    Non-integer weights, a self loop in every non-empty batch, random
+    deletes plus one over-delete of an earlier pair per batch, vertex
+    ids whose range grows each batch, and one empty batch.
+    """
+    rng = np.random.default_rng(seed)
+    empty = int(rng.integers(1, n_batches))
+    batches = []
+    for b in range(n_batches):
+        if b == empty:
+            none = np.empty(0, VERTEX_DTYPE)
+            batches.append((none, none, np.empty(0), np.empty(0, np.int8)))
+            continue
+        n = 8 + 3 * b
+        m = int(rng.integers(2, 24))
+        i = rng.integers(0, n, size=m)
+        j = rng.integers(0, n, size=m)
+        j[0] = i[0]
+        w = rng.uniform(0.05, 3.0, size=m)
+        op = np.where(rng.random(m) < 0.3, OP_DELETE, OP_INSERT).astype(np.int8)
+        op[0] = OP_INSERT
+        if batches and len(batches[-1][0]):
+            i[-1], j[-1] = batches[-1][0][0], batches[-1][1][0]
+            w[-1], op[-1] = 1e3, OP_DELETE
+        batches.append((i, j, w, op))
+    return batches
+
+
+#: Drift this low makes the float streams trip full reruns.
+_FLOAT_CFG = dict(snapshot_every=3, drift_threshold=0.02)
 
 
 class TestIngest:
@@ -182,6 +223,30 @@ class TestVerifyAndFaults:
             outcome = svc.verify()
             assert outcome["ok"], outcome["checks"]
 
+    def test_verify_checks_the_reported_quality(self, tmp_path):
+        with DetectionService(tmp_path, _cfg()) as svc:
+            svc.open()
+            _feed(svc, n_batches=3)
+            assert svc.verify()["checks"]["quality_matches"]
+            q, cov = svc.quality
+            for perturbed in [(q + 1e-6, cov), (q, cov - 1e-6)]:
+                svc.quality = perturbed
+                outcome = svc.verify()
+                assert not outcome["ok"]
+                assert not outcome["checks"]["quality_matches"]
+            svc.quality = (q, cov)
+
+    def test_quality_check_skipped_after_open_replays_nothing(self, tmp_path):
+        with DetectionService(tmp_path, _cfg()) as svc:
+            svc.open()
+            _feed(svc, n_batches=4)
+        with DetectionService(tmp_path, _cfg()) as svc2:
+            svc2.open()
+            assert svc2.report.wal_replayed == 0 and svc2.quality is None
+            outcome = svc2.verify()
+            assert outcome["ok"], outcome["checks"]
+            assert "quality_matches" not in outcome["checks"]
+
     def test_crash_points_are_registered_fault_points(self):
         from repro.resilience.faults import FaultPlan
 
@@ -189,3 +254,69 @@ class TestVerifyAndFaults:
             plan = FaultPlan.sigkill_at(point, [0])
             assert plan.decide_service(point, 0) is not None
             assert plan.decide_service(point, 1) is None
+
+
+class TestReportedQuality:
+    """Each batch's quality comes from its repair's community graph.
+
+    It must equal a from-scratch recompute over the store, and, being a
+    pure function of the repair's inputs, repeat bit for bit after a
+    crash and restart.
+    """
+
+    def test_float_streams_exercise_reruns_and_over_deletes(self, tmp_path):
+        reruns = unmatched = 0
+        for seed in range(6):
+            with DetectionService(tmp_path / str(seed), _cfg(**_FLOAT_CFG)) as svc:
+                svc.open()
+                for batch in _float_stream(seed):
+                    res = svc.ingest(*batch)
+                    reruns += bool(res.rerun)
+                    unmatched += res.n_unmatched_deletes
+        assert reruns and unmatched
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_every_batch_matches_from_scratch(self, seed):
+        with tempfile.TemporaryDirectory() as d:
+            with DetectionService(d, _cfg(**_FLOAT_CFG)) as svc:
+                svc.open()
+                for batch in _float_stream(seed):
+                    res = svc.ingest(*batch)
+                    graph, part = svc.store.as_graph(), svc.partition
+                    assert res.modularity == pytest.approx(
+                        modularity(graph, part), rel=0, abs=1e-9
+                    )
+                    assert res.coverage == pytest.approx(
+                        coverage(graph, part), rel=0, abs=1e-9
+                    )
+                    assert svc.quality == (res.modularity, res.coverage)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 7))
+    def test_restart_reports_bit_identical_quality(self, seed, k):
+        batches = _float_stream(seed)
+        with tempfile.TemporaryDirectory() as d:
+            ref = DetectionService(os.path.join(d, "ref"), _cfg(**_FLOAT_CFG))
+            ref.open()
+            expected = [
+                (r.modularity, r.coverage, r.rerun)
+                for r in (ref.ingest(*b) for b in batches)
+            ]
+            ref.close()
+
+            svc = DetectionService(os.path.join(d, "crash"), _cfg(**_FLOAT_CFG))
+            svc.open()
+            for b in batches[:k]:
+                svc.ingest(*b)
+            svc.wal.close()  # lose the process, keep the disk
+
+            svc2 = DetectionService(os.path.join(d, "crash"), _cfg(**_FLOAT_CFG))
+            svc2.open()
+            got = [
+                (r.modularity, r.coverage, r.rerun)
+                for r in (svc2.ingest(*b) for b in batches[k:])
+            ]
+            assert got == expected[k:]
+            np.testing.assert_array_equal(svc2.labels, ref.labels)
+            svc2.close()
