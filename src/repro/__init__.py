@@ -20,38 +20,89 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
 """
 
-from repro import (
-    analysis,
-    baselines,
-    bench,
-    core,
-    generators,
-    graph,
-    kernels,
-    metrics,
-    obs,
-    platform,
-    pregel,
-    resilience,
-    spmatrix,
-    util,
-)
-from repro.core import (
-    AgglomerationResult,
-    ConductanceScorer,
-    ModularityScorer,
-    TerminationCriteria,
-    WeightScorer,
-    detect_communities,
-    refine_partition,
-)
-from repro.graph import CommunityGraph, from_edges, largest_component
-from repro.metrics import Partition, coverage, modularity
-from repro.obs import Tracer, read_trace, render_profile, write_trace
-from repro.platform import TraceRecorder, get_machine, simulate_time
-from repro.resilience import RecoveryReport, RetryPolicy
+import importlib
+import sys
 
 __version__ = "1.0.0"
+
+
+def _lazy_exports(package, table):
+    """PEP 562 lazy exports for the package named *package*.
+
+    *table* maps each exported name to the submodule of *package* that
+    defines it; a name that maps to itself is that submodule.  Returns the
+    ``(__getattr__, __dir__)`` pair the package assigns at module level.
+    The first access to a name imports its submodule and caches the
+    attribute on the package; a name not in *table* raises
+    :class:`AttributeError`, so ``hasattr`` stays False.  It lives here,
+    not in a submodule, so that ``import repro`` loads only this module.
+    """
+    module = sys.modules[package]
+
+    def __getattr__(name):
+        try:
+            submodule = table[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        value = importlib.import_module(f"{package}.{submodule}")
+        if submodule != name:
+            value = getattr(value, name)
+        setattr(module, name, value)
+        return value
+
+    def __dir__():
+        return sorted(set(vars(module)) | set(table))
+
+    return __getattr__, __dir__
+
+
+# Nothing below is imported until first use: ``import repro`` loads no
+# subpackage, and ``repro detect`` pays only for the pipeline it runs.
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        # subpackages
+        "analysis": "analysis",
+        "baselines": "baselines",
+        "bench": "bench",
+        "core": "core",
+        "generators": "generators",
+        "graph": "graph",
+        "kernels": "kernels",
+        "metrics": "metrics",
+        "obs": "obs",
+        "platform": "platform",
+        "pregel": "pregel",
+        "resilience": "resilience",
+        "spmatrix": "spmatrix",
+        "util": "util",
+        # headline API
+        "AgglomerationResult": "core",
+        "ConductanceScorer": "core",
+        "ModularityScorer": "core",
+        "TerminationCriteria": "core",
+        "WeightScorer": "core",
+        "detect_communities": "core",
+        "refine_partition": "core",
+        "CommunityGraph": "graph",
+        "from_edges": "graph",
+        "largest_component": "graph",
+        "Partition": "metrics",
+        "coverage": "metrics",
+        "modularity": "metrics",
+        "Tracer": "obs",
+        "read_trace": "obs",
+        "render_profile": "obs",
+        "write_trace": "obs",
+        "TraceRecorder": "platform",
+        "get_machine": "platform",
+        "simulate_time": "platform",
+        "RecoveryReport": "resilience",
+        "RetryPolicy": "resilience",
+    },
+)
 
 __all__ = [
     "__version__",

@@ -27,11 +27,6 @@ from typing import Sequence
 import numpy as np
 
 from repro import __version__
-from repro.baselines import (
-    cnm_communities,
-    label_propagation_communities,
-    louvain_communities,
-)
 from repro.core import (
     TerminationCriteria,
     create_kernel,
@@ -282,10 +277,16 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                 f"resilience: {result.recovery.summary()}", file=sys.stderr
             )
     elif args.algorithm == "cnm":
+        from repro.baselines.cnm import cnm_communities
+
         partition, _ = cnm_communities(graph)
     elif args.algorithm == "louvain":
+        from repro.baselines.louvain import louvain_communities
+
         partition, _ = louvain_communities(graph, seed=args.seed)
     else:
+        from repro.baselines.label_prop import label_propagation_communities
+
         partition = label_propagation_communities(graph, seed=args.seed)
 
     if args.refine:

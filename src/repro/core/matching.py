@@ -260,7 +260,9 @@ def _run_passes(
             np.minimum.at(best_edge, v[at_v], prio[at_v])
 
             # An edge wins when both endpoints chose it (the two-sided claim).
-            mutual = (best_edge[u] == prio) & (best_edge[v] == prio)
+            chosen_u = best_edge[u] == prio  # this edge is u's chosen claim
+            chosen_v = best_edge[v] == prio
+            mutual = chosen_u & chosen_v
             n_new = int(np.count_nonzero(mutual))
             if n_new == 0:
                 raise ConvergenceError(
@@ -268,8 +270,6 @@ def _run_passes(
                     "scores may contain NaN"
                 )
 
-            chosen_u = best_edge[u] == prio  # this edge is u's chosen claim
-            chosen_v = best_edge[v] == prio
             failed = int(np.count_nonzero((chosen_u | chosen_v) & ~mutual))
             total_failed += failed
 

@@ -33,50 +33,7 @@ package measures what the current machine actually did.  See
 ``docs/OBSERVABILITY.md``.
 """
 
-from repro.obs.attribution import (
-    attribute_run,
-    consistency_report,
-    hotspots,
-    self_times,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetricsRegistry,
-)
-from repro.obs.memprof import (
-    NULL_MEMPROF,
-    NullMemoryProfiler,
-    PhaseMemoryProfiler,
-    as_memprof,
-)
-from repro.obs.perfetto import to_chrome_trace, write_perfetto
-from repro.obs.report import markdown_to_html, render_report, write_report
-from repro.obs.sinks import (
-    TraceData,
-    UnknownTraceRecordWarning,
-    phase_totals,
-    read_trace,
-    render_profile,
-    write_trace,
-)
-from repro.obs.telemetry import (
-    NULL_TELEMETRY,
-    NullTelemetry,
-    TelemetrySampler,
-    as_telemetry,
-    read_status,
-    render_status,
-)
-from repro.obs.timeline import (
-    NULL_TIMELINE,
-    LevelQuality,
-    NullTimeline,
-    QualityTimeline,
-    as_timeline,
-)
+from repro import _lazy_exports
 from repro.obs.trace import (
     NULL_TRACER,
     CounterSample,
@@ -84,6 +41,49 @@ from repro.obs.trace import (
     Span,
     Tracer,
     as_tracer,
+)
+
+# The engine and the CLI import the other layers ``repro detect`` runs
+# themselves; every name below loads on first use.
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "attribute_run": "attribution",
+        "consistency_report": "attribution",
+        "hotspots": "attribution",
+        "self_times": "attribution",
+        "Counter": "metrics",
+        "Gauge": "metrics",
+        "Histogram": "metrics",
+        "MetricsRegistry": "metrics",
+        "NullMetricsRegistry": "metrics",
+        "NULL_MEMPROF": "memprof",
+        "NullMemoryProfiler": "memprof",
+        "PhaseMemoryProfiler": "memprof",
+        "as_memprof": "memprof",
+        "to_chrome_trace": "perfetto",
+        "write_perfetto": "perfetto",
+        "markdown_to_html": "report",
+        "render_report": "report",
+        "write_report": "report",
+        "TraceData": "sinks",
+        "UnknownTraceRecordWarning": "sinks",
+        "phase_totals": "sinks",
+        "read_trace": "sinks",
+        "render_profile": "sinks",
+        "write_trace": "sinks",
+        "NULL_TELEMETRY": "telemetry",
+        "NullTelemetry": "telemetry",
+        "TelemetrySampler": "telemetry",
+        "as_telemetry": "telemetry",
+        "read_status": "telemetry",
+        "render_status": "telemetry",
+        "NULL_TIMELINE": "timeline",
+        "LevelQuality": "timeline",
+        "NullTimeline": "timeline",
+        "QualityTimeline": "timeline",
+        "as_timeline": "timeline",
+    },
 )
 
 __all__ = [

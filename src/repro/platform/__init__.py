@@ -2,25 +2,35 @@
 systems and a cost model turning measured kernel traces into execution
 times at any processor/thread count."""
 
+from repro import _lazy_exports
 from repro.platform.kernels import KernelRecord, TraceRecorder
-from repro.platform.machine import (
-    MachineModel,
-    CRAY_XMT,
-    CRAY_XMT2,
-    INTEL_E7_8870,
-    INTEL_X5650,
-    INTEL_X5570,
-    PLATFORMS,
-    get_machine,
-)
-from repro.platform.sim import simulate_time, simulate_sweep, PhaseBreakdown
-from repro.platform.noise import run_variation
-from repro.platform.traceio import save_trace, load_trace
-from repro.platform.whatif import single_socket, scale_bandwidth, scale_clock
-from repro.platform.utilization import (
-    KernelUtilization,
-    mean_utilization,
-    utilization_profile,
+
+# The detection kernels record into ``kernels``; the machine models and
+# the simulator load on first use.
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "MachineModel": "machine",
+        "CRAY_XMT": "machine",
+        "CRAY_XMT2": "machine",
+        "INTEL_E7_8870": "machine",
+        "INTEL_X5650": "machine",
+        "INTEL_X5570": "machine",
+        "PLATFORMS": "machine",
+        "get_machine": "machine",
+        "simulate_time": "sim",
+        "simulate_sweep": "sim",
+        "PhaseBreakdown": "sim",
+        "run_variation": "noise",
+        "save_trace": "traceio",
+        "load_trace": "traceio",
+        "single_socket": "whatif",
+        "scale_bandwidth": "whatif",
+        "scale_clock": "whatif",
+        "KernelUtilization": "utilization",
+        "mean_utilization": "utilization",
+        "utilization_profile": "utilization",
+    },
 )
 
 __all__ = [

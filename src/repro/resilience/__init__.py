@@ -23,26 +23,29 @@ survive the failures that loop meets in production:
 See ``docs/RESILIENCE.md`` for the failure-mode catalogue and policies.
 """
 
-from repro.resilience.checkpoint import (
-    CHECKPOINT_SCHEMA_VERSION,
-    CheckpointManager,
-    CheckpointState,
-    quarantine_file,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "CHECKPOINT_SCHEMA_VERSION": "checkpoint",
+        "CheckpointManager": "checkpoint",
+        "CheckpointState": "checkpoint",
+        "quarantine_file": "checkpoint",
+        "FaultPlan": "faults",
+        "FaultSpec": "faults",
+        "truncate_file": "faults",
+        "NULL_GUARDIAN": "guardian",
+        "NullGuardian": "guardian",
+        "RunGuardian": "guardian",
+        "as_guardian": "guardian",
+        "AUDIT_MODES": "invariants",
+        "InvariantAuditor": "invariants",
+        "lower_audit_mode": "invariants",
+        "RecoveryReport": "report",
+        "RetryPolicy": "retry",
+    },
 )
-from repro.resilience.faults import FaultPlan, FaultSpec, truncate_file
-from repro.resilience.guardian import (
-    NULL_GUARDIAN,
-    NullGuardian,
-    RunGuardian,
-    as_guardian,
-)
-from repro.resilience.invariants import (
-    AUDIT_MODES,
-    InvariantAuditor,
-    lower_audit_mode,
-)
-from repro.resilience.report import RecoveryReport
-from repro.resilience.retry import RetryPolicy
 
 __all__ = [
     "RetryPolicy",

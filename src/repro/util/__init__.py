@@ -1,13 +1,21 @@
 """Small shared utilities: RNG handling, timing, validation, array helpers."""
 
-from repro.util.atomicio import atomic_write, atomic_write_bytes, atomic_write_text
-from repro.util.rng import as_generator, spawn_seeds
-from repro.util.timing import Timer
-from repro.util.validation import (
-    check_1d,
-    check_nonnegative,
-    check_positive,
-    check_same_length,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "atomic_write": "atomicio",
+        "atomic_write_bytes": "atomicio",
+        "atomic_write_text": "atomicio",
+        "as_generator": "rng",
+        "spawn_seeds": "rng",
+        "Timer": "timing",
+        "check_1d": "validation",
+        "check_nonnegative": "validation",
+        "check_positive": "validation",
+        "check_same_length": "validation",
+    },
 )
 
 __all__ = [

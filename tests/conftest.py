@@ -129,7 +129,9 @@ def atomic_write_faults(monkeypatch):
     Patches the canonical writer *and* every ``repro`` module that
     bound it by name, so all durable-artifact writers (checkpoints,
     snapshots, ledgers, traces, status files, WAL
-    manifests) route through the corruptor.
+    manifests) route through the corruptor.  A module first imported
+    during the test binds the faulty writer itself; teardown restores
+    those too, so no later test writes through a spent fault.
     """
     import repro.util.atomicio as aio
 
@@ -142,13 +144,22 @@ def atomic_write_faults(monkeypatch):
             yield fh
         plan._apply(Path(os.fspath(path)))
 
-    monkeypatch.setattr(aio, "atomic_write", faulty)
-    for name, module in list(sys.modules.items()):
-        if not name.startswith("repro"):
-            continue
+    # the scan includes repro.util.atomicio, the canonical writer's home
+    for module in _repro_modules():
         if getattr(module, "atomic_write", None) is real:
             monkeypatch.setattr(module, "atomic_write", faulty)
-    return plan
+    yield plan
+    for module in _repro_modules():
+        if getattr(module, "atomic_write", None) is faulty:
+            module.atomic_write = real
+
+
+def _repro_modules():
+    return [
+        module
+        for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "repro"
+    ]
 
 
 @pytest.fixture

@@ -9,6 +9,29 @@ from repro.generators import karate_club, planted_partition_graph
 from repro.graph import write_edgelist, save_npz
 
 
+def _fresh_modules(statement, package):
+    """Sorted ``sys.modules`` entries of top-level *package* after
+    *statement* runs in a fresh interpreter."""
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        f"import sys; {statement}; "
+        f"print(*sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    return out.split()
+
+
 @pytest.fixture
 def karate_file(tmp_path):
     path = tmp_path / "karate.txt"
@@ -117,25 +140,38 @@ class TestDetect:
             assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_import_loads_no_multiprocessing(self):
-        import os
-        import subprocess
-        import sys
+        assert _fresh_modules("import repro.cli", "multiprocessing") == []
 
-        code = (
-            "import sys, repro.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'multiprocessing'))"
+    def test_import_loads_only_the_detect_pipeline(self):
+        # Package __init__s defer what detect does not run, and the CLI
+        # imports the other subcommands' modules inside them.
+        assert _fresh_modules("import repro", "repro") == ["repro"]
+        loaded = _fresh_modules("import repro.cli", "repro")
+        assert len(loaded) <= 50, loaded
+        deferred = (
+            "repro.analysis",
+            "repro.baselines",
+            "repro.bench",
+            "repro.generators",
+            "repro.kernels",
+            "repro.pregel",
+            "repro.reference",
+            "repro.spmatrix",
+            "repro.stream",
+            "repro.platform.machine",
+            "repro.platform.sim",
+            "repro.platform.noise",
+            "repro.platform.traceio",
+            "repro.platform.whatif",
+            "repro.platform.utilization",
+            "repro.obs.attribution",
+            "repro.obs.perfetto",
+            "repro.obs.report",
         )
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-        assert out.strip() == "[]"
+        unexpected = [
+            m for m in loaded if m in deferred or m.rsplit(".", 1)[0] in deferred
+        ]
+        assert unexpected == []
 
     def test_npz_input(self, tmp_path, capsys):
         path = tmp_path / "k.npz"

@@ -1,10 +1,14 @@
 """Tests for the streaming edge-delta layer (stream/delta.py)."""
 
+import io
+import zipfile
+
 import numpy as np
 import pytest
 
 from repro.errors import WalError
 from repro.stream.delta import (
+    BATCH_SCHEMA_VERSION,
     EdgeBatch,
     EdgeStore,
     decode_batch,
@@ -51,6 +55,35 @@ class TestEdgeBatch:
         np.testing.assert_array_equal(out.j, b.j)
         np.testing.assert_array_equal(out.w, b.w)
         np.testing.assert_array_equal(out.op, b.op)
+
+    def test_payload_members_are_stored(self):
+        data = encode_batch(_batch(2, [(0, 1, 2.5), (4, 2, 1.0, -1)]))
+        with zipfile.ZipFile(io.BytesIO(data)) as zf:
+            infos = zf.infolist()
+        assert sorted(info.filename for info in infos) == [
+            "i.npy", "j.npy", "op.npy", "schema.npy", "seq.npy", "w.npy"
+        ]
+        assert {info.compress_type for info in infos} == {zipfile.ZIP_STORED}
+
+    def test_deflated_payload_still_decodes(self):
+        # WAL records journaled before payloads went uncompressed must
+        # keep replaying.
+        b = _batch(5, [(0, 1, 2.5), (4, 2, 1.0, -1), (3, 3, 0.5)])
+        buf = io.BytesIO()
+        np.savez_compressed(
+            buf,
+            schema=np.int64(BATCH_SCHEMA_VERSION),
+            seq=np.int64(b.seq),
+            i=b.i,
+            j=b.j,
+            w=b.w,
+            op=b.op,
+        )
+        out = decode_batch(buf.getvalue())
+        assert out.seq == b.seq
+        for name in ("i", "j", "w", "op"):
+            np.testing.assert_array_equal(getattr(out, name), getattr(b, name))
+            assert getattr(out, name).dtype == getattr(b, name).dtype
 
     def test_decode_garbage_raises_wal_error(self):
         with pytest.raises(WalError):
