@@ -6,6 +6,9 @@ community assignment at any level, which is how the driver reports both
 its final partition and the whole agglomeration history (useful for the
 paper's "smaller communities … form the basis for multi-level algorithms"
 use case).
+
+The newest level's labels are kept and advanced by one gather per push, so
+the final partition costs O(|V|) however many levels the run took.
 """
 
 from __future__ import annotations
@@ -22,10 +25,22 @@ __all__ = ["Dendrogram"]
 
 @dataclass
 class Dendrogram:
-    """A sequence of contraction maps over ``n_vertices`` input vertices."""
+    """A sequence of contraction maps over ``n_vertices`` input vertices.
+
+    Grow it only through :meth:`push`, which keeps the newest labels current.
+    """
 
     n_vertices: int
     maps: list[np.ndarray] = field(default_factory=list)
+    # Read-only input-vertex labels after every map in ``maps``.
+    _newest: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        labels = np.arange(self.n_vertices, dtype=VERTEX_DTYPE)
+        for mapping in self.maps:
+            labels = mapping[labels]
+        labels.flags.writeable = False
+        self._newest = labels
 
     def push(self, mapping: np.ndarray) -> None:
         """Append one contraction's old→new community map."""
@@ -37,7 +52,10 @@ class Dendrogram:
             )
         if len(mapping) and mapping.max() >= len(mapping):
             raise ValueError("contraction map must shrink (or keep) the range")
+        labels = mapping[self._newest]
+        labels.flags.writeable = False
         self.maps.append(mapping)
+        self._newest = labels
 
     @property
     def n_levels(self) -> int:
@@ -65,4 +83,6 @@ class Dendrogram:
         return Partition(self.labels_at(level))
 
     def final_partition(self) -> Partition:
-        return self.partition_at(self.n_levels)
+        """Input-graph :class:`Partition` after every contraction (its
+        labels are read-only)."""
+        return Partition(self._newest)

@@ -206,9 +206,15 @@ class EdgeList:
 
     def strengths(self) -> np.ndarray:
         """Sum of incident edge weights per vertex (self loops excluded)."""
-        s = np.bincount(self.ei, weights=self.w, minlength=self.n_vertices)
-        s += np.bincount(self.ej, weights=self.w, minlength=self.n_vertices)
-        return s.astype(WEIGHT_DTYPE, copy=False)
+        # ``np.add.at`` reads a measured graph's read-only arrays in place,
+        # where ``np.bincount`` would copy them.  Both add in edge order, so
+        # each side's sums are bit-identical to ``bincount(ei, weights=w)``.
+        s = np.zeros(self.n_vertices, dtype=WEIGHT_DTYPE)
+        np.add.at(s, self.ei, self.w)
+        t = np.zeros(self.n_vertices, dtype=WEIGHT_DTYPE)
+        np.add.at(t, self.ej, self.w)
+        s += t
+        return s
 
     def total_weight(self) -> float:
         """Sum of all stored edge weights."""

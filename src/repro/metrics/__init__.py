@@ -3,7 +3,11 @@ partition-comparison measures (NMI/ARI)."""
 
 from repro import _lazy_exports
 from repro.metrics.partition import Partition
-from repro.metrics.modularity import modularity, community_graph_modularity
+from repro.metrics.modularity import (
+    modularity,
+    modularity_and_coverage,
+    community_graph_modularity,
+)
 from repro.metrics.conductance import conductances, average_conductance
 from repro.metrics.coverage import coverage, mirror_coverage
 
@@ -22,6 +26,7 @@ __getattr__, __dir__ = _lazy_exports(
 __all__ = [
     "Partition",
     "modularity",
+    "modularity_and_coverage",
     "community_graph_modularity",
     "conductances",
     "average_conductance",

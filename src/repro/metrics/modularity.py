@@ -22,7 +22,11 @@ from repro.graph.graph import CommunityGraph
 from repro.metrics.partition import Partition
 from repro.util.arrays import group_reduce_sum
 
-__all__ = ["modularity", "community_graph_modularity"]
+__all__ = [
+    "modularity",
+    "modularity_and_coverage",
+    "community_graph_modularity",
+]
 
 
 def modularity(graph: CommunityGraph, partition: Partition) -> float:
@@ -32,25 +36,38 @@ def modularity(graph: CommunityGraph, partition: Partition) -> float:
     any community graph works: its self weights count as internal to
     whatever community the vertex belongs to.
     """
+    return modularity_and_coverage(graph, partition)[0]
+
+
+def modularity_and_coverage(
+    graph: CommunityGraph, partition: Partition
+) -> tuple[float, float]:
+    """``(modularity, coverage)`` of ``partition`` from one pass over the edges.
+
+    One label gather per endpoint array and one internal-edge mask serve
+    both values, which equal :func:`modularity` and
+    :func:`~repro.metrics.coverage.coverage` bit for bit.  A zero-weight
+    graph gives ``(0.0, 1.0)``.
+    """
     if partition.n_vertices != graph.n_vertices:
         raise ValueError("partition size does not match graph")
     w_total = graph.total_weight()
     if w_total == 0:
-        return 0.0
+        return 0.0, 1.0
     labels = partition.labels
     k = partition.n_communities
     e = graph.edges
 
     li = labels[e.ei]
-    lj = labels[e.ej]
-    internal_mask = li == lj
-    internal = group_reduce_sum(
-        li[internal_mask], e.w[internal_mask], k
-    )
+    internal_mask = li == labels[e.ej]
+    w_internal = e.w[internal_mask]
+    internal = group_reduce_sum(li[internal_mask], w_internal, k)
     internal += group_reduce_sum(labels, graph.self_weights, k)
 
     vol = group_reduce_sum(labels, graph.strengths(), k)
-    return float((internal / w_total - (vol / (2.0 * w_total)) ** 2).sum())
+    q = float((internal / w_total - (vol / (2.0 * w_total)) ** 2).sum())
+    cov = (float(w_internal.sum()) + graph.internal_weight()) / w_total
+    return q, cov
 
 
 def community_graph_modularity(graph: CommunityGraph) -> float:

@@ -40,8 +40,7 @@ import numpy as np
 
 from repro.errors import InvariantViolation
 from repro.graph.graph import CommunityGraph
-from repro.metrics.coverage import coverage as recompute_coverage
-from repro.metrics.modularity import modularity as recompute_modularity
+from repro.metrics.modularity import modularity_and_coverage
 from repro.metrics.partition import Partition
 from repro.types import NO_VERTEX
 
@@ -274,6 +273,18 @@ def check_matching_maximality(
         )
 
 
+def _drifted(recomputed: float, tracked: float, tolerance: float) -> bool:
+    """True unless both values are finite and within tolerance.
+
+    Written as ``not (… <= …)`` so that a NaN on either side drifts.
+    """
+    return not (
+        np.isfinite(recomputed)
+        and np.isfinite(tracked)
+        and abs(recomputed - tracked) <= max(tolerance, tolerance * abs(recomputed))
+    )
+
+
 def check_tracked_quality(
     input_graph: CommunityGraph,
     partition: Partition,
@@ -283,20 +294,15 @@ def check_tracked_quality(
     tolerance: float = 1e-6,
 ) -> None:
     """The engine's incrementally tracked modularity/coverage agree with
-    a from-scratch recompute on the input graph."""
-    q = recompute_modularity(input_graph, partition)
-    if not np.isfinite(tracked_modularity) or abs(q - tracked_modularity) > max(
-        tolerance, tolerance * abs(q)
-    ):
+    a from-scratch recompute on the input graph (one pass over its edges)."""
+    q, cov = modularity_and_coverage(input_graph, partition)
+    if _drifted(q, tracked_modularity, tolerance):
         raise InvariantViolation(
             f"tracked modularity {tracked_modularity!r} diverges from "
             f"from-scratch recompute {q!r} "
             f"(drift={tracked_modularity - q!r}, tolerance={tolerance})"
         )
-    cov = recompute_coverage(input_graph, partition)
-    if not np.isfinite(tracked_coverage) or abs(
-        cov - tracked_coverage
-    ) > max(tolerance, tolerance * abs(cov)):
+    if _drifted(cov, tracked_coverage, tolerance):
         raise InvariantViolation(
             f"tracked coverage {tracked_coverage!r} diverges from "
             f"from-scratch recompute {cov!r} "

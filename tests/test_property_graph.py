@@ -63,6 +63,15 @@ class TestBuilderProperties:
             1.0, g.total_weight()
         )
 
+    @given(edge_arrays())
+    @settings(max_examples=60, deadline=None)
+    def test_strengths_equal_bincount_bit_for_bit(self, args):
+        n, i, j, w = args
+        e = from_edges(i, j, w, n_vertices=n).edges
+        expected = np.bincount(e.ei, weights=e.w, minlength=n)
+        expected += np.bincount(e.ej, weights=e.w, minlength=n)
+        np.testing.assert_array_equal(e.strengths(), expected)
+
     @given(edge_arrays(weighted=False))
     @settings(max_examples=40, deadline=None)
     def test_csr_degree_sum(self, args):

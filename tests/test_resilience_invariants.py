@@ -16,8 +16,10 @@ from repro.core.contraction import contract
 from repro.core.matching import match_locally_dominant
 from repro.errors import InvariantViolation
 from repro.generators import karate_club
+from repro.graph import from_edges
 from repro.graph.graph import CommunityGraph
 from repro.metrics import Partition, coverage, modularity
+from repro.resilience import invariants
 from repro.resilience.invariants import (
     AUDIT_MODES,
     InvariantAuditor,
@@ -263,6 +265,28 @@ class TestIndividualChecks:
                 part,
                 tracked_modularity=float("nan"),
                 tracked_coverage=cov,
+            )
+
+    def test_tracked_quality_flags_a_nan_recompute(self):
+        # A NaN edge weight makes the recompute NaN; finite tracked values
+        # must not pass a comparison against it.
+        g = from_edges([0, 1, 2], [1, 2, 3], [1.0, np.nan, 1.0], n_vertices=4)
+        part = Partition(np.array([0, 0, 1, 1]))
+        with pytest.raises(InvariantViolation, match="tracked modularity"):
+            check_tracked_quality(
+                g, part, tracked_modularity=0.1, tracked_coverage=0.5
+            )
+
+    def test_tracked_coverage_flags_a_nan_recompute(self, karate, monkeypatch):
+        monkeypatch.setattr(
+            invariants,
+            "modularity_and_coverage",
+            lambda graph, partition: (0.1, float("nan")),
+        )
+        part = Partition(np.zeros(karate.n_vertices, dtype=np.int64))
+        with pytest.raises(InvariantViolation, match="tracked coverage"):
+            check_tracked_quality(
+                karate, part, tracked_modularity=0.1, tracked_coverage=0.5
             )
 
     def test_self_loop_accounting_clean(self, level):
