@@ -1,8 +1,8 @@
 """Real wall-clock microbenchmarks of the three parallel primitives
-(§III: score, match, contract) plus the substrate kernels, on the rmat
-analogue.  These time the actual vectorized NumPy kernels — the Python
-analogue of the paper's per-kernel engineering — and complement the
-simulated-platform exhibits."""
+(§III: score, match, contract) plus the CSR build and connected
+components, on the rmat analogue.  These time the actual vectorized
+NumPy kernels — the Python analogue of the paper's per-kernel
+engineering — and complement the simulated-platform exhibits."""
 
 import pytest
 
@@ -54,36 +54,3 @@ def test_kernel_connected_components(benchmark, rmat):
         connected_components, rmat.n_vertices, rmat.edges.ei, rmat.edges.ej
     )
     assert k >= 1
-
-
-def test_kernel_bfs(benchmark, rmat):
-    from repro.kernels import bfs_distances
-
-    dist = benchmark(bfs_distances, rmat, 0)
-    assert dist[0] == 0
-
-
-def test_kernel_pagerank(benchmark, rmat):
-    from repro.kernels import pagerank
-
-    pr = benchmark(pagerank, rmat, tol=1e-8)
-    assert abs(pr.sum() - 1.0) < 1e-9
-
-
-def test_kernel_kcore(benchmark, rmat):
-    from repro.kernels import core_numbers
-
-    cores = benchmark(core_numbers, rmat)
-    assert cores.max() >= 1
-
-
-def test_kernel_spgemm_contraction(benchmark, rmat, matched):
-    from repro.core.contraction import contract
-    from repro.spmatrix import contract_via_spgemm
-
-    _, mapping = contract(rmat, matched)
-    k = int(mapping.max()) + 1
-    coarse = benchmark.pedantic(
-        contract_via_spgemm, args=(rmat, mapping, k), rounds=1, iterations=1
-    )
-    assert coarse.n_vertices == k

@@ -7,11 +7,9 @@ analysis tools."  This example runs the full pipeline:
 
 1. cluster a web-crawl graph (coverage-terminated, the paper's rule);
 2. summarize every community (sizes, density, conductance);
-3. extract the largest community as a standalone subgraph;
-4. run the "current analysis tools" on it — BFS diameter probe,
-   clustering coefficient, k-core spectrum, PageRank hubs — which would
-   be intractable or meaningless on the full graph;
-5. recurse: detect sub-communities inside it.
+3. extract the largest community as a standalone subgraph, small enough
+   to hand to any analysis tool;
+4. recurse: detect sub-communities inside it.
 
 Run:  python examples/analysis_pipeline.py
 """
@@ -26,12 +24,6 @@ from repro.analysis import (
 )
 from repro.bench.reporting import format_table
 from repro.generators import webgraph
-from repro.kernels import (
-    core_numbers,
-    eccentricity_lower_bound,
-    global_clustering_coefficient,
-    pagerank,
-)
 from repro.metrics import intercluster_conductance, performance
 
 
@@ -66,25 +58,10 @@ def main() -> None:
 
     biggest = int(np.argmax(stats.sizes))
     print(f"\n3. Extracting community {biggest} as a standalone subgraph...")
-    sub, ids = community_subgraph(graph, part, biggest)
+    sub, _ = community_subgraph(graph, part, biggest)
     print(f"   |V|={sub.n_vertices:,} |E|={sub.n_edges:,}")
 
-    print("\n4. Analysis kernels on the extracted community:")
-    print(f"   diameter lower bound      : {eccentricity_lower_bound(sub)}")
-    print(
-        f"   clustering coefficient    : "
-        f"{global_clustering_coefficient(sub):.3f}"
-    )
-    cores = core_numbers(sub)
-    print(f"   max k-core                : {cores.max()}")
-    pr = pagerank(sub)
-    hubs = np.argsort(-pr)[:3]
-    print(
-        "   top PageRank pages        : "
-        + ", ".join(f"{ids[h]} ({pr[h]:.4f})" for h in hubs)
-    )
-
-    print("\n5. Recursing: communities inside the community...")
+    print("\n4. Recursing: communities inside the community...")
     inner = detect_communities(
         sub, termination=TerminationCriteria.local_maximum()
     )

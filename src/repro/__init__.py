@@ -70,13 +70,10 @@ __getattr__, __dir__ = _lazy_exports(
         "core": "core",
         "generators": "generators",
         "graph": "graph",
-        "kernels": "kernels",
         "metrics": "metrics",
         "obs": "obs",
         "platform": "platform",
-        "pregel": "pregel",
         "resilience": "resilience",
-        "spmatrix": "spmatrix",
         "util": "util",
         # headline API
         "AgglomerationResult": "core",
@@ -113,13 +110,10 @@ __all__ = [
     "core",
     "generators",
     "graph",
-    "kernels",
     "metrics",
     "obs",
     "platform",
-    "pregel",
     "resilience",
-    "spmatrix",
     "util",
     # headline API
     "detect_communities",

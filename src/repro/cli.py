@@ -5,7 +5,7 @@ Subcommands::
     python -m repro detect    # cluster a graph file, write communities
     python -m repro generate  # write an R-MAT / planted / webgraph file
     python -m repro info      # print size/degree statistics of a graph
-    python -m repro kernels   # list registered kernels + capability metadata
+    python -m repro kernels   # list registered kernels with their descriptions
     python -m repro bench     # regenerate a paper exhibit (table1..figure3)
     python -m repro report    # render a run trace (+ ledger) to Markdown/HTML
     python -m repro trend     # metric trajectory across BENCH_*.json ledgers
@@ -379,7 +379,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     )
 
     graph = _load_graph(args.input, args.format)
-    labels = np.loadtxt(args.labels, dtype=np.int64, usecols=1)
+    labels = np.loadtxt(args.labels, dtype=np.int64, usecols=1, ndmin=1)
     if len(labels) != graph.n_vertices:
         print(
             f"error: {args.labels} has {len(labels)} labels for a graph "
@@ -424,17 +424,10 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
         if not first:
             print()
         first = False
-        rows = [
-            [
-                i.name,
-                "yes" if i.deterministic else "no",
-                i.description or "-",
-            ]
-            for i in infos
-        ]
+        rows = [[i.name, i.description or "-"] for i in infos]
         print(
             format_table(
-                ["name", "deterministic", "description"],
+                ["name", "description"],
                 rows,
                 title=f"{kind}s ({len(infos)} registered)",
             )
@@ -1134,10 +1127,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "kernels",
-        help="list registered kernels with capability metadata",
+        help="list registered kernels with their descriptions",
         description="List every kernel registered under each phase kind "
-        "(scorer/matcher/contractor) with its capability descriptor: "
-        "whether it is deterministic.",
+        "(scorer/matcher/contractor) with its one-line description.",
     )
     p.add_argument(
         "--kind",

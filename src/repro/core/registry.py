@@ -11,8 +11,8 @@ one mechanism instead of per-kind lookup tables scattered through the
 driver, the CLI and the bench harness.
 
 A registered entry is a zero-argument **factory** producing the kernel
-object for one run, plus a :class:`KernelInfo` capability descriptor
-that ``repro kernels`` lists:
+object for one run, plus a :class:`KernelInfo` descriptor (a one-line
+description) that ``repro kernels`` lists:
 
 * ``scorer`` factories return an :class:`~repro.core.scoring.EdgeScorer`
   instance (a fresh one per call, so per-run state such as a recovery
@@ -34,8 +34,8 @@ User extension::
     detect_communities(graph, scorer="my-metric")
 
 ``register_kernel`` stays backward-compatible for bare factories: when
-no ``info`` is given a default descriptor is attached
-(``deterministic=True``).
+no ``info`` is given a default descriptor with an empty description is
+attached.
 
 The built-in kernels are registered at import time; discovery
 (:func:`kernel_names`, :func:`kernel_catalog`) is what the CLI uses to
@@ -68,7 +68,7 @@ KERNEL_KINDS = ("scorer", "matcher", "contractor")
 
 @dataclass(frozen=True)
 class KernelInfo:
-    """Capability descriptor of one registered kernel.
+    """Descriptor of one registered kernel.
 
     The ``repro kernels`` CLI subcommand renders these for
     discoverability.
@@ -77,17 +77,12 @@ class KernelInfo:
     ----------
     kind, name:
         The registry key this descriptor belongs to.
-    deterministic:
-        ``True`` when repeated runs on the same input produce
-        bit-identical output (every built-in is; a user kernel that
-        randomizes should say so).
     description:
         One-line summary for the ``repro kernels`` listing.
     """
 
     kind: str
     name: str
-    deterministic: bool = True
     description: str = ""
 
 
@@ -121,10 +116,9 @@ def register_kernel(
     ``factory`` is called with no arguments each time the kernel is
     instantiated for a run.  Re-registering an existing name raises
     unless ``replace=True`` (so a typo cannot silently shadow a
-    built-in).  ``info`` attaches the capability descriptor; a bare
-    registration (the historical two-argument form) gets the default
-    descriptor — deterministic — so pre-existing user kernels keep
-    working.
+    built-in).  ``info`` attaches the descriptor; a bare registration
+    (the historical two-argument form) gets a default one with an empty
+    description, so pre-existing user kernels keep working.
     """
     _check_kind(kind)
     if not name:

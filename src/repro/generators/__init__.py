@@ -4,7 +4,6 @@ deterministic fixtures for testing."""
 from repro.generators.rmat import rmat_edges, rmat_graph
 from repro.generators.sbm import planted_partition_graph
 from repro.generators.webgraph import webgraph
-from repro.generators.ba import barabasi_albert_graph
 from repro.generators.lfr import lfr_graph
 from repro.generators.classic import (
     karate_club,
@@ -21,7 +20,6 @@ __all__ = [
     "rmat_graph",
     "planted_partition_graph",
     "webgraph",
-    "barabasi_albert_graph",
     "lfr_graph",
     "karate_club",
     "ring_of_cliques",

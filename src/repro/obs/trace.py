@@ -68,7 +68,7 @@ class Span:
     ----------
     name:
         Region identity, e.g. ``"level"``, ``"score"``, ``"match"``,
-        ``"contract"``, ``"match_pass"``, ``"superstep"``.
+        ``"contract"``, ``"match_pass"``.
     span_id:
         Unique id within the owning tracer (assigned in *start* order).
     parent_id:

@@ -22,8 +22,6 @@ __getattr__, __dir__ = _lazy_exports(
         "simulate_sweep": "sim",
         "PhaseBreakdown": "sim",
         "run_variation": "noise",
-        "save_trace": "traceio",
-        "load_trace": "traceio",
         "single_socket": "whatif",
         "scale_bandwidth": "whatif",
         "scale_clock": "whatif",
@@ -48,8 +46,6 @@ __all__ = [
     "simulate_sweep",
     "PhaseBreakdown",
     "run_variation",
-    "save_trace",
-    "load_trace",
     "KernelUtilization",
     "mean_utilization",
     "utilization_profile",

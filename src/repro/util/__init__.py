@@ -1,4 +1,4 @@
-"""Small shared utilities: RNG handling, timing, validation, array helpers."""
+"""Small shared utilities: RNG handling, timing, atomic writes, array helpers."""
 
 from repro import _lazy_exports
 
@@ -11,10 +11,6 @@ __getattr__, __dir__ = _lazy_exports(
         "as_generator": "rng",
         "spawn_seeds": "rng",
         "Timer": "timing",
-        "check_1d": "validation",
-        "check_nonnegative": "validation",
-        "check_positive": "validation",
-        "check_same_length": "validation",
     },
 )
 
@@ -25,8 +21,4 @@ __all__ = [
     "as_generator",
     "spawn_seeds",
     "Timer",
-    "check_1d",
-    "check_nonnegative",
-    "check_positive",
-    "check_same_length",
 ]

@@ -21,12 +21,11 @@ ALL_EXAMPLES = [
     "scaling_study.py",
     "web_crawl.py",
     "custom_scoring.py",
-    "matrix_and_pregel.py",
     "analysis_pipeline.py",
     "hierarchical_clustering.py",
 ]
 
-FAST_EXAMPLES = ["quickstart.py"]
+FAST_EXAMPLES = ["quickstart.py", "analysis_pipeline.py"]
 
 
 @pytest.mark.parametrize("name", ALL_EXAMPLES)

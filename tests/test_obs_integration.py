@@ -8,8 +8,6 @@ from repro.core.termination import TerminationCriteria
 from repro.bench.harness import run_with_trace
 from repro.generators import karate_club, planted_partition_graph
 from repro.obs import NULL_TRACER, Tracer
-from repro.pregel.engine import PregelEngine
-from repro.pregel.programs import ComponentsProgram
 from repro.util.timing import Timer
 
 
@@ -124,29 +122,6 @@ class TestNullTracerOverhead:
                 detect_communities(g, tracer=Tracer())
             traced.append(t.elapsed)
         assert np.median(untraced) <= 1.25 * np.median(traced) + 0.010
-
-
-class TestPregelSpans:
-    def test_superstep_spans(self):
-        g = karate_club()
-        engine = PregelEngine(g)
-        tr = Tracer()
-        engine.run(ComponentsProgram(), tracer=tr)
-        run_spans = tr.find("pregel_run")
-        steps = tr.find("superstep")
-        assert len(run_spans) == 1
-        assert len(steps) == engine.n_supersteps
-        assert run_spans[0].attrs["n_supersteps"] == engine.n_supersteps
-        for span, stats in zip(steps, engine.stats):
-            assert span.attrs["active_vertices"] == stats.active_vertices
-            assert span.attrs["messages_sent"] == stats.messages_sent
-
-    def test_untraced_run_unchanged(self):
-        g = karate_club()
-        states = PregelEngine(g).run(ComponentsProgram())
-        traced = PregelEngine(g)
-        states_t = traced.run(ComponentsProgram(), tracer=Tracer())
-        assert states == states_t
 
 
 class TestHarnessIntegration:

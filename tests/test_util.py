@@ -10,12 +10,6 @@ from repro.util.arrays import (
     renumber_dense,
     segment_starts,
 )
-from repro.util.validation import (
-    check_1d,
-    check_nonnegative,
-    check_positive,
-    check_same_length,
-)
 
 
 class TestRng:
@@ -139,28 +133,6 @@ class TestArrays:
         labels, k = renumber_dense(np.array([10, 3, 10, 7]))
         assert k == 3
         np.testing.assert_array_equal(labels, [2, 0, 2, 1])
-
-
-class TestValidation:
-    def test_check_1d(self):
-        check_1d(np.zeros(3), "x")
-        with pytest.raises(ValueError):
-            check_1d(np.zeros((2, 2)), "x")
-        with pytest.raises(TypeError):
-            check_1d([1, 2], "x")
-
-    def test_check_same_length(self):
-        check_same_length("a", np.zeros(2), "b", np.zeros(2))
-        with pytest.raises(ValueError):
-            check_same_length("a", np.zeros(2), "b", np.zeros(3))
-
-    def test_check_scalars(self):
-        check_nonnegative(0, "x")
-        check_positive(1, "x")
-        with pytest.raises(ValueError):
-            check_nonnegative(-1, "x")
-        with pytest.raises(ValueError):
-            check_positive(0, "x")
 
 
 class TestLogging:
