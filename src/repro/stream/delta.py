@@ -304,6 +304,12 @@ class EdgeStore:
         """Materialize the current graph (loops become self weights)."""
         return from_edges(self.lo, self.hi, self.w, n_vertices=self.n_vertices)
 
+    def community_graph(self, labels: np.ndarray) -> CommunityGraph:
+        """The store contracted by dense ``labels``: one vertex per
+        community, rows inside a community in its self weight."""
+        k = int(labels.max()) + 1 if len(labels) else 0
+        return from_edges(labels[self.lo], labels[self.hi], self.w, n_vertices=k)
+
     def copy(self) -> "EdgeStore":
         return EdgeStore(
             self.n_vertices, self.lo.copy(), self.hi.copy(), self.w.copy()

@@ -19,13 +19,24 @@ Apply path per batch:
    untouched community is collapsed to one super-node, and the reduced
    graph runs through the ordinary
    :class:`~repro.core.engine.AgglomerationEngine` kernels.  Untouched
-   vertices can only move if their whole community moves, and the work
-   is proportional to the frontier, not the graph;
+   vertices can only move if their whole community moves.  The reduced
+   graph is built from the store rows incident to the frontier plus the
+   *community graph* the last repair or rerun ended with (the store
+   contracted by the current labels), restricted to untouched
+   communities, so apart from one pass over the rows to find the
+   frontier's, the work is proportional to the frontier, not the graph.
+   A batch whose frontier owns most of the rows (the bootstrap batch,
+   say) builds from every row instead, which is then cheaper;
 4. **measure** — the repair's final community graph carries every
    store row (as a super-node self weight, an edge or a frontier
    loop), so its closed-form modularity and coverage are the new
-   partition's quality over the whole store, in O(communities);
+   partition's quality over the whole store, in O(communities).  It is
+   also the community graph the next batch reduces from;
 5. **degrade when needed** — the drift ladder below.
+
+The community graph's sums are carried from batch to batch, so it is
+durable state: every snapshot stores it, and recovery loads it rather
+than re-summing the store, which could round differently.
 
 Degradation ladder (each rung recorded in
 :class:`~repro.resilience.report.RecoveryReport` and on the
@@ -78,7 +89,12 @@ from repro.resilience.faults import FaultPlan
 from repro.resilience.report import RecoveryReport
 from repro.resilience.retry import RetryPolicy
 from repro.stream.delta import EdgeBatch, EdgeStore, decode_batch, encode_batch
-from repro.stream.store import ServiceState, SnapshotStore
+from repro.stream.store import (
+    QUALITY_TOLERANCE,
+    ServiceState,
+    SnapshotStore,
+    match_community_graph,
+)
 from repro.stream.wal import (
     KIND_BATCH,
     KIND_RERUN,
@@ -101,9 +117,12 @@ CRASH_POINTS = (
 
 _log = get_logger("stream.service")
 
-#: How far the reported quality may sit from a from-scratch recompute
-#: before :meth:`DetectionService.verify` fails (float rounding only).
-_QUALITY_TOLERANCE = 1e-9
+#: The share of store rows incident to the frontier above which a
+#: repair builds its reduced graph from every row rather than from the
+#: kept community graph plus those rows.  On a ~106k-row planted store
+#: the two builds cost the same at 70–80% of the rows; at 100% the
+#: kept-graph build is ~20% slower.
+_FULL_BUILD_SHARE = 0.75
 
 
 def _quality(graph: CommunityGraph) -> tuple[float, float]:
@@ -217,6 +236,9 @@ class DetectionService:
         )
         self.store = EdgeStore.empty()
         self.labels: np.ndarray | None = None
+        #: The store contracted by :attr:`labels`, summed by the last
+        #: repair or rerun; the empty store's graph before any batch.
+        self.community_graph: CommunityGraph = self.store.as_graph()
         self.ref_modularity = 0.0
         #: The (modularity, coverage) pair last reported; ``None`` until
         #: this object applies a batch or runs a rerun.  ``verify()``
@@ -283,6 +305,7 @@ class DetectionService:
         if state is not None:
             self.store = state.store
             self.labels = state.labels
+            self.community_graph = state.community_graph
             self.ref_modularity = state.ref_modularity
             self.batch_seq = state.batch_seq
             self.wal_seq = state.wal_seq
@@ -488,10 +511,10 @@ class DetectionService:
 
         Touched communities dissolve into singleton vertices; untouched
         communities ride as super-nodes whose internal edges fold into
-        self-weights.  The reduced-id assignment is canonical (untouched
-        communities by community id, then touched members by vertex id),
-        so the repair is a deterministic function of (labels, store,
-        touched) — the crash-equivalence contract rests on this.
+        self-weights (:meth:`_reduce`).  The repair is a deterministic
+        function of (store, labels, community graph, touched) — the
+        crash-equivalence contract rests on this — and its final
+        community graph becomes the next batch's.
 
         Returns the new partition's (modularity, coverage) over the
         whole store, read off the run's final community graph, or
@@ -514,7 +537,37 @@ class DetectionService:
         if not len(touched):
             self.labels = labels
             return None
-        k = int(labels.max()) + 1 if len(labels) else 0
+        graph, reduced = self._reduce(labels, touched)
+        result = self._engine.run(
+            graph, RunContext.create(seed=self.config.seed)
+        )
+        # Every reduced vertex has a member, so these labels are dense
+        # and number the final graph's vertices.
+        self.labels = result.partition.labels[reduced]
+        self.community_graph = result.final_graph
+        return _quality(result.final_graph)
+
+    def _reduce(
+        self, labels: np.ndarray, touched: np.ndarray
+    ) -> tuple[CommunityGraph, np.ndarray]:
+        """The reduced graph of a repair, and every vertex's reduced id.
+
+        The reduced-id assignment is canonical: untouched communities by
+        community id, then the members of touched communities by vertex
+        id.  The graph is built from two parts.  A batch changes only
+        rows with a touched endpoint, so the kept :attr:`community_graph`
+        still holds every untouched community's self weight and the
+        edges between untouched communities; the store rows incident to
+        the frontier supply everything else.  Communities beyond the
+        kept graph are new vertices the batch skipped past: they have no
+        rows.  When the frontier's rows are more than
+        :data:`_FULL_BUILD_SHARE` of the store (the bootstrap batch, or
+        a batch scattered over most communities), gathering them costs
+        more than relabelling every row, so the graph is built from all
+        rows and the kept graph is not read.  The build's row-sized
+        temporaries die on return, before the engine runs.
+        """
+        k = int(labels.max()) + 1
         touched_comm = np.zeros(k, dtype=bool)
         touched_comm[labels[touched]] = True
         touched_v = touched_comm[labels]
@@ -523,24 +576,43 @@ class DetectionService:
         n_untouched = len(untouched_comms)
         comm_to_reduced = np.full(k, -1, dtype=np.int64)
         comm_to_reduced[untouched_comms] = np.arange(n_untouched)
-        reduced = np.empty(n, dtype=np.int64)
+        reduced = np.empty(len(labels), dtype=np.int64)
         reduced[~touched_v] = comm_to_reduced[labels[~touched_v]]
         frontier = np.flatnonzero(touched_v)
         reduced[frontier] = n_untouched + np.arange(len(frontier))
 
+        lo, hi, w = self.store.lo, self.store.hi, self.store.w
+        n_reduced = n_untouched + len(frontier)
+        at_frontier = touched_v[lo] | touched_v[hi]
+        if np.count_nonzero(at_frontier) > _FULL_BUILD_SHARE * len(lo):
+            graph = from_edges(
+                reduced[lo], reduced[hi], w, n_vertices=n_reduced
+            )
+            return graph, reduced
+        rows = np.flatnonzero(at_frontier)
+
+        kept = self.community_graph
+        e = kept.edges
+        n_known = int(np.searchsorted(untouched_comms, kept.n_vertices))
+        between = ~(touched_comm[e.ei] | touched_comm[e.ej])
+        supers = np.arange(n_known)
         graph = from_edges(
-            reduced[self.store.lo],
-            reduced[self.store.hi],
-            self.store.w,
-            n_vertices=n_untouched + len(frontier),
+            np.concatenate(
+                [supers, comm_to_reduced[e.ei[between]], reduced[lo[rows]]]
+            ),
+            np.concatenate(
+                [supers, comm_to_reduced[e.ej[between]], reduced[hi[rows]]]
+            ),
+            np.concatenate(
+                [
+                    kept.self_weights[untouched_comms[:n_known]],
+                    e.w[between],
+                    w[rows],
+                ]
+            ),
+            n_vertices=n_reduced,
         )
-        result = self._engine.run(
-            graph, RunContext.create(seed=self.config.seed)
-        )
-        self.labels = Partition.from_labels(
-            result.partition.labels[reduced]
-        ).labels
-        return _quality(result.final_graph)
+        return graph, reduced
 
     # ------------------------------------------------------------- degrade
     def _escalate(self, reason: str) -> tuple[float, float]:
@@ -564,6 +636,7 @@ class DetectionService:
             graph, RunContext.create(seed=self.config.seed)
         )
         self.labels = result.partition.labels
+        self.community_graph = result.final_graph
         q, cov = self.quality = _quality(result.final_graph)
         self.ref_modularity = q
         self.report.stream_reruns += 1
@@ -588,6 +661,7 @@ class DetectionService:
                 store=self.store,
                 labels=self.labels,
                 ref_modularity=self.ref_modularity,
+                community_graph=self.community_graph,
             )
         )
         self.report.checkpoints_written += 1
@@ -601,10 +675,12 @@ class DetectionService:
 
         Verifies the canonical store invariants, label density, label /
         store consistency, a full WAL re-scan (every surviving frame
-        must still pass its CRCs), quality finiteness, and that the
-        last reported (modularity, coverage) matches a from-scratch
-        recompute over the store (skipped while :attr:`quality` is
-        ``None``).  This is the ``repro replay --verify`` gate.
+        must still pass its CRCs), quality finiteness, that the last
+        reported (modularity, coverage) matches a from-scratch recompute
+        over the store (skipped while :attr:`quality` is ``None``), and
+        that the kept :attr:`community_graph` matches the store
+        contracted by the labels.  This is the ``repro replay --verify``
+        gate.
         """
         checks: dict[str, bool] = {}
         try:
@@ -636,9 +712,16 @@ class DetectionService:
             if self.quality is not None:
                 fresh = (q, coverage(graph, part))
                 checks["quality_matches"] = all(
-                    abs(kept - now) <= _QUALITY_TOLERANCE
+                    abs(kept - now) <= QUALITY_TOLERANCE
                     for kept, now in zip(self.quality, fresh)
                 )
+            try:
+                match_community_graph(
+                    self.community_graph, self.store.community_graph(part.labels)
+                )
+                checks["community_graph_matches"] = True
+            except ValueError:
+                checks["community_graph_matches"] = False
         return {"ok": all(checks.values()), "checks": checks}
 
     # --------------------------------------------------------------- close

@@ -10,9 +10,10 @@ validates.
 The durability rules mirror :mod:`repro.resilience.checkpoint` (this
 store is its seq-keyed sibling): atomic tmp+fsync+rename writes,
 schema-versioned payloads, full validation on reload — the edge arrays
-are re-checked against the canonical-form invariants and the labels
+are re-checked against the canonical-form invariants, the labels
 re-pushed through :class:`~repro.metrics.partition.Partition`'s
-density check — and invalid files are *quarantined* (renamed
+density check and the community graph compared with the store
+contracted by the labels — and invalid files are *quarantined* (renamed
 ``*.corrupt`` via the shared
 :func:`~repro.resilience.checkpoint.quarantine_file`) so known-bad
 bytes are validated at most once.  An empty or fully corrupt directory
@@ -32,6 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import CheckpointError
+from repro.graph.edgelist import EdgeList
+from repro.graph.graph import CommunityGraph
 from repro.metrics.partition import Partition
 from repro.resilience.checkpoint import quarantine_file
 from repro.stream.delta import EdgeStore
@@ -40,17 +43,65 @@ from repro.util.atomicio import atomic_write
 from repro.util.log import get_logger
 
 __all__ = [
+    "QUALITY_TOLERANCE",
     "SNAPSHOT_SCHEMA_VERSION",
     "ServiceState",
     "SnapshotStore",
+    "match_community_graph",
 ]
 
 #: Version of the on-disk snapshot schema.
 SNAPSHOT_SCHEMA_VERSION = 1
 
+#: How far a kept modularity or coverage may sit from a from-scratch
+#: recompute (float rounding only).  A kept community graph's weights
+#: get the same tolerance times the total weight: a weight that far off
+#: moves modularity by about this much.
+QUALITY_TOLERANCE = 1e-9
+
+#: The snapshot members holding the community graph.  Snapshots written
+#: before it was persisted lack them; loading such a file re-derives it.
+_GRAPH_MEMBERS = (
+    "community_ei",
+    "community_ej",
+    "community_w",
+    "community_self_weights",
+)
+
 _FILE_RE = re.compile(r"^snap_(\d{12})\.npz$")
 
 _log = get_logger("stream.store")
+
+
+def match_community_graph(kept: CommunityGraph, fresh: CommunityGraph) -> None:
+    """Raise ``ValueError`` unless ``kept`` equals ``fresh`` up to rounding.
+
+    ``fresh`` is the store contracted by the current labels
+    (:meth:`~repro.stream.delta.EdgeStore.community_graph`).  The vertex
+    count and the edge keys must be equal; the weights and self weights
+    may differ by :data:`QUALITY_TOLERANCE` times the total weight, the
+    room that summing the same rows in another order needs.
+    """
+    if kept.n_vertices != fresh.n_vertices:
+        raise ValueError(
+            f"{kept.n_vertices} community vertices, the labels name "
+            f"{fresh.n_vertices}"
+        )
+    a, b = kept.edges, fresh.edges
+    if not (np.array_equal(a.ei, b.ei) and np.array_equal(a.ej, b.ej)):
+        raise ValueError(
+            f"{a.n_edges} community edges differ from the {b.n_edges} "
+            "the store contracts to"
+        )
+    atol = QUALITY_TOLERANCE * max(1.0, fresh.total_weight())
+    if not (
+        a.w.shape == b.w.shape
+        and np.all(np.abs(a.w - b.w) <= atol)
+        and np.all(np.abs(kept.self_weights - fresh.self_weights) <= atol)
+    ):
+        raise ValueError(
+            f"community weights differ from the store's by more than {atol:g}"
+        )
 
 
 @dataclass
@@ -70,6 +121,9 @@ class ServiceState:
         The canonical edge multiset.
     labels:
         Dense community labels over ``store.n_vertices`` vertices.
+    community_graph:
+        The store contracted by ``labels``, as the last repair or rerun
+        summed it: the next repair builds its reduced graph from it.
     ref_modularity:
         The drift baseline — modularity measured at the last full
         detection (bootstrap or rerun rung).
@@ -79,6 +133,7 @@ class ServiceState:
     batch_seq: int
     store: EdgeStore
     labels: np.ndarray
+    community_graph: CommunityGraph
     ref_modularity: float = 0.0
 
     def __post_init__(self) -> None:
@@ -127,7 +182,9 @@ class SnapshotStore:
         the whole store costs a stream far more than the disk it saves.
         The zip's per-member CRC-32, checked as each member is read, and
         :meth:`load_seq`'s validation guard the bytes either way, and
-        older compressed snapshots load unchanged.
+        older compressed snapshots load unchanged.  The community graph
+        adds four members (~24 B per community edge plus 8 B per
+        community).
         """
         if state.batch_seq > state.wal_seq:
             raise ValueError(
@@ -138,6 +195,9 @@ class SnapshotStore:
                 f"labels cover {len(state.labels)} vertices but the store "
                 f"has {state.store.n_vertices}"
             )
+        graph = state.community_graph
+        e = graph.edges
+        members = zip(_GRAPH_MEMBERS, (e.ei, e.ej, e.w, graph.self_weights))
         final = self.path_for(state.wal_seq)
         with atomic_write(final, mode="wb") as fh:
             np.savez(
@@ -151,6 +211,7 @@ class SnapshotStore:
                 w=state.store.w,
                 labels=state.labels,
                 ref_modularity=np.float64(state.ref_modularity),
+                **dict(members),
             )
         self._prune()
         return final
@@ -216,12 +277,33 @@ class SnapshotStore:
         ref = float(data["ref_modularity"])
         if not np.isfinite(ref):
             raise CheckpointError(f"{path}: non-finite drift baseline")
+        graph = store.community_graph(labels)
+        if _GRAPH_MEMBERS[0] in data.files:
+            ei, ej, w, self_w = (data[name] for name in _GRAPH_MEMBERS)
+            kept = CommunityGraph(
+                EdgeList._from_grouped(
+                    np.asarray(ei, dtype=VERTEX_DTYPE),
+                    np.asarray(ej, dtype=VERTEX_DTYPE),
+                    w,
+                    len(self_w),
+                ),
+                self_w,
+            )
+            try:
+                match_community_graph(kept, graph)
+            except ValueError as exc:
+                raise CheckpointError(
+                    f"{path}: snapshotted community graph does not match "
+                    f"the store and labels: {exc}"
+                ) from exc
+            graph = kept
         return ServiceState(
             wal_seq=wal_seq,
             batch_seq=batch_seq,
             store=store,
             labels=labels,
             ref_modularity=ref,
+            community_graph=graph,
         )
 
     def load_latest(self) -> tuple[ServiceState | None, int]:

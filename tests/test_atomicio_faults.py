@@ -136,7 +136,12 @@ def _path_state(n=200):
     )
     labels = Partition.from_labels(np.arange(n) // 10).labels
     return ServiceState(
-        wal_seq=9, batch_seq=7, store=edges, labels=labels, ref_modularity=0.625
+        wal_seq=9,
+        batch_seq=7,
+        store=edges,
+        labels=labels,
+        community_graph=edges.community_graph(labels),
+        ref_modularity=0.625,
     )
 
 
@@ -156,7 +161,15 @@ class TestSnapshotCorruption:
         )
         labels = Partition.from_labels(np.array([0, 0, 1])).labels
         getattr(atomic_write_faults, mode)("snap_", **kwargs)
-        store.save(ServiceState(wal_seq=4, batch_seq=4, store=edges, labels=labels))
+        store.save(
+            ServiceState(
+                wal_seq=4,
+                batch_seq=4,
+                store=edges,
+                labels=labels,
+                community_graph=edges.community_graph(labels),
+            )
+        )
         assert atomic_write_faults.corrupted  # the fault must have fired
         state, n_invalid = store.load_latest()
         assert state is None and n_invalid == 1

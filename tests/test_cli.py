@@ -584,6 +584,34 @@ class TestVerbose:
         assert "communities" in capsys.readouterr().err
 
 
+class TestReplayVerify:
+    def test_verify_prints_every_check(self, tmp_path, capsys):
+        rc = main(
+            [
+                "replay",
+                "--data-dir",
+                str(tmp_path / "state"),
+                "--log",
+                str(tmp_path / "e.log"),
+                "--generate",
+                "--batches",
+                "6",
+                "--batch-size",
+                "16",
+                "--vertices",
+                "48",
+                "--snapshot-every",
+                "4",
+                "--verify",
+            ]
+        )
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert "verify: ok (" in err
+        assert "quality_matches=ok" in err
+        assert "community_graph_matches=ok" in err
+
+
 class TestMetricsOut:
     def test_detect_writes_prometheus_text(self, karate_file, tmp_path, capsys):
         out = tmp_path / "metrics.prom"
