@@ -366,11 +366,13 @@ class DetectionService:
         ``op`` defaults to all-inserts; ``seq`` to the next batch
         sequence.  Re-delivering an already-applied sequence is a
         no-op (``applied=False``) — the exactly-once contract; a gap
-        in sequences is an error.
+        in sequences is an error.  So is a vertex id the store cannot
+        hold (see :class:`~repro.stream.delta.EdgeBatch`): it raises
+        ``ValueError`` before anything is journaled.
         """
         if not self._opened:
             raise StreamStateError("service not open (call open() first)")
-        i = np.asarray(i, dtype=VERTEX_DTYPE).ravel()
+        i = np.asarray(i).ravel()
         if w is None:
             w = np.ones(len(i))
         if op is None:
@@ -726,13 +728,20 @@ class DetectionService:
 
     # --------------------------------------------------------------- close
     def close(self) -> None:
-        """Snapshot (if there is unsnapshotted state) and release the WAL."""
-        if self._opened and self.labels is not None:
-            on_disk = self.snapshots.seqs_on_disk()
-            if self.wal_seq > (on_disk[-1] if on_disk else 0):
-                self._snapshot()
-        self.wal.close()
-        self._opened = False
+        """Snapshot (if there is unsnapshotted state) and release the WAL.
+
+        The WAL is released and the service closed even when that final
+        snapshot fails; the error still propagates, and the unsnapshotted
+        batches stay in the WAL for the next :meth:`open` to replay.
+        """
+        try:
+            if self._opened and self.labels is not None:
+                on_disk = self.snapshots.seqs_on_disk()
+                if self.wal_seq > (on_disk[-1] if on_disk else 0):
+                    self._snapshot()
+        finally:
+            self.wal.close()
+            self._opened = False
 
     def __enter__(self) -> "DetectionService":
         return self

@@ -7,14 +7,17 @@ check with a ``np.unique`` count, and ``EdgeStore.apply`` with the
 ``unique`` + ``bincount`` fold kept below as the reference.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.errors import InvariantViolation
 from repro.graph.edgelist import EdgeList
+from repro.stream import delta
 from repro.stream.delta import WEIGHT_EPS, EdgeBatch, EdgeStore
 from repro.types import VERTEX_DTYPE, WEIGHT_DTYPE
 from repro.util.arrays import pair_order, renumber_dense, strictly_increasing
@@ -180,6 +183,18 @@ def reference_apply(store, batch):
 #: accumulation order shows in the bits.
 WEIGHTS = [0.1, 0.2, 0.3, 1.0 / 3.0, 0.5, 1.0, 2.5, 1e-3]
 
+#: ``EdgeStore.apply`` splices batches of up to ``_SPLICE_MAX_KEYS``
+#: distinct keys and assembles wider ones through shared masks.  A
+#: crossover of 0 sends every batch through the second, and one above
+#: any batch through the first.
+FORCED = {"vectorised": 0, "splice": 10**9}
+
+
+def _distinct_keys(batch):
+    lo = np.minimum(batch.i, batch.j)
+    hi = np.maximum(batch.i, batch.j)
+    return len(set(zip(lo.tolist(), hi.tolist())))
+
 
 @st.composite
 def batch_streams(draw):
@@ -188,12 +203,28 @@ def batch_streams(draw):
     for seq in range(1, draw(st.integers(1, 6)) + 1):
         # The vertex universe may grow with each batch.
         n += draw(st.integers(0, 4))
-        rows = draw(st.integers(1, 24))
-        pool = st.integers(0, n - 1)
-        i = draw(st.lists(pool, min_size=rows, max_size=rows))
-        j = draw(st.lists(pool, min_size=rows, max_size=rows))
-        w = draw(st.lists(st.sampled_from(WEIGHTS), min_size=rows, max_size=rows))
-        op = draw(st.lists(st.sampled_from([1, 1, -1]), min_size=rows, max_size=rows))
+        if draw(st.integers(0, 4)) == 0:
+            # About one batch in five is wider than the crossover: a few
+            # hundred rows over at least 64 vertices, drawn by a seeded
+            # generator so that most of their keys are distinct.
+            n = max(n, 64)
+            rows = draw(st.integers(300, 700))
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            i = rng.integers(0, n, rows).tolist()
+            j = rng.integers(0, n, rows).tolist()
+            w = rng.choice(WEIGHTS, rows).tolist()
+            op = rng.choice([1, 1, -1], rows).tolist()
+        else:
+            rows = draw(st.integers(1, 24))
+            pool = st.integers(0, n - 1)
+            i = draw(st.lists(pool, min_size=rows, max_size=rows))
+            j = draw(st.lists(pool, min_size=rows, max_size=rows))
+            w = draw(
+                st.lists(st.sampled_from(WEIGHTS), min_size=rows, max_size=rows)
+            )
+            op = draw(
+                st.lists(st.sampled_from([1, 1, -1]), min_size=rows, max_size=rows)
+            )
         if draw(st.booleans()):
             # Repeat rows in the same batch, with the opposite op: inserts
             # and deletes that cancel, and deletes that over-delete.
@@ -206,25 +237,59 @@ def batch_streams(draw):
     return batches
 
 
+def apply_and_compare(store, ref, batch):
+    """Apply ``batch`` to ``store`` and return the reference's next state,
+    after checking that the two agree bit for bit and that the arrays the
+    store held before the batch still hold the same bytes."""
+    held = (store.lo, store.hi, store.w)
+    before = [a.tobytes() for a in held]
+    ref, want_unmatched = reference_apply(ref, batch)
+    stats = store.apply(batch)
+    assert [a.tobytes() for a in held] == before
+    assert stats.n_unmatched_deletes == want_unmatched
+    assert store.n_vertices == ref.n_vertices
+    np.testing.assert_array_equal(store.lo, ref.lo)
+    np.testing.assert_array_equal(store.hi, ref.hi)
+    assert store.lo.dtype == store.hi.dtype == VERTEX_DTYPE
+    assert store.w.dtype == WEIGHT_DTYPE
+    np.testing.assert_array_equal(store.w.view(np.uint64), ref.w.view(np.uint64))
+    store.validate()
+    return ref
+
+
+def _events(seq, rows):
+    i, j, w, op = zip(*rows)
+    return EdgeBatch(seq=seq, i=i, j=j, w=w, op=op)
+
+
+def fold_and_compare(batches, crossover):
+    store, ref = EdgeStore.empty(), EdgeStore.empty()
+    with mock.patch.object(delta, "_SPLICE_MAX_KEYS", crossover):
+        for batch in batches:
+            ref = apply_and_compare(store, ref, batch)
+    return store
+
+
 class TestStoreApply:
     @given(batch_streams())
     @settings(max_examples=300, deadline=None)
     def test_equals_unique_bincount_fold(self, batches):
-        store = EdgeStore.empty()
-        ref = EdgeStore.empty()
-        for batch in batches:
-            ref, want_unmatched = reference_apply(ref, batch)
-            stats = store.apply(batch)
-            assert stats.n_unmatched_deletes == want_unmatched
-            assert store.n_vertices == ref.n_vertices
-            np.testing.assert_array_equal(store.lo, ref.lo)
-            np.testing.assert_array_equal(store.hi, ref.hi)
-            assert store.lo.dtype == store.hi.dtype == VERTEX_DTYPE
-            assert store.w.dtype == WEIGHT_DTYPE
-            np.testing.assert_array_equal(
-                store.w.view(np.uint64), ref.w.view(np.uint64)
-            )
-            store.validate()
+        fold_and_compare(batches, delta._SPLICE_MAX_KEYS)
+
+    @pytest.mark.parametrize("assembly", sorted(FORCED))
+    @given(batches=batch_streams())
+    @settings(max_examples=150, deadline=None)
+    def test_each_assembly_equals_unique_bincount_fold(self, assembly, batches):
+        fold_and_compare(batches, FORCED[assembly])
+
+    def test_streams_draw_batches_wider_than_the_crossover(self):
+        find(
+            batch_streams(),
+            lambda bs: any(
+                _distinct_keys(b) > delta._SPLICE_MAX_KEYS for b in bs
+            ),
+            settings=settings(max_examples=200, database=None),
+        )
 
     def test_named_cases_equal_reference(self):
         events = [
@@ -238,17 +303,40 @@ class TestStoreApply:
             # The vertex universe grows, and a key is deleted below zero.
             [(40, 1, 2.5, 1), (9, 9, 1e-3, -1), (0, 1, 0.6, -1)],
         ]
-        store, ref = EdgeStore.empty(), EdgeStore.empty()
-        unmatched = []
-        for seq, rows in enumerate(events, start=1):
-            i, j, w, op = zip(*rows)
-            batch = EdgeBatch(seq=seq, i=i, j=j, w=w, op=op)
+        batches = [_events(seq, rows) for seq, rows in enumerate(events, 1)]
+        ref, unmatched = EdgeStore.empty(), []
+        for batch in batches:
             ref, want = reference_apply(ref, batch)
-            unmatched.append(store.apply(batch).n_unmatched_deletes)
-            assert unmatched[-1] == want
-            assert store.equals(ref)
+            unmatched.append(want)
         assert unmatched == [0, 1, 1]
-        assert store.n_vertices == 41
+        for crossover in [delta._SPLICE_MAX_KEYS, *FORCED.values()]:
+            store = fold_and_compare(batches, crossover)
+            assert store.equals(ref) and store.n_vertices == 41
+
+    #: A base store of five rows, then one batch each.
+    BASE = [(1, 2, 0.5, 1), (1, 4, 1.0, 1), (2, 3, 0.1, 1), (3, 3, 2.5, 1),
+            (4, 6, 0.3, 1)]
+    SPLICES = {
+        # (1, 3) goes before row (1, 4), which the same batch drops.
+        "delete-and-insert-at-one-row": [(4, 1, 1.0, -1), (1, 3, 0.2, 1)],
+        "insert-before-first-and-after-last-row": [
+            (0, 0, 0.1, 1), (0, 5, 0.2, 1), (6, 5, 1.0 / 3.0, 1)],
+        "drop-every-row": [(1, 2, 0.5, -1), (4, 1, 1.0, -1), (2, 3, 0.1, -1),
+                           (3, 3, 2.5, -1), (6, 4, 0.3, -1)],
+        "update-only": [(2, 1, 0.2, 1), (3, 3, 0.3, -1), (6, 4, 0.1, 1)],
+        # (1, 3) goes before row (1, 4), whose weight the batch updates.
+        "insert-before-an-updated-row": [(1, 3, 0.2, 1), (1, 4, 0.5, 1)],
+        "only-new-vertices": [(9, 8, 0.3, 1), (7, 7, 0.1, 1), (12, 7, 0.2, 1)],
+    }
+
+    @pytest.mark.parametrize("assembly", sorted(FORCED))
+    @pytest.mark.parametrize("case", sorted(SPLICES))
+    def test_change_points(self, assembly, case):
+        batches = [_events(1, self.BASE), _events(2, self.SPLICES[case])]
+        store = fold_and_compare(batches, FORCED[assembly])
+        rows = {"drop-every-row": 0, "update-only": 5}.get(case)
+        if rows is not None:
+            assert store.n_edges == rows
 
     def test_touched_vertices_sorted_unique(self):
         batch = EdgeBatch.inserts(1, [5, 0, 5, 9], [0, 5, 9, 9])

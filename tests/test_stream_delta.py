@@ -9,6 +9,7 @@ import pytest
 from repro.errors import WalError
 from repro.stream.delta import (
     BATCH_SCHEMA_VERSION,
+    MAX_VERTICES,
     EdgeBatch,
     EdgeStore,
     decode_batch,
@@ -42,6 +43,55 @@ class TestEdgeBatch:
                 w=np.array([1.0]),
                 op=np.array([1], dtype=np.int8),
             )
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ([1.5], "integers"),
+            ([np.nan], "finite"),
+            ([np.inf], "finite"),
+            ([-1], "negative"),
+            ([-1.0], "negative"),
+            ([MAX_VERTICES], "not below"),
+            ([float(MAX_VERTICES)], "not below"),
+            (np.array([2**63], dtype=np.uint64), "not below"),
+            ([2**64], "not below"),
+        ],
+    )
+    def test_rejects_ids_the_store_cannot_hold(self, bad, match):
+        for i, j in [(bad, [0]), ([0], bad)]:
+            with pytest.raises(ValueError, match=match):
+                EdgeBatch(
+                    seq=1, i=i, j=j, w=[1.0], op=np.array([1], np.int8)
+                )
+        with pytest.raises(ValueError, match=match):
+            EdgeBatch.inserts(1, bad, [0])
+
+    def test_accepts_integral_ids_up_to_the_bound(self):
+        b = EdgeBatch.inserts(1, [0.0, 2.0, MAX_VERTICES - 1], [1, 2, 0])
+        assert b.i.dtype == VERTEX_DTYPE
+        np.testing.assert_array_equal(b.i, [0, 2, MAX_VERTICES - 1])
+        # The largest id folds into the store without overflowing a key.
+        store = EdgeStore.empty()
+        store.apply(b)
+        assert store.n_vertices == MAX_VERTICES
+        np.testing.assert_array_equal(store.lo, [0, 0, 2])
+        np.testing.assert_array_equal(store.hi, [1, MAX_VERTICES - 1, 2])
+        store.validate()
+
+    def test_decode_reports_a_journaled_bad_id_as_wal_error(self):
+        buf = io.BytesIO()
+        np.savez(
+            buf,
+            schema=np.int64(BATCH_SCHEMA_VERSION),
+            seq=np.int64(1),
+            i=np.array([3], dtype=np.int64),
+            j=np.array([2**40], dtype=np.int64),
+            w=np.ones(1),
+            op=np.ones(1, np.int8),
+        )
+        with pytest.raises(WalError, match="vertex id"):
+            decode_batch(buf.getvalue())
 
     def test_touched_vertices(self):
         b = _batch(1, [(0, 5), (5, 2)])

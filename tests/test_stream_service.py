@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import StreamStateError
+from repro.errors import StreamStateError, WalError
 from repro.metrics import Partition, coverage, modularity
 from repro.stream.delta import OP_DELETE, OP_INSERT
 from repro.stream.service import (
@@ -117,6 +117,61 @@ class TestIngest:
             assert svc.timeline.n_batches == 3
             assert [s.seq for s in svc.timeline.batches] == [1, 2, 3]
             assert all(np.isfinite(s.modularity) for s in svc.timeline.batches)
+
+
+class TestRejectedIds:
+    """A batch with an id the store cannot hold is refused before the
+    WAL append, so it can neither change the state nor brick recovery."""
+
+    @pytest.mark.parametrize(
+        "i, j",
+        [([1.5], [0]), ([3], [2**40])],
+        ids=["fractional", "beyond-key-range"],
+    )
+    def test_bad_id_raises_before_journaling(self, tmp_path, i, j):
+        svc = DetectionService(tmp_path, _cfg())
+        svc.open()
+        _feed(svc, n_batches=2)
+        records = [r.seq for r in svc.wal.records()]
+        wal_seq, store, labels = svc.wal_seq, svc.store.copy(), svc.labels.copy()
+        with pytest.raises(ValueError, match="vertex id"):
+            svc.ingest(i, j)
+        assert [r.seq for r in svc.wal.records()] == records
+        assert svc.wal_seq == wal_seq and svc.batch_seq == 2
+        assert svc.store.equals(store)
+        np.testing.assert_array_equal(svc.labels, labels)
+        svc.close()
+        with DetectionService(tmp_path, _cfg()) as again:
+            again.open()
+            assert again.batch_seq == 2
+            assert again.store.equals(store)
+            np.testing.assert_array_equal(again.labels, labels)
+
+
+class TestClose:
+    def test_failed_final_snapshot_still_releases_the_wal(
+        self, tmp_path, monkeypatch
+    ):
+        svc = DetectionService(tmp_path, _cfg())
+        svc.open()
+        _feed(svc, n_batches=3)  # snapshot_every=4: close() must write one
+        labels = svc.labels.copy()
+
+        def disk_full():
+            raise OSError("disk full")
+
+        monkeypatch.setattr(svc, "_snapshot", disk_full)
+        with pytest.raises(OSError, match="disk full"):
+            svc.close()
+        with pytest.raises(WalError, match="closed"):
+            svc.wal.append(b"late")
+        with pytest.raises(StreamStateError, match="open"):
+            svc.ingest(np.array([0]), np.array([1]))
+        # The unsnapshotted batches are still in the WAL.
+        with DetectionService(tmp_path, _cfg()) as again:
+            again.open()
+            assert again.report.wal_replayed == 3 and again.batch_seq == 3
+            np.testing.assert_array_equal(again.labels, labels)
 
 
 class TestRecovery:
