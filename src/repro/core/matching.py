@@ -11,10 +11,14 @@ Two implementations of the same locally-dominant matching:
   same work profile as scanning each worklist vertex's bucket.
 
   On long dominance chains the passes stop paying: each visits most live
-  edges again to match a few.  Once the edge visits reach
-  ``_SCAN_COST × |candidates|``, the residual live edges are sorted once by
-  (score desc, priority asc) and matched greedily in that order.  Under a
-  total order the sequential greedy matching *is* the locally dominant
+  edges again to match a few.  Before each pass the level decides, rent or
+  buy, whether to hand its residual live edges to one sorted greedy scan
+  instead (:func:`_scan_pays`): once the edge visits so far reach what the
+  scan would cost now, ``_SCAN_COST × |live|``, and the last pass retired
+  fewer than ``|live| / _SCAN_COST`` live edges, so the next pass would
+  save the scan less work than it costs.  The scan sorts the residual once
+  by (score desc, priority asc) and matches greedily in that order.  Under
+  a total order the sequential greedy matching *is* the locally dominant
   one, so the result is unchanged; the scan also replays the worklist's
   accounting exactly (an edge matches in round ``1 + max(h[u], h[v])``,
   ``h[x]`` being the latest match round of a neighbour that rejected
@@ -63,10 +67,15 @@ __all__ = [
 ]
 
 _SENTINEL_EDGE = np.iinfo(np.int64).max
-#: Edge visits per candidate edge after which the worklist hands its residual
-#: live edges to one sorted greedy scan.  The rent-or-buy point: an
-#: interpreted scan step (residual lexsort included) costs about as much as
-#: twelve vectorized visits of a live edge in a worklist pass.
+#: Price of the sorted greedy scan in worklist edge visits per residual
+#: edge, the rent-or-buy constant of :func:`_scan_pays`.  Measured on the
+#: 489k-edge planted level 0 of the benchmark (2-vCPU VM, NumPy 2.4), an
+#: interpreted scan step, its two-argsort ranking included, costs 7–9
+#: vectorized visits of a live edge in a pass.  Kept at 12 for margin: 8
+#: and 10 switch the planted levels within three passes of 12 and still
+#: scan no R-MAT level, while 6 already scans two to four R-MAT hub levels
+#: per input, whose passes speed up once the hubs are matched, and made
+#: R-MAT matching ~10% slower.
 _SCAN_COST = 12
 #: Residual edges the scan converts to Python ints at a time.
 _SCAN_CHUNK = 1 << 14
@@ -117,6 +126,34 @@ class MatchingResult:
         return len(self.matched_edges)
 
 
+def _scan_pays(visits: int, n_live: int, retired: int) -> bool:
+    """Whether one sorted scan should finish the level now.
+
+    ``visits`` are the level's edge visits so far, ``n_live`` the live
+    edges left and ``retired`` the live edges the last pass took out.
+    The scan of the residual costs about ``_SCAN_COST × n_live`` visits;
+    buy it once the passes have already paid that much and the last pass
+    retired fewer than ``n_live / _SCAN_COST`` edges, so the next pass
+    is predicted to save the scan less work than it costs.  Before the
+    first pass ``visits`` is 0 and the test cannot hold.
+    """
+    return visits >= _SCAN_COST * n_live and retired * _SCAN_COST < n_live
+
+
+def _rank_residual(live: np.ndarray, live_scores: np.ndarray) -> np.ndarray:
+    """The edges ``live`` in (score desc, priority asc) order.
+
+    ``live[np.lexsort((_edge_priority(live), -live_scores))]`` from two
+    argsorts, a quarter to a third faster on residuals of 286k–457k
+    edges: distinct edge indices have distinct priorities, so an order by
+    priority, re-sorted stably by score, breaks every score tie the same
+    way.
+    """
+    order = np.argsort(_edge_priority(live))
+    order = order[np.argsort(-live_scores[order], kind="stable")]
+    return live[order]
+
+
 def _greedy_scan(
     graph: CommunityGraph, scores: np.ndarray, live: np.ndarray
 ) -> tuple[np.ndarray, int, int]:
@@ -130,7 +167,7 @@ def _greedy_scan(
     lost ``r - 1`` claims, an unmatched one ``h``.
     """
     e = graph.edges
-    ranked = live[np.lexsort((_edge_priority(live), -scores[live]))]
+    ranked = _rank_residual(live, scores[live])
     n = graph.n_vertices
     rnd = [0] * n  # match round, 0 while free
     h = [0] * n
@@ -198,15 +235,11 @@ def _run_passes(
     # Once the passes stop paying, one sorted scan finishes the level.
     # Never with a recorder or on the legacy sweep: their per-pass
     # profile is what the simulated exhibits measure.
-    scan_budget = (
-        _SCAN_COST * len(candidates)
-        if recorder is None and not legacy_sweep
-        else np.inf
-    )
-    visits = 0
+    may_scan = recorder is None and not legacy_sweep
+    visits = retired = 0
     live = candidates
     while len(live):
-        if visits >= scan_budget:
+        if may_scan and _scan_pays(visits, len(live), retired):
             worklist_gauge.set(len(live))
             with tr.span("match_scan", residual_edges=len(live)) as scan_span:
                 won, rounds, failed = _greedy_scan(graph, scores, live)
@@ -319,6 +352,7 @@ def _run_passes(
             if not legacy_sweep:
                 keep = unmatched[u] & unmatched[v]
                 live = live[keep]
+                retired = len(keep) - len(live)
 
     matched = (
         np.concatenate(matched_edges)

@@ -2,7 +2,7 @@
 the 1/2-approximation guarantee on random graphs and scores, and identity
 of the scan-finished worklist with the full pass loop."""
 
-from fractions import Fraction
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -116,6 +116,16 @@ def _run_with_scan_cost(g, scores, cost, chunk=5):
     return res, tr
 
 
+def _run_with_predicate(g, scores, predicate, chunk=5):
+    """Run with ``predicate`` in place of the scan switch's test."""
+    tr = Tracer()
+    with mock.patch.object(matching, "_scan_pays", predicate), mock.patch.object(
+        matching, "_SCAN_CHUNK", chunk
+    ):
+        res = match_locally_dominant(g, scores, tracer=tr)
+    return res, tr
+
+
 def _assert_identical(res, ref):
     np.testing.assert_array_equal(res.partner, ref.partner)
     np.testing.assert_array_equal(res.matched_edges, ref.matched_edges)
@@ -123,19 +133,32 @@ def _assert_identical(res, ref):
     assert res.failed_claims == ref.failed_claims
 
 
+def _live_per_pass(tr):
+    """Live edges at the start of each executed pass, then 0."""
+    return [s.attrs["live_edges"] for s in tr.find("match_pass")] + [0]
+
+
 def _assert_every_switch_point_identical(g, scores):
-    """Switch after pass 0, 1, ... and compare each run with the full loop."""
-    ref, tr = _run_with_scan_cost(g, scores, NEVER)
+    """Switch before pass 1, 2, ... and compare each run with the full loop."""
+    asked = []
+    ref, tr = _run_with_predicate(g, scores, lambda *a: asked.append(a) or False)
     assert not tr.find("match_scan")
-    n_candidates = int(np.count_nonzero(scores > 0))
-    visits = np.cumsum([0] + [s.attrs["live_edges"] for s in tr.find("match_pass")])
-    assert len(visits) == ref.passes + 1
-    for k, v in enumerate(visits[:-1].tolist()):
-        # Exact fractional cost: the visit count reaches the budget right
-        # after pass k, so the scan finishes the remaining passes.
-        res, tr_k = _run_with_scan_cost(g, scores, Fraction(v, n_candidates))
+    assert len(asked) == ref.passes
+    # The test sees the visits so far, the live edges left and the last
+    # pass's yield, as the executed passes' spans count them.
+    live = _live_per_pass(tr)
+    for k, (visits, n_live, retired) in enumerate(asked):
+        assert visits == sum(live[:k])
+        assert n_live == live[k]
+        assert retired == (live[k - 1] - live[k] if k else 0)
+    for k in range(ref.passes):
+        # The test holds for the first time before pass k + 1, so the scan
+        # finishes the remaining passes.
+        calls = itertools.count()
+        res, tr_k = _run_with_predicate(g, scores, lambda *a: next(calls) == k)
         assert len(tr_k.find("match_pass")) == k
         (scan,) = tr_k.find("match_scan")
+        assert scan.attrs["residual_edges"] == live[k]
         assert k + scan.attrs["rounds"] == ref.passes
         _assert_identical(res, ref)
 
@@ -201,6 +224,53 @@ class TestScanSwitchIdentity:
         res, _ = _run_with_scan_cost(g, scores, cost)
         _assert_identical(res, ref)
 
+    def test_planted_level0_scans_at_first_paying_pass(self):
+        g = planted_partition_graph(2000, seed=0)
+        scores = ModularityScorer().score(g)
+        _, full = _run_with_scan_cost(g, scores, NEVER)
+        live = _live_per_pass(full)
+        cost = matching._SCAN_COST
+        # The first pass before which the visits so far reach the scan's
+        # cost and the last pass retired under 1/_SCAN_COST of the edges.
+        first = next(
+            k
+            for k in range(1, len(live) - 1)
+            if sum(live[:k]) >= cost * live[k]
+            and cost * (live[k - 1] - live[k]) < live[k]
+        )
+        tr = Tracer()
+        match_locally_dominant(g, scores, tracer=tr)
+        (scan,) = tr.find("match_scan")
+        assert len(tr.find("match_pass")) == first
+        assert scan.attrs["residual_edges"] == live[first]
+        assert first < len(live) - 2
+
+    def test_level_retiring_enough_each_pass_never_scans(self):
+        # Random multigraphs whose every pass retires at least a
+        # 1/_SCAN_COST share of its live edges; their visits reach the
+        # scan's cost long before they drain, so only the yield test
+        # keeps the passes going.
+        cost = matching._SCAN_COST
+        rng = np.random.default_rng(0)
+        for n, m in ((1000, 8000), (1000, 3000), (200, 600)):
+            i, j = rng.integers(0, n, (2, m))
+            g = from_edges(i, j, None, n_vertices=n)
+            scores = ModularityScorer().score(g)
+            ref, full = _run_with_scan_cost(g, scores, NEVER)
+            live = _live_per_pass(full)
+            assert all(
+                cost * (live[k] - live[k + 1]) >= live[k]
+                for k in range(len(live) - 1)
+            )
+            assert any(
+                sum(live[:k]) >= cost * live[k] for k in range(1, len(live) - 1)
+            )
+            tr = Tracer()
+            res = match_locally_dominant(g, scores, tracer=tr)
+            assert not tr.find("match_scan")
+            assert len(tr.find("match_pass")) == res.passes
+            _assert_identical(res, ref)
+
     def test_planted_level0_crosses_real_budget(self):
         g = planted_partition_graph(2000, seed=0)
         scores = ModularityScorer().score(g)
@@ -215,3 +285,37 @@ class TestScanSwitchIdentity:
         ref, _ = _run_with_scan_cost(g, scores, NEVER)
         _assert_identical(res, ref)
         assert is_maximal_matching(g, scores, res)
+
+
+# ------------------------------------------------------- residual ranking
+@st.composite
+def residual_with_scores(draw):
+    """Distinct, non-contiguous edge indices and their scores: tied
+    palettes, distinct floats or infinities."""
+    live = np.array(
+        sorted(draw(st.lists(st.integers(0, 2**40), unique=True, max_size=300))),
+        dtype=np.int64,
+    )
+    elements = draw(
+        st.sampled_from(
+            [
+                st.just(1.0),
+                st.sampled_from([0.5, 1.0, 2.0]),
+                st.sampled_from([0.25, 3.0, np.inf]),
+                st.floats(0.0, 1e300, exclude_min=True),
+                st.floats(0.0, exclude_min=True, allow_nan=False),
+            ]
+        )
+    )
+    return live, draw(hnp.arrays(np.float64, len(live), elements=elements))
+
+
+class TestResidualRanking:
+    @given(residual_with_scores())
+    @settings(max_examples=200, deadline=None)
+    def test_two_argsorts_equal_lexsort(self, args):
+        live, live_scores = args
+        expected = live[np.lexsort((matching._edge_priority(live), -live_scores))]
+        np.testing.assert_array_equal(
+            matching._rank_residual(live, live_scores), expected
+        )

@@ -344,3 +344,18 @@ class TestStoreApply:
         empty = EdgeBatch.inserts(1, [], [])
         assert empty.touched_vertices().dtype == VERTEX_DTYPE
         assert len(empty.touched_vertices()) == 0
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_touched_vertices_equal_unique(self, data):
+        # Dense ids (the largest near the id count, repeats likely) and
+        # sparse ones (the largest far above it).
+        m = data.draw(st.integers(1, 60))
+        top = data.draw(st.sampled_from([0, m, 2 * 2 * m, 10**6]))
+        ids = hnp.arrays(np.int64, m, elements=st.integers(0, top))
+        i, j = data.draw(ids), data.draw(ids)
+        if data.draw(st.booleans()):
+            i[0] = top
+        got = EdgeBatch.inserts(1, i, j).touched_vertices()
+        np.testing.assert_array_equal(got, np.unique(np.concatenate([i, j])))
+        assert got.dtype == VERTEX_DTYPE
