@@ -23,7 +23,7 @@ from repro.bench.ledger import (
     repetition_from_run,
     write_ledger,
 )
-from repro.obs import QualityTimeline, Tracer
+from repro.obs import Tracer
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 SEED = int(os.environ.get("REPRO_BENCH_SEED", "1"))
@@ -46,7 +46,7 @@ def datasets():
 def traced_runs(datasets):
     """One traced detection run per graph (default kernels).
 
-    Each run is wall-clock traced and quality-timelined, and dual-emits
+    Each run is wall-clock traced, and dual-emits
     a machine-readable ``BENCH_<dataset>.json`` ledger at the repo root
     alongside the ``.txt`` exhibits (see ``docs/OBSERVABILITY.md``).
     """
@@ -57,7 +57,6 @@ def traced_runs(datasets):
             graph,
             graph_name=name,
             tracer=Tracer(),
-            timeline=QualityTimeline(),
         )
         total_s = time.perf_counter() - t0
         record = RunRecord(

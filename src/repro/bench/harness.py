@@ -21,7 +21,7 @@ from repro.graph.graph import CommunityGraph
 from repro.obs.memprof import NullMemoryProfiler, PhaseMemoryProfiler
 from repro.obs.sinks import phase_totals
 from repro.obs.telemetry import NullTelemetry, TelemetrySampler
-from repro.obs.timeline import NullTimeline, QualityTimeline
+from repro.obs.timeline import QualityTimeline
 from repro.obs.trace import NullTracer, Tracer, as_tracer
 from repro.platform.kernels import TraceRecorder
 from repro.platform.machine import MachineModel
@@ -44,7 +44,8 @@ class TracedRun:
 
     ``recorder`` holds the *simulated* work profile used by the platform
     cost models; ``tracer``, when attached, holds the *real* wall-clock
-    spans of the same run (see :mod:`repro.obs`).
+    spans of the same run (see :mod:`repro.obs`), and :attr:`timeline`
+    is its per-level quality trajectory.
     """
 
     graph_name: str
@@ -53,7 +54,11 @@ class TracedRun:
     result: AgglomerationResult
     recorder: TraceRecorder
     tracer: Tracer | NullTracer | None = None
-    timeline: QualityTimeline | NullTimeline | None = None
+
+    @property
+    def timeline(self) -> QualityTimeline:
+        """The run's per-level quality trajectory, read off its result."""
+        return QualityTimeline.from_result(self.result)
 
     def phase_breakdown(self) -> dict[str, float] | None:
         """Measured seconds per pipeline phase for this run's spans.
@@ -101,7 +106,6 @@ def run_with_trace(
     matcher: str = "worklist",
     contractor: str = "bucket",
     tracer: Tracer | NullTracer | None = None,
-    timeline: QualityTimeline | NullTimeline | None = None,
     checkpoint_dir: str | None = None,
     resume: bool = False,
     guardian: "RunGuardian | NullGuardian | None" = None,
@@ -112,9 +116,7 @@ def run_with_trace(
 
     The wall-clock spans are rooted under a ``"run"`` span stamped with
     the graph name so several runs can share one tracer (the bench
-    exhibits sweep multiple graphs).  A ``timeline`` records the
-    per-level quality trajectory for the benchmark ledger (see
-    :mod:`repro.bench.ledger`).  ``checkpoint_dir``/``resume`` pass
+    exhibits sweep multiple graphs).  ``checkpoint_dir``/``resume`` pass
     straight through to :func:`~repro.core.agglomeration.detect_communities`
     so long benchmark runs survive interruption (see docs/RESILIENCE.md).
     ``guardian`` attaches a :class:`~repro.resilience.RunGuardian`
@@ -136,7 +138,6 @@ def run_with_trace(
             contractor=contractor,
             recorder=recorder,
             tracer=tr,
-            timeline=timeline,
             checkpoint_dir=checkpoint_dir,
             resume=resume,
             guardian=guardian,
@@ -157,7 +158,6 @@ def run_with_trace(
         result=result,
         recorder=recorder,
         tracer=tracer,
-        timeline=timeline,
     )
 
 

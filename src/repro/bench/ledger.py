@@ -229,10 +229,10 @@ def repetition_from_run(
 
     ``total_s`` is the externally measured end-to-end wall time of the
     repetition; phases come from the run's spans
-    (:meth:`~repro.bench.harness.TracedRun.phase_breakdown`), the
-    quality block from its timeline, and the attribution block
-    (:func:`repro.obs.attribution.attribute_run`) from its tracer,
-    when each was attached.  ``telemetry`` is the live sampler's
+    (:meth:`~repro.bench.harness.TracedRun.phase_breakdown`) and the
+    attribution block (:func:`repro.obs.attribution.attribute_run`)
+    from its tracer when one was attached, and the quality block from
+    its timeline.  ``telemetry`` is the live sampler's
     :meth:`~repro.obs.telemetry.TelemetrySampler.stats` block for this
     repetition, and ``memory`` the phase memory-attribution report
     (:meth:`~repro.obs.memprof.PhaseMemoryProfiler.report`) — both pass
@@ -249,11 +249,7 @@ def repetition_from_run(
     return Repetition(
         total_s=float(total_s),
         phases=run.phase_breakdown() or {},
-        quality=(
-            timeline.as_dict()
-            if timeline is not None and timeline.enabled
-            else None
-        ),
+        quality=timeline.as_dict() if timeline is not None else None,
         peak_rss_bytes=peak_rss_bytes(),
         n_levels=run.result.n_levels,
         n_communities=run.result.n_communities,

@@ -30,7 +30,7 @@ from repro.bench.ledger import (
 )
 from repro.core.registry import kernel_names
 from repro.generators import planted_partition_graph
-from repro.obs import QualityTimeline, Tracer
+from repro.obs import Tracer
 from repro.resilience.guardian import RunGuardian
 from repro.resilience.invariants import AUDIT_MODES
 
@@ -94,7 +94,6 @@ def run_smoke(
     )
     for _ in range(reps):
         tracer = Tracer()
-        timeline = QualityTimeline()
         # Fresh guardian per repetition: the ladder position and audit
         # counters must not leak across timed runs.
         guardian = RunGuardian(audit) if audit != "off" else None
@@ -121,7 +120,6 @@ def run_smoke(
                 matcher=matcher,  # type: ignore[arg-type]
                 contractor=contractor,  # type: ignore[arg-type]
                 tracer=tracer,
-                timeline=timeline,
                 guardian=guardian,
                 telemetry=sampler,
                 memprof=profiler,

@@ -46,6 +46,7 @@ from repro.graph import (
 from repro.graph.graph import CommunityGraph
 from repro.metrics import Partition, average_conductance, coverage, modularity
 from repro.obs import Tracer, as_tracer, render_profile, write_trace
+from repro.obs.metrics import render_prometheus, run_metrics
 from repro.resilience.guardian import RunGuardian
 from repro.resilience.invariants import AUDIT_MODES
 
@@ -137,7 +138,7 @@ def _emit_trace(
         )
     if getattr(args, "metrics_out", None):
         with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            fh.write(tracer.metrics.render_prometheus())
+            fh.write(render_prometheus(run_metrics(tracer.spans)))
         print(f"metrics: written to {args.metrics_out}", file=sys.stderr)
     if args.profile:
         print(render_profile(list(tracer.spans)), file=sys.stderr)

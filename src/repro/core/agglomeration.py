@@ -8,7 +8,7 @@ matching of positively-scored community pairs.
 
 The loop itself lives in :mod:`repro.core.engine` — a
 :class:`~repro.core.engine.RunContext` carries the cross-cutting
-services (tracer, timeline, recovery, checkpoints), phase
+services (tracer, recovery, checkpoints), phase
 kernels resolve by name through :mod:`repro.core.registry`, and
 :class:`~repro.core.engine.AgglomerationEngine` drives them.  This
 module keeps the historical one-call entry point:
@@ -26,7 +26,6 @@ distinguishes the platforms.
 from __future__ import annotations
 
 import os
-from typing import Callable
 
 from repro.core.engine import (
     AgglomerationEngine,
@@ -39,7 +38,6 @@ from repro.core.termination import TerminationCriteria
 from repro.graph.graph import CommunityGraph
 from repro.obs.memprof import NullMemoryProfiler, PhaseMemoryProfiler
 from repro.obs.telemetry import NullTelemetry, TelemetrySampler
-from repro.obs.timeline import NullTimeline, QualityTimeline
 from repro.obs.trace import NullTracer, Tracer
 from repro.platform.kernels import TraceRecorder
 from repro.resilience.guardian import NullGuardian, RunGuardian
@@ -59,8 +57,6 @@ def detect_communities(
     contractor: str = "bucket",
     recorder: TraceRecorder | None = None,
     tracer: Tracer | NullTracer | None = None,
-    timeline: QualityTimeline | NullTimeline | None = None,
-    progress: Callable[[LevelStats], None] | None = None,
     checkpoint_dir: str | os.PathLike | None = None,
     resume: bool = False,
     checkpoint_every: int = 1,
@@ -99,18 +95,10 @@ def detect_communities(
         spans (an ``"agglomeration"`` run-level span wrapping one
         ``"level"`` span per level with ``"score"`` / ``"match"`` /
         ``"contract"`` children, plus a ``"checkpoint_write"`` span per
-        persisted level).  ``None`` uses the zero-overhead
-        :data:`~repro.obs.NULL_TRACER`.
-    timeline:
-        Optional :class:`repro.obs.QualityTimeline` recording one
-        algorithm-quality sample per completed level (modularity,
-        coverage, community count, merge fraction, matching passes,
-        community-size histogram).  ``None`` uses the no-op
-        :data:`~repro.obs.NULL_TIMELINE`.  On ``resume`` the timeline
-        covers only the levels executed in this process.
-    progress:
-        Optional callback invoked with each level's :class:`LevelStats`
-        as it completes (long runs, CLI verbosity).
+        persisted level).  The run's counters, gauges and histograms
+        derive from these spans
+        (:func:`repro.obs.metrics.run_metrics`).  ``None`` uses the
+        zero-overhead :data:`~repro.obs.NULL_TRACER`.
     checkpoint_dir:
         When set, atomically persist the loop state after every
         ``checkpoint_every``-th completed level (see
@@ -143,7 +131,9 @@ def detect_communities(
         Final partition of the input graph, dendrogram, per-level stats,
         the terminal community graph, the reason the loop stopped, and
         the :class:`~repro.resilience.RecoveryReport` of recovery actions
-        taken along the way.
+        taken along the way.  A resumed run's result includes the levels
+        it restored.  :meth:`repro.obs.QualityTimeline.from_result` reads
+        the per-level quality trajectory off it.
     """
     engine = AgglomerationEngine(
         scorer,
@@ -153,11 +143,9 @@ def detect_communities(
     )
     ctx = RunContext.create(
         tracer=tracer,
-        timeline=timeline,
         recorder=recorder,
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=checkpoint_every,
-        progress=progress,
         guardian=guardian,
         telemetry=telemetry,
         memprof=memprof,

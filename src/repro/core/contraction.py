@@ -31,6 +31,7 @@ import numpy as np
 from repro.core.matching import MatchingResult
 from repro.graph.edgelist import EdgeList, parity_canonical
 from repro.graph.graph import CommunityGraph
+from repro.obs.metrics import Histogram
 from repro.obs.trace import NullTracer, Tracer, as_tracer
 from repro.platform.kernels import KernelRecord, TraceRecorder
 from repro.types import NO_VERTEX, VERTEX_DTYPE
@@ -62,9 +63,10 @@ def _build_contracted(
     """Shared relabel + accumulate path (both methods produce this).
 
     When a tracer is attached, each stage of the bucket-sort pipeline
-    gets its own span (§IV-C's relabel → bucket/sort → accumulate) and
-    the distribution of bucket sizes (edges per first endpoint) lands in
-    the ``contract.bucket_occupancy`` histogram.
+    gets its own span (§IV-C's relabel → bucket/sort → accumulate), and
+    the bucket-sort span carries the histogram of bucket sizes (edges per
+    first endpoint) as ``occupancy``, which the run's
+    ``contract.bucket_occupancy`` metric adds up.
     """
     tr = as_tracer(tracer)
     e = graph.edges
@@ -89,8 +91,10 @@ def _build_contracted(
     with tr.span("contract_bucket_sort") as sp:
         if tr.enabled and len(first):
             occupancy = np.bincount(first, minlength=k)
-            tr.histogram("contract.bucket_occupancy").observe_many(
-                occupancy[occupancy > 0]
+            h = Histogram("contract.bucket_occupancy")
+            h.observe_many(occupancy[occupancy > 0])
+            sp.set(
+                occupancy={"counts": h.counts, "total": h.total, "sum": h.sum}
             )
         order = pair_order(first, second, k)
         first = first[order]

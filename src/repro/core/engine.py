@@ -5,8 +5,8 @@ over a shrinking community graph (§III) — and this module is that
 pipeline as an explicit composition instead of a monolithic loop:
 
 * :class:`RunContext` owns every cross-cutting service a run needs
-  (tracer, quality timeline, recovery report, checkpoint manager,
-  simulated-work recorder, progress callback, RNG
+  (tracer, recovery report, checkpoint manager,
+  simulated-work recorder, RNG
   seed, logger) and is passed **once** through every layer, replacing
   the ad-hoc kwarg plumbing the driver had grown.
 * :class:`PhaseKernel` is the one protocol scorers, matchers and
@@ -15,9 +15,8 @@ pipeline as an explicit composition instead of a monolithic loop:
   a registration away.
 * :class:`AgglomerationEngine` runs the loop: termination checks,
   per-level spans, the ``max_community_size`` veto, dendrogram and
-  member-count bookkeeping, checkpoint/resume, and the quality
-  timeline — everything that is *driver* policy rather than kernel
-  arithmetic.
+  member-count bookkeeping, and checkpoint/resume: the loop's policy
+  rather than kernel arithmetic.
 
 :func:`repro.core.agglomeration.detect_communities` is a thin
 compatibility wrapper over this engine; see docs/ARCHITECTURE.md for
@@ -27,6 +26,7 @@ the layer diagram and extension guide.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 from typing import Any, Callable, Protocol, runtime_checkable
 
 import numpy as np
@@ -53,7 +53,6 @@ from repro.obs.telemetry import (
     TelemetrySampler,
     as_telemetry,
 )
-from repro.obs.timeline import NullTimeline, QualityTimeline, as_timeline
 from repro.obs.trace import NullTracer, Tracer, as_tracer
 from repro.platform.kernels import TraceRecorder
 from repro.resilience.checkpoint import CheckpointManager, CheckpointState
@@ -160,14 +159,12 @@ class RunContext:
 
     Built once (usually via :meth:`create`) and passed through every
     layer — engine and phase kernels — so no layer re-plumbs
-    tracer/timeline/recovery/checkpoint arguments individually.
+    tracer/recovery/checkpoint arguments individually.
 
     Attributes
     ----------
     tracer:
         Wall-clock span tracer (normalized; never ``None``).
-    timeline:
-        Per-level quality timeline (normalized; never ``None``).
     recovery:
         Accumulator for every recovery action taken during the run.
     recorder:
@@ -176,8 +173,6 @@ class RunContext:
         Optional checkpoint manager; ``None`` disables persistence.
     checkpoint_every:
         Persist every N-th completed level.
-    progress:
-        Optional per-level callback.
     seed:
         RNG seed associated with the run (stamped on the run span;
         kernels that randomize derive from it).
@@ -195,12 +190,10 @@ class RunContext:
     """
 
     tracer: Tracer | NullTracer
-    timeline: QualityTimeline | NullTimeline
     recovery: RecoveryReport = field(default_factory=RecoveryReport)
     recorder: TraceRecorder | None = None
     checkpoints: CheckpointManager | None = None
     checkpoint_every: int = 1
-    progress: Callable[[LevelStats], None] | None = None
     seed: int = 0
     log: Any = _log
     guardian: RunGuardian | NullGuardian = NULL_GUARDIAN
@@ -212,12 +205,10 @@ class RunContext:
         cls,
         *,
         tracer: Tracer | NullTracer | None = None,
-        timeline: QualityTimeline | NullTimeline | None = None,
         recorder: TraceRecorder | None = None,
         recovery: RecoveryReport | None = None,
         checkpoint_dir: Any = None,
         checkpoint_every: int = 1,
-        progress: Callable[[LevelStats], None] | None = None,
         seed: int = 0,
         guardian: RunGuardian | NullGuardian | None = None,
         telemetry: TelemetrySampler | NullTelemetry | None = None,
@@ -228,7 +219,6 @@ class RunContext:
             raise ValueError("checkpoint_every must be at least 1")
         return cls(
             tracer=as_tracer(tracer),
-            timeline=as_timeline(timeline),
             recovery=recovery if recovery is not None else RecoveryReport(),
             recorder=recorder,
             checkpoints=(
@@ -237,7 +227,6 @@ class RunContext:
                 else None
             ),
             checkpoint_every=checkpoint_every,
-            progress=progress,
             seed=seed,
             guardian=as_guardian(guardian),
             telemetry=as_telemetry(telemetry),
@@ -413,7 +402,6 @@ class AgglomerationEngine:
         if ctx is None:
             ctx = RunContext.create()
         tr = ctx.tracer
-        termination = self.termination
         guard = as_guardian(ctx.guardian)
         guard.bind(ctx, graph)
         # The live-telemetry sampler reads the recovery report off the
@@ -426,7 +414,6 @@ class AgglomerationEngine:
         levels: list[LevelStats] = []
         # Input vertices per community, for the max_community_size veto.
         member_counts = np.ones(graph.n_vertices, dtype=VERTEX_DTYPE)
-        terminated_by = "local_maximum"
 
         with tr.span(
             "agglomeration",
@@ -455,60 +442,34 @@ class AgglomerationEngine:
                     )
 
             try:
-                while current.n_vertices > 0:
-                    if current.n_vertices <= termination.min_communities:
-                        terminated_by = "min_communities"
+                while True:
+                    stop = self._stop_reason(current, levels)
+                    if stop is not None:
+                        terminated_by = stop
                         break
-                    if (
-                        termination.max_levels is not None
-                        and len(levels) >= termination.max_levels
-                    ):
-                        terminated_by = "max_levels"
-                        break
-                    stats, current, member_counts, terminated_by = (
-                        self._run_level(
-                            ctx,
-                            current,
-                            dendrogram,
-                            member_counts,
-                            level_idx=len(levels),
-                            guard=guard,
-                        )
+                    stats, current, member_counts = self._run_level(
+                        ctx,
+                        current,
+                        dendrogram,
+                        member_counts,
+                        level_idx=len(levels),
+                        guard=guard,
                     )
                     if stats is None:
+                        terminated_by = "local_maximum"
                         break
                     levels.append(stats)
                     self._after_level(
                         ctx, current, dendrogram, member_counts, levels
                     )
-                    if terminated_by is not None:
-                        break
-                    terminated_by = "local_maximum"
-                else:
-                    # Degenerate boundary: a vertexless graph has nothing
-                    # to agglomerate (equivalent to hitting the community
-                    # floor immediately).
-                    terminated_by = "min_communities"
             except RunAbortedError as exc:
                 # The guardian spent its last ladder rung.  Persist the
                 # completed levels when checkpointing is configured so
                 # the aborted run stays resumable, then re-raise with
                 # the forensics attached.
-                path = None
-                if ctx.checkpoints is not None and levels:
-                    path = ctx.checkpoints.save(
-                        CheckpointState(
-                            level=len(levels),
-                            graph=current,
-                            maps=list(dendrogram.maps),
-                            member_counts=member_counts,
-                            level_stats=[asdict(s) for s in levels],
-                            scorer_name=self.score_kernel.name,
-                        )
-                    )
-                    ctx.recovery.checkpoints_written += 1
-                    tr.counter("resilience.checkpoints_written").inc()
-                exc.checkpoint_path = path
+                exc.checkpoint_path = self._save_checkpoint(
+                    ctx, current, dendrogram, member_counts, levels
+                )
                 exc.report = ctx.recovery
                 run_span.set(
                     terminated_by="aborted",
@@ -540,6 +501,38 @@ class AgglomerationEngine:
         )
 
     # -------------------------------------------------------------- level
+    def _stop_reason(
+        self, current: CommunityGraph, levels: list[LevelStats]
+    ) -> str | None:
+        """Why the run stops before another level, or ``None`` to go on.
+
+        The coverage and stall criteria judge the last completed level,
+        whether this process ran it or restored it from a checkpoint, so
+        a resumed run stops where the uninterrupted run stopped.
+        """
+        termination = self.termination
+        if levels:
+            last = levels[-1]
+            if (
+                termination.coverage is not None
+                and last.coverage_after >= termination.coverage
+            ):
+                return "coverage"
+            if (
+                termination.min_merge_fraction is not None
+                and last.n_pairs < termination.min_merge_fraction * last.n_vertices
+            ):
+                return "stalled"
+        # A vertexless graph stops here too: min_communities is at least 1.
+        if current.n_vertices <= termination.min_communities:
+            return "min_communities"
+        if (
+            termination.max_levels is not None
+            and len(levels) >= termination.max_levels
+        ):
+            return "max_levels"
+        return None
+
     def _run_level(
         self,
         ctx: RunContext,
@@ -549,16 +542,12 @@ class AgglomerationEngine:
         *,
         level_idx: int,
         guard: RunGuardian | NullGuardian = NULL_GUARDIAN,
-    ) -> tuple[
-        LevelStats | None, CommunityGraph, np.ndarray, str | None
-    ]:
+    ) -> tuple[LevelStats | None, CommunityGraph, np.ndarray]:
         """One score → match → contract level.
 
-        Returns ``(stats, graph, member_counts, terminated_by)``;
-        ``stats=None`` means the run hit its local maximum inside the
-        level (no positive scores) and contributed no contraction.
-        ``terminated_by`` is non-``None`` when a post-level criterion
-        (coverage, stall) fired.
+        Returns ``(stats, graph, member_counts)``; ``stats=None`` means
+        the run hit its local maximum inside the level (no positive
+        scores) and contributed no contraction.
         """
         tr = ctx.tracer
         termination = self.termination
@@ -587,7 +576,7 @@ class AgglomerationEngine:
                     n_positive=n_positive,
                 )
             if n_positive == 0:
-                return None, current, member_counts, "local_maximum"
+                return None, current, member_counts
 
             ctx.telemetry.publish_phase("match", level_idx)
             with tr.span("match", level=level_idx) as sp:
@@ -662,32 +651,7 @@ class AgglomerationEngine:
                 n_pairs=matching.n_pairs,
                 coverage_after=cov,
             )
-            # Observed inside the level span so the metric's provenance
-            # nests with the spans it describes in exported traces.
-            tr.histogram("agglomeration.matching_passes").observe(
-                matching.passes
-            )
-
-        ctx.timeline.record_level(
-            level=stats.level,
-            n_vertices_entering=entering_v,
-            n_pairs=matching.n_pairs,
-            matching_passes=matching.passes,
-            n_communities=current.n_vertices,
-            modularity=stats.modularity_after,
-            coverage=cov,
-            member_counts=member_counts,
-        )
-
-        terminated_by: str | None = None
-        if termination.coverage is not None and cov >= termination.coverage:
-            terminated_by = "coverage"
-        elif (
-            termination.min_merge_fraction is not None
-            and matching.n_pairs < termination.min_merge_fraction * entering_v
-        ):
-            terminated_by = "stalled"
-        return stats, current, member_counts, terminated_by
+        return stats, current, member_counts
 
     # ------------------------------------------------------- housekeeping
     def _after_level(
@@ -698,32 +662,14 @@ class AgglomerationEngine:
         member_counts: np.ndarray,
         levels: list[LevelStats],
     ) -> None:
-        """Checkpointing, logging and progress after a completed level."""
+        """Telemetry, checkpointing and logging after a completed level."""
         stats = levels[-1]
-        tr = ctx.tracer
         ctx.telemetry.publish_phase("idle", stats.level)
         ctx.telemetry.publish_progress(len(levels), current.n_vertices)
-        if (
-            ctx.checkpoints is not None
-            and len(levels) % ctx.checkpoint_every == 0
-        ):
-            with tr.span("checkpoint_write", level=stats.level) as sp:
-                path = ctx.checkpoints.save(
-                    CheckpointState(
-                        level=len(levels),
-                        graph=current,
-                        maps=list(dendrogram.maps),
-                        member_counts=member_counts,
-                        level_stats=[asdict(s) for s in levels],
-                        scorer_name=self.score_kernel.name,
-                    )
-                )
-                sp.set(
-                    path=str(path),
-                    n_communities=current.n_vertices,
-                )
-            ctx.recovery.checkpoints_written += 1
-            tr.counter("resilience.checkpoints_written").inc()
+        if len(levels) % ctx.checkpoint_every == 0:
+            self._save_checkpoint(
+                ctx, current, dendrogram, member_counts, levels
+            )
         ctx.log.info(
             "level %d: %d -> %d communities, coverage %.3f",
             stats.level,
@@ -731,5 +677,34 @@ class AgglomerationEngine:
             current.n_vertices,
             stats.coverage_after,
         )
-        if ctx.progress is not None:
-            ctx.progress(stats)
+
+    def _save_checkpoint(
+        self,
+        ctx: RunContext,
+        current: CommunityGraph,
+        dendrogram: Dendrogram,
+        member_counts: np.ndarray,
+        levels: list[LevelStats],
+    ) -> Path | None:
+        """Persist the completed levels inside a ``checkpoint_write`` span.
+
+        Returns the checkpoint's path, or ``None`` when checkpointing is
+        off or no level has completed.
+        """
+        checkpoints = ctx.checkpoints
+        if checkpoints is None or not levels:
+            return None
+        with ctx.tracer.span("checkpoint_write", level=levels[-1].level) as sp:
+            path = checkpoints.save(
+                CheckpointState(
+                    level=len(levels),
+                    graph=current,
+                    maps=list(dendrogram.maps),
+                    member_counts=member_counts,
+                    level_stats=[asdict(s) for s in levels],
+                    scorer_name=self.score_kernel.name,
+                )
+            )
+            sp.set(path=str(path), n_communities=current.n_vertices)
+        ctx.recovery.checkpoints_written += 1
+        return path

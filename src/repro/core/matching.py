@@ -215,7 +215,6 @@ def _run_passes(
     max_passes: int | None = None,
 ) -> MatchingResult:
     tr = as_tracer(tracer)
-    worklist_gauge = tr.gauge("match.worklist_edges")
     e = graph.edges
     n = graph.n_vertices
     if len(scores) != e.n_edges:
@@ -240,7 +239,6 @@ def _run_passes(
     live = candidates
     while len(live):
         if may_scan and _scan_pays(visits, len(live), retired):
-            worklist_gauge.set(len(live))
             with tr.span("match_scan", residual_edges=len(live)) as scan_span:
                 won, rounds, failed = _greedy_scan(graph, scores, live)
                 scan_span.set(
@@ -268,7 +266,6 @@ def _run_passes(
             else:
                 scan_items = len(live)
             visits += scan_items
-            worklist_gauge.set(len(live))
             pass_span.set(items=scan_items, live_edges=len(live))
             if len(live) == 0:
                 break

@@ -4,11 +4,12 @@ Four layers:
 
 * :mod:`repro.obs.trace` — :class:`Tracer` / :class:`Span` nested
   wall-clock spans, with a zero-cost :class:`NullTracer` default;
-* :mod:`repro.obs.metrics` — counters, gauges, fixed-bucket histograms,
-  exportable in Prometheus text format;
+* :mod:`repro.obs.metrics` — :func:`run_metrics`, the run's counters,
+  gauges and fixed-bucket histograms derived from its spans, exportable
+  in Prometheus text format (:func:`render_prometheus`);
 * :mod:`repro.obs.timeline` — :class:`QualityTimeline`, the per-level
   algorithm-quality trajectory (modularity, coverage, merge fraction)
-  that the benchmark ledger embeds;
+  read off a run's result, which the benchmark ledger embeds;
 * :mod:`repro.obs.sinks` — schema-versioned JSONL export
   (:func:`write_trace` / :func:`read_trace`) and the per-level console
   profile table (:func:`render_profile`);
@@ -52,11 +53,9 @@ __getattr__, __dir__ = _lazy_exports(
         "consistency_report": "attribution",
         "hotspots": "attribution",
         "self_times": "attribution",
-        "Counter": "metrics",
-        "Gauge": "metrics",
         "Histogram": "metrics",
-        "MetricsRegistry": "metrics",
-        "NullMetricsRegistry": "metrics",
+        "render_prometheus": "metrics",
+        "run_metrics": "metrics",
         "NULL_MEMPROF": "memprof",
         "NullMemoryProfiler": "memprof",
         "PhaseMemoryProfiler": "memprof",
@@ -78,11 +77,8 @@ __getattr__, __dir__ = _lazy_exports(
         "as_telemetry": "telemetry",
         "read_status": "telemetry",
         "render_status": "telemetry",
-        "NULL_TIMELINE": "timeline",
         "LevelQuality": "timeline",
-        "NullTimeline": "timeline",
         "QualityTimeline": "timeline",
-        "as_timeline": "timeline",
     },
 )
 
@@ -95,14 +91,9 @@ __all__ = [
     "as_tracer",
     "LevelQuality",
     "QualityTimeline",
-    "NullTimeline",
-    "NULL_TIMELINE",
-    "as_timeline",
-    "Counter",
-    "Gauge",
     "Histogram",
-    "MetricsRegistry",
-    "NullMetricsRegistry",
+    "run_metrics",
+    "render_prometheus",
     "TraceData",
     "UnknownTraceRecordWarning",
     "write_trace",

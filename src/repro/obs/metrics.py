@@ -1,14 +1,12 @@
-"""Run metrics: counters, gauges, and fixed-bucket histograms.
+"""Run metrics, derived from the run's spans.
 
-A :class:`MetricsRegistry` is the scalar companion to the span tracer —
-quantities that are aggregates over a run rather than timed regions:
-how many matching passes each level took, how big the live worklist was,
-how occupied the contraction buckets were.  Everything is plain Python
-(no locks — the instrumented loops are vectorized numpy, so instrument
-calls happen a handful of times per level, not per element).
-
-``Null*`` twins back the :class:`~repro.obs.trace.NullTracer`: shared
-no-op instances so the untraced path neither allocates nor branches.
+The counters, gauges and histograms a run reports are not recorded on a
+channel of their own.  Each one is a view over attributes the
+instrumented code already stamps on its spans (:func:`run_metrics`), so
+a metric and the spans it summarizes cannot disagree, and an untraced
+run records nothing.  :class:`Histogram` is the fixed-bucket arithmetic
+those views and the quality timeline share; :func:`render_prometheus`
+renders a :func:`run_metrics` snapshot in the Prometheus text format.
 """
 
 from __future__ import annotations
@@ -16,68 +14,23 @@ from __future__ import annotations
 import bisect
 import math
 import re
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+if TYPE_CHECKING:
+    from repro.obs.trace import Span
+
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
-    "MetricsRegistry",
-    "NullMetricsRegistry",
     "DEFAULT_BUCKETS",
+    "run_metrics",
+    "render_prometheus",
 ]
 
 #: Power-of-two bucket upper bounds — a sensible default for count-like
 #: distributions (pass counts, bucket occupancies).
 DEFAULT_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
-
-
-class Counter:
-    """Monotonically increasing count."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        if n < 0:
-            raise ValueError("counters only increase; use a Gauge")
-        self.value += n
-
-
-class Gauge:
-    """Last-written value, with the min/max seen over the run.
-
-    ``set()`` is called once per pass/level with e.g. the live worklist
-    size; keeping the extremes means the summary can report the peak
-    without storing the series.
-    """
-
-    __slots__ = ("name", "value", "min", "max", "n_sets")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: float = 0.0
-        self.min: float = float("inf")
-        self.max: float = float("-inf")
-        self.n_sets = 0
-
-    def set(self, value: float) -> None:
-        value = float(value)
-        if math.isnan(value):
-            # A NaN would poison min/max/last and every downstream delta
-            # (ledger comparisons order on these values).
-            raise ValueError(f"gauge {self.name!r}: cannot set NaN")
-        self.value = value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        self.n_sets += 1
 
 
 class Histogram:
@@ -133,161 +86,139 @@ class Histogram:
     def mean(self) -> float:
         return self.sum / self.total if self.total else 0.0
 
-
-class MetricsRegistry:
-    """Get-or-create store of named metrics."""
-
-    def __init__(self) -> None:
-        self.counters: dict[str, Counter] = {}
-        self.gauges: dict[str, Gauge] = {}
-        self.histograms: dict[str, Histogram] = {}
-
-    def counter(self, name: str) -> Counter:
-        try:
-            return self.counters[name]
-        except KeyError:
-            c = self.counters[name] = Counter(name)
-            return c
-
-    def gauge(self, name: str) -> Gauge:
-        try:
-            return self.gauges[name]
-        except KeyError:
-            g = self.gauges[name] = Gauge(name)
-            return g
-
-    def histogram(
-        self, name: str, edges: Sequence[float] | None = None
-    ) -> Histogram:
-        try:
-            return self.histograms[name]
-        except KeyError:
-            h = self.histograms[name] = Histogram(
-                name, edges if edges is not None else DEFAULT_BUCKETS
-            )
-            return h
-
-    def render_prometheus(self, *, namespace: str = "repro") -> str:
-        """Render every metric in the Prometheus text exposition format.
-
-        Counters become ``<ns>_<name>_total``; gauges emit their last
-        value plus ``_min`` / ``_max`` companions; histograms emit the
-        standard cumulative ``_bucket{le=...}`` series with ``+Inf``,
-        ``_sum`` and ``_count``.  Metric names are sanitized to the
-        Prometheus charset (``.`` and other separators become ``_``).
-        """
-        lines: list[str] = []
-
-        def metric_name(name: str, suffix: str = "") -> str:
-            base = re.sub(r"[^a-zA-Z0-9_:]", "_", f"{namespace}_{name}")
-            return base + suffix
-
-        def fmt(value: float) -> str:
-            if value == float("inf"):
-                return "+Inf"
-            if value == float("-inf"):
-                return "-Inf"
-            return repr(float(value))
-
-        for name, c in sorted(self.counters.items()):
-            mname = metric_name(name, "_total")
-            lines.append(f"# TYPE {mname} counter")
-            lines.append(f"{mname} {c.value}")
-        for name, g in sorted(self.gauges.items()):
-            mname = metric_name(name)
-            lines.append(f"# TYPE {mname} gauge")
-            lines.append(f"{mname} {fmt(g.value)}")
-            if g.n_sets:
-                for suffix, v in (("_min", g.min), ("_max", g.max)):
-                    sname = metric_name(name, suffix)
-                    lines.append(f"# TYPE {sname} gauge")
-                    lines.append(f"{sname} {fmt(v)}")
-        for name, h in sorted(self.histograms.items()):
-            mname = metric_name(name)
-            lines.append(f"# TYPE {mname} histogram")
-            cumulative = 0
-            for edge, count in zip(h.edges, h.counts):
-                cumulative += count
-                lines.append(
-                    f'{mname}_bucket{{le="{fmt(edge)}"}} {cumulative}'
-                )
-            lines.append(f'{mname}_bucket{{le="+Inf"}} {h.total}')
-            lines.append(f"{mname}_sum {fmt(h.sum)}")
-            lines.append(f"{mname}_count {h.total}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def snapshot(self) -> dict:
-        """JSON-ready dump of every metric's current state."""
+    def as_dict(self) -> dict:
+        """JSON-ready ``edges`` / ``counts`` / ``total`` / ``sum``."""
         return {
-            "counters": {n: c.value for n, c in sorted(self.counters.items())},
-            "gauges": {
-                n: {
-                    "value": g.value,
-                    "min": g.min if g.n_sets else None,
-                    "max": g.max if g.n_sets else None,
-                    "n_sets": g.n_sets,
-                }
-                for n, g in sorted(self.gauges.items())
-            },
-            "histograms": {
-                n: {
-                    "edges": list(h.edges),
-                    "counts": list(h.counts),
-                    "total": h.total,
-                    "sum": h.sum,
-                }
-                for n, h in sorted(self.histograms.items())
-            },
+            "edges": list(self.edges),
+            "counts": list(self.counts),
+            "total": self.total,
+            "sum": self.sum,
         }
 
 
-# ------------------------------------------------------------- null twins
-class _NullCounter:
-    __slots__ = ()
-    value = 0
+def run_metrics(spans: Iterable["Span"]) -> dict:
+    """The run's counters, gauges and histograms, read off its spans.
 
-    def inc(self, n: int = 1) -> None:
-        return None
+    Returns ``{"counters": {name: int}, "gauges": {name: {"value",
+    "min", "max", "n_sets"}}, "histograms": {name: {"edges", "counts",
+    "total", "sum"}}}``, each sorted by name.  A metric appears only
+    when some span feeds it:
+
+    * ``guardian.checks``: Σ ``checks`` of the ``guardian_audit`` and
+      ``guardian_audit_quality`` spans;
+    * ``guardian.breaches`` / ``guardian.degradations``: the number of
+      ``guardian_breach`` / ``guardian_degrade`` spans;
+    * ``resilience.checkpoints_written``: the ``checkpoint_write`` spans
+      that stamped the ``path`` they wrote;
+    * ``match.worklist_edges`` (gauge): ``live_edges`` of every
+      ``match_pass`` and ``residual_edges`` of every ``match_scan``, in
+      completion order, so the last one is the value;
+    * ``agglomeration.matching_passes``: ``passes`` of every ``match``
+      span;
+    * ``contract.bucket_occupancy``: the per-level histograms the
+      ``contract_bucket_sort`` spans carry as ``occupancy``, added in
+      completion order.
+    """
+    counters: dict[str, int] = {}
+    worklist: list[float] = []
+    histograms: dict[str, Histogram] = {}
+
+    def count(name: str, n: int = 1) -> None:
+        counters[name] = counters.get(name, 0) + n
+
+    def histogram(name: str) -> Histogram:
+        if name not in histograms:
+            histograms[name] = Histogram(name)
+        return histograms[name]
+
+    for s in spans:
+        a = s.attrs
+        if s.name in ("guardian_audit", "guardian_audit_quality"):
+            if "checks" in a:
+                count("guardian.checks", a["checks"])
+        elif s.name == "guardian_breach":
+            count("guardian.breaches")
+        elif s.name == "guardian_degrade":
+            count("guardian.degradations")
+        elif s.name == "checkpoint_write":
+            if "path" in a:
+                count("resilience.checkpoints_written")
+        elif s.name == "match_pass":
+            if "live_edges" in a:
+                worklist.append(float(a["live_edges"]))
+        elif s.name == "match_scan":
+            worklist.append(float(a["residual_edges"]))
+        elif s.name == "match":
+            if "passes" in a:
+                histogram("agglomeration.matching_passes").observe(a["passes"])
+        elif s.name == "contract_bucket_sort":
+            if "occupancy" in a:
+                h = histogram("contract.bucket_occupancy")
+                part = a["occupancy"]
+                h.counts = [x + y for x, y in zip(h.counts, part["counts"])]
+                h.total += part["total"]
+                h.sum += part["sum"]
+
+    gauges: dict[str, dict] = {}
+    if worklist:
+        gauges["match.worklist_edges"] = {
+            "value": worklist[-1],
+            "min": min(worklist),
+            "max": max(worklist),
+            "n_sets": len(worklist),
+        }
+    return {
+        "counters": dict(sorted(counters.items())),
+        "gauges": gauges,
+        "histograms": {
+            n: h.as_dict() for n, h in sorted(histograms.items())
+        },
+    }
 
 
-class _NullGauge:
-    __slots__ = ()
-    value = 0.0
+def render_prometheus(snapshot: dict, *, namespace: str = "repro") -> str:
+    """Render a :func:`run_metrics` snapshot in the Prometheus text format.
 
-    def set(self, value: float) -> None:
-        return None
+    Counters become ``<ns>_<name>_total``; gauges emit their last
+    value plus ``_min`` / ``_max`` companions; histograms emit the
+    standard cumulative ``_bucket{le=...}`` series with ``+Inf``,
+    ``_sum`` and ``_count``.  Metric names are sanitized to the
+    Prometheus charset (``.`` and other separators become ``_``).
+    """
+    lines: list[str] = []
 
+    def metric_name(name: str, suffix: str = "") -> str:
+        base = re.sub(r"[^a-zA-Z0-9_:]", "_", f"{namespace}_{name}")
+        return base + suffix
 
-class _NullHistogram:
-    __slots__ = ()
-    total = 0
+    def fmt(value: float) -> str:
+        if value == float("inf"):
+            return "+Inf"
+        if value == float("-inf"):
+            return "-Inf"
+        return repr(float(value))
 
-    def observe(self, value: float) -> None:
-        return None
-
-    def observe_many(self, values) -> None:
-        return None
-
-
-_NULL_COUNTER = _NullCounter()
-_NULL_GAUGE = _NullGauge()
-_NULL_HISTOGRAM = _NullHistogram()
-
-
-class NullMetricsRegistry:
-    """No-op registry handing out shared null metric instances."""
-
-    def counter(self, name: str) -> _NullCounter:
-        return _NULL_COUNTER
-
-    def gauge(self, name: str) -> _NullGauge:
-        return _NULL_GAUGE
-
-    def histogram(self, name: str, edges=None) -> _NullHistogram:
-        return _NULL_HISTOGRAM
-
-    def render_prometheus(self, *, namespace: str = "repro") -> str:
-        return ""
-
-    def snapshot(self) -> dict:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
+    for name, value in snapshot["counters"].items():
+        mname = metric_name(name, "_total")
+        lines.append(f"# TYPE {mname} counter")
+        lines.append(f"{mname} {value}")
+    for name, g in snapshot["gauges"].items():
+        mname = metric_name(name)
+        lines.append(f"# TYPE {mname} gauge")
+        lines.append(f"{mname} {fmt(g['value'])}")
+        if g["n_sets"]:
+            for key in ("min", "max"):
+                sname = metric_name(name, f"_{key}")
+                lines.append(f"# TYPE {sname} gauge")
+                lines.append(f"{sname} {fmt(g[key])}")
+    for name, h in snapshot["histograms"].items():
+        mname = metric_name(name)
+        lines.append(f"# TYPE {mname} histogram")
+        cumulative = 0
+        for edge, count in zip(h["edges"], h["counts"]):
+            cumulative += count
+            lines.append(f'{mname}_bucket{{le="{fmt(edge)}"}} {cumulative}')
+        lines.append(f'{mname}_bucket{{le="+Inf"}} {h["total"]}')
+        lines.append(f"{mname}_sum {fmt(h['sum'])}")
+        lines.append(f"{mname}_count {h['total']}")
+    return "\n".join(lines) + ("\n" if lines else "")

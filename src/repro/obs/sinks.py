@@ -13,7 +13,8 @@ The JSONL format is one event object per line so traces stream and
   time-series sample, in record order — these interleave with the run's
   history rather than summarizing it;
 * one line per end-of-run metric: ``{"event": "counter" | "gauge" |
-  "histogram", "name": ..., ...}``;
+  "histogram", "name": ..., ...}``, derived from the spans by
+  :func:`~repro.obs.metrics.run_metrics`;
 * a trailer: ``{"event": "end", "n_spans": N}`` — its presence proves
   the trace was not truncated mid-write.
 
@@ -36,6 +37,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError
+from repro.obs.metrics import run_metrics
 from repro.obs.trace import (
     SCHEMA_VERSION,
     CounterSample,
@@ -109,7 +111,7 @@ def _sample_event(sample: CounterSample) -> dict:
 def write_trace(
     tracer: Tracer | NullTracer, path: str | os.PathLike, *, meta: dict | None = None
 ) -> int:
-    """Write a tracer's spans and metrics to a JSONL file, atomically.
+    """Write a tracer's spans and run metrics to a JSONL file, atomically.
 
     Returns the number of span events written.  Writing a
     :class:`NullTracer` produces a valid (empty) trace.
@@ -121,7 +123,7 @@ def write_trace(
     a file that would otherwise still parse cleanly up to the missing
     trailer.
     """
-    snapshot = tracer.metrics.snapshot()
+    snapshot = run_metrics(tracer.spans)
     n_spans = 0
     with atomic_write(path) as fh:
         fh.write(

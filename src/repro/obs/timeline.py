@@ -7,10 +7,10 @@ detection via per-iteration quality trajectories — modularity and
 coverage after every coarsening step — and the paper's own termination
 rule (coverage ≥ 0.5) is a statement about this trajectory.
 
-:class:`QualityTimeline` is the recorder
-:func:`~repro.core.agglomeration.detect_communities` fills when handed
-one (``timeline=``): one :class:`LevelQuality` sample per contraction
-level carrying
+:class:`QualityTimeline` is a view of a finished run:
+:meth:`QualityTimeline.from_result` reads one :class:`LevelQuality`
+sample per contraction level off an
+:class:`~repro.core.engine.AgglomerationResult`, carrying
 
 * ``modularity`` / ``coverage`` / ``mirror_coverage`` of the partition
   *after* the level's contraction;
@@ -24,18 +24,23 @@ level carrying
 
 The timeline serializes to/from plain dicts (``as_dict`` /
 ``from_dict``) and is what the benchmark ledger
-(:mod:`repro.bench.ledger`) embeds per repetition.  Like the tracer, a
-shared :data:`NULL_TIMELINE` no-op twin backs the ``timeline=None``
-path so the untimed loop neither allocates nor branches.
+(:mod:`repro.bench.ledger`) embeds per repetition.  The result exists
+whether or not the run was traced, and a resumed run's result holds
+the levels it restored, so every run has its whole trajectory.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.obs.metrics import Histogram
+from repro.types import VERTEX_DTYPE
+
+if TYPE_CHECKING:
+    from repro.core.engine import AgglomerationResult
 
 __all__ = [
     "TIMELINE_SCHEMA_VERSION",
@@ -45,9 +50,6 @@ __all__ = [
     "QualityTimeline",
     "BatchQuality",
     "StreamTimeline",
-    "NullTimeline",
-    "NULL_TIMELINE",
-    "as_timeline",
 ]
 
 #: Version of the timeline dict schema (embedded in ledger records).
@@ -86,52 +88,50 @@ def _size_histogram(member_counts: np.ndarray) -> dict:
     h = Histogram("community_sizes", edges=SIZE_HISTOGRAM_EDGES)
     arr = np.asarray(member_counts)
     h.observe_many(arr)
-    return {
-        "edges": list(h.edges),
-        "counts": list(h.counts),
-        "total": h.total,
-        "sum": h.sum,
-        "max": int(arr.max()) if arr.size else 0,
-    }
+    return {**h.as_dict(), "max": int(arr.max()) if arr.size else 0}
 
 
 class QualityTimeline:
-    """Accumulates one :class:`LevelQuality` per completed level."""
-
-    enabled = True
+    """One :class:`LevelQuality` per completed level of a run."""
 
     def __init__(self) -> None:
         self.levels: list[LevelQuality] = []
 
-    def record_level(
-        self,
-        *,
-        level: int,
-        n_vertices_entering: int,
-        n_pairs: int,
-        matching_passes: int,
-        n_communities: int,
-        modularity: float,
-        coverage: float,
-        member_counts: np.ndarray,
-    ) -> LevelQuality:
-        """Append the sample for one completed contraction level."""
-        sample = LevelQuality(
-            level=int(level),
-            n_communities=int(n_communities),
-            modularity=float(modularity),
-            coverage=float(coverage),
-            mirror_coverage=1.0 - float(coverage),
-            merge_fraction=(
-                float(n_pairs) / float(n_vertices_entering)
-                if n_vertices_entering > 0
-                else 0.0
-            ),
-            matching_passes=int(matching_passes),
-            community_sizes=_size_histogram(member_counts),
-        )
-        self.levels.append(sample)
-        return sample
+    @classmethod
+    def from_result(cls, result: "AgglomerationResult") -> "QualityTimeline":
+        """The trajectory of a finished run, one sample per level.
+
+        Quality and matching counts come from ``result.levels``; the
+        community sizes fold input-vertex counts over
+        ``result.dendrogram.maps`` with the bincount the engine uses for
+        its ``max_community_size`` veto.
+        """
+        tl = cls()
+        dendrogram = result.dendrogram
+        counts = np.ones(dendrogram.n_vertices, dtype=VERTEX_DTYPE)
+        for k, (stats, mapping) in enumerate(zip(result.levels, dendrogram.maps)):
+            n = dendrogram.communities_at(k + 1)
+            counts = np.bincount(
+                mapping, weights=counts, minlength=n
+            ).astype(VERTEX_DTYPE)
+            coverage = float(stats.coverage_after)
+            tl.levels.append(
+                LevelQuality(
+                    level=int(stats.level),
+                    n_communities=n,
+                    modularity=float(stats.modularity_after),
+                    coverage=coverage,
+                    mirror_coverage=1.0 - coverage,
+                    merge_fraction=(
+                        float(stats.n_pairs) / float(stats.n_vertices)
+                        if stats.n_vertices > 0
+                        else 0.0
+                    ),
+                    matching_passes=int(stats.matching_passes),
+                    community_sizes=_size_histogram(counts),
+                )
+            )
+        return tl
 
     @property
     def n_levels(self) -> int:
@@ -267,28 +267,3 @@ class StreamTimeline:
             tl.batches.append(BatchQuality(**d))
         return tl
 
-
-class NullTimeline:
-    """No-op twin for the ``timeline=None`` path."""
-
-    enabled = False
-    levels: tuple = ()
-    n_levels = 0
-    final = None
-
-    def record_level(self, **_kw) -> None:
-        return None
-
-    def as_dict(self) -> dict:
-        return {"version": TIMELINE_SCHEMA_VERSION, "levels": []}
-
-
-#: Shared default used by every ``timeline=None`` code path.
-NULL_TIMELINE = NullTimeline()
-
-
-def as_timeline(
-    timeline: "QualityTimeline | NullTimeline | None",
-) -> "QualityTimeline | NullTimeline":
-    """Normalize an optional timeline argument to a usable instance."""
-    return NULL_TIMELINE if timeline is None else timeline

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from types import TracebackType
 from typing import Any
 
-from repro.obs.metrics import MetricsRegistry, NullMetricsRegistry
 from repro.util.timing import Timer
 
 __all__ = [
@@ -188,10 +187,11 @@ class _SpanHandle:
 
 
 class Tracer:
-    """Collects nested wall-clock spans plus a metrics registry.
+    """Collects nested wall-clock spans.
 
-    Spans land on :attr:`spans` in completion order; metrics (counters,
-    gauges, histograms) live on :attr:`metrics`.  One tracer serves one
+    Spans land on :attr:`spans` in completion order; the run's counters,
+    gauges and histograms are views over them
+    (:func:`repro.obs.metrics.run_metrics`).  One tracer serves one
     logical run but may span several :func:`detect_communities` calls
     (the bench harness tags each with a ``"run"`` root span).
     """
@@ -205,7 +205,6 @@ class Tracer:
         #: ``list.append`` is atomic under the GIL, so no lock is
         #: needed between the sampler and the exporting main thread.
         self.counter_samples: list[CounterSample] = []
-        self.metrics = MetricsRegistry()
         #: Monotonic-clock epoch stamped on every span this tracer
         #: records, so spans align in exported traces.
         self.epoch_ns = time.monotonic_ns()
@@ -260,17 +259,6 @@ class Tracer:
         """The innermost open span, if any."""
         return self._stack[-1] if self._stack else None
 
-    # Convenience pass-throughs so instrumented code never needs to know
-    # whether it holds a Tracer or the NullTracer.
-    def counter(self, name: str):
-        return self.metrics.counter(name)
-
-    def gauge(self, name: str):
-        return self.metrics.gauge(name)
-
-    def histogram(self, name: str, edges=None):
-        return self.metrics.histogram(name, edges)
-
     def find(self, name: str) -> list[Span]:
         """All finished spans with the given name, in completion order."""
         return [s for s in self.spans if s.name == name]
@@ -303,17 +291,13 @@ class NullTracer:
 
     ``span()`` returns one module-level handle regardless of arguments,
     so the instrumented hot path costs a single attribute lookup and
-    call — no allocation, no ``monotonic_ns`` reads.  All metric
-    handles are shared no-ops too.
+    call — no allocation, no ``monotonic_ns`` reads.
     """
 
     enabled = False
     spans: tuple = ()
     counter_samples: tuple = ()
     epoch_ns = 0
-
-    def __init__(self) -> None:
-        self.metrics = NullMetricsRegistry()
 
     def span(self, name: str, **_kw: Any) -> _NullSpanHandle:
         return _NULL_HANDLE
@@ -324,15 +308,6 @@ class NullTracer:
     @property
     def current(self) -> None:
         return None
-
-    def counter(self, name: str):
-        return self.metrics.counter(name)
-
-    def gauge(self, name: str):
-        return self.metrics.gauge(name)
-
-    def histogram(self, name: str, edges=None):
-        return self.metrics.histogram(name, edges)
 
     def find(self, name: str) -> list:
         return []

@@ -25,10 +25,10 @@ phase boundaries:
   the next one aborts.  A run with audits ``off`` has nothing to lower,
   so its first breach aborts.  Every breach kind, a memory-budget
   breach included, walks the same ladder.  Every transition lands in
-  :attr:`RecoveryReport.ladder`, the
-  ``guardian.breaches`` / ``guardian.degradations`` counters, a
-  ``guardian_breach`` span, and a :class:`~repro.errors.GuardianBreach`
-  warning — degraded runs finish, but never silently; an aborted run
+  :attr:`RecoveryReport.ladder`, a ``guardian_breach`` and a
+  ``guardian_degrade`` span (which the ``guardian.breaches`` /
+  ``guardian.degradations`` run metrics count), and a
+  :class:`~repro.errors.GuardianBreach` warning — degraded runs finish, but never silently; an aborted run
   leaves a resumable checkpoint when checkpointing is configured.
 
 The default construction path (``guardian=None`` everywhere) resolves to
@@ -271,7 +271,6 @@ class RunGuardian:
         ) as sp:
             n = self.auditor.audit_contraction(level, **kwargs)
             sp.set(checks=n)
-        ctx.tracer.counter("guardian.checks").inc(n)
 
     def audit_quality(
         self,
@@ -305,7 +304,6 @@ class RunGuardian:
                 tracked_coverage=tracked_coverage,
             )
             sp.set(checks=n)
-        ctx.tracer.counter("guardian.checks").inc(n)
 
     # -------------------------------------------------------------- breaches
     def _breach(
@@ -315,7 +313,6 @@ class RunGuardian:
         ctx = self._require_ctx()
         reason = f"{kind}@level{level}"
         ctx.recovery.guardian_breaches += 1
-        ctx.tracer.counter("guardian.breaches").inc()
         with ctx.tracer.span(
             "guardian_breach", level=level, kind=kind, phase=phase
         ) as sp:
@@ -336,7 +333,6 @@ class RunGuardian:
             if applied:
                 transition = f"{rung}({reason})"
                 ctx.recovery.ladder.append(transition)
-                ctx.tracer.counter("guardian.degradations").inc()
                 with ctx.tracer.span("guardian_degrade", rung=rung) as sp:
                     sp.set(reason=reason, transition=transition)
                 ctx.log.warning("guardian degradation: %s", transition)
@@ -367,7 +363,6 @@ class RunGuardian:
         # re-raises.
         transition = f"abort({reason})"
         ctx.recovery.ladder.append(transition)
-        ctx.tracer.counter("guardian.degradations").inc()
         with ctx.tracer.span("guardian_degrade", rung="abort") as sp:
             sp.set(reason=reason, transition=transition)
         ctx.log.error("guardian degradation: %s", transition)
@@ -395,8 +390,8 @@ _NULL_PHASE_GUARD = _NullPhaseGuard()
 class NullGuardian:
     """Inert guardian: every hook is a no-op.
 
-    The default for unguarded runs — mirrors ``NullTracer`` /
-    ``NullTimeline`` so the engine never branches on ``None``.
+    The default for unguarded runs — mirrors ``NullTracer`` so the
+    engine never branches on ``None``.
     """
 
     enabled = False

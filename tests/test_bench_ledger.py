@@ -312,7 +312,10 @@ class TestSmoke:
         rep = repetition_from_run(run, 0.5)
         assert rep.total_s == 0.5
         assert rep.phases == {}
-        assert rep.quality is None
+        # The quality timeline comes from the result, traced or not.
+        assert rep.quality["levels"]
+        assert rep.quality == run.timeline.as_dict()
+        assert len(rep.quality["levels"]) == rep.n_levels
         assert rep.n_levels == run.result.n_levels
 
 

@@ -24,6 +24,7 @@ from repro.core import detect_communities
 from repro.errors import GuardianBreach, RunAbortedError
 from repro.generators import planted_partition_graph
 from repro.obs import Tracer
+from repro.obs.metrics import run_metrics
 from repro.resilience import FaultPlan, FaultSpec, RunGuardian
 from repro.resilience.guardian import _rss_mb
 
@@ -105,8 +106,15 @@ class TestStallDegradation:
         # forensics in the trace: one breach + one degrade span per rung
         assert len(tracer.find("guardian_breach")) == 2
         assert len(tracer.find("guardian_degrade")) == 2
+        counters = run_metrics(tracer.spans)["counters"]
+        assert counters["guardian.degradations"] == 2
+        # the abort's checkpoint is written inside a span like every
+        # other, so the trace, the report and the metric agree
         assert (
-            tracer.metrics.counter("guardian.degradations").value == 2
+            len(tracer.find("checkpoint_write"))
+            == exc.report.checkpoints_written
+            == counters["resilience.checkpoints_written"]
+            == 2
         )
 
     def test_aborted_run_resumes_to_the_baseline_answer(
@@ -183,8 +191,12 @@ class TestGuardedRunQuality:
         # the audits genuinely ran on every level
         audits = tracer.find("guardian_audit")
         assert len(audits) == result.n_levels
-        assert tracer.metrics.counter("guardian.checks").value >= (
-            4 * result.n_levels
+        checks = run_metrics(tracer.spans)["counters"]["guardian.checks"]
+        assert checks >= 4 * result.n_levels
+        assert checks == sum(
+            s.attrs["checks"]
+            for s in tracer.spans
+            if s.name.startswith("guardian_audit")
         )
 
     def test_degraded_run_still_passes_audits(self, graph):

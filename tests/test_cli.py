@@ -163,6 +163,7 @@ class TestDetect:
             "repro.obs.attribution",
             "repro.obs.perfetto",
             "repro.obs.report",
+            "repro.obs.timeline",
         )
         unexpected = [
             m for m in loaded if m in deferred or m.rsplit(".", 1)[0] in deferred
@@ -622,6 +623,27 @@ class TestMetricsOut:
         assert "# TYPE " in text
         assert "repro_match_worklist_edges" in text
         assert "repro_contract_bucket_occupancy_bucket" in text
+
+    def test_prometheus_and_trace_records_come_from_the_spans(
+        self, karate_file, tmp_path
+    ):
+        from repro.obs import read_trace, render_prometheus, run_metrics
+
+        prom, trace = tmp_path / "m.prom", tmp_path / "t.jsonl"
+        rc = main(
+            ["detect", karate_file, "--audit", "full", "--metrics-out",
+             str(prom), "--trace-out", str(trace)]
+        )
+        assert rc == 0
+        data = read_trace(trace)
+        records = {
+            "counters": data.counters,
+            "gauges": data.gauges,
+            "histograms": data.histograms,
+        }
+        assert records == run_metrics(data.spans)
+        assert records["counters"]["guardian.checks"] > 0
+        assert prom.read_text() == render_prometheus(records)
 
     def test_bench_accepts_metrics_out(self, tmp_path, capsys):
         out = tmp_path / "metrics.prom"

@@ -182,19 +182,6 @@ class TestVariants:
 
 
 class TestProgressCallback:
-    def test_progress_called_per_level(self, karate):
-        from repro import TerminationCriteria, detect_communities
-
-        seen = []
-        res = detect_communities(
-            karate,
-            termination=TerminationCriteria.local_maximum(),
-            progress=seen.append,
-        )
-        assert len(seen) == res.n_levels
-        assert [s.level for s in seen] == list(range(res.n_levels))
-        assert seen == res.levels
-
     def test_logging_emits_level_lines(self, karate, caplog):
         import logging
 

@@ -8,6 +8,7 @@ from repro.core.termination import TerminationCriteria
 from repro.bench.harness import run_with_trace
 from repro.generators import karate_club, planted_partition_graph
 from repro.obs import NULL_TRACER, Tracer
+from repro.obs.metrics import run_metrics
 from repro.util.timing import Timer
 
 
@@ -60,9 +61,14 @@ class TestAgglomerationSpans:
         )
         by_id = {s.span_id: s for s in tr.spans}
         assert all(by_id[s.parent_id].name == "match" for s in scans)
-        g = tr.metrics.gauges["match.worklist_edges"]
-        assert g.n_sets == len(passes) + len(scans)
-        assert g.max >= g.min >= 0
+        g = run_metrics(tr.spans)["gauges"]["match.worklist_edges"]
+        assert g["n_sets"] == len(passes) + len(scans)
+        assert g["max"] >= g["min"] >= 0
+        # The last worklist the run measured is its value.
+        last = [s for s in tr.spans if s.name in ("match_pass", "match_scan")][-1]
+        assert g["value"] == last.attrs.get(
+            "live_edges", last.attrs.get("residual_edges")
+        )
 
     def test_contraction_stage_spans_and_histogram(self, graph):
         tr = Tracer()
@@ -74,14 +80,27 @@ class TestAgglomerationSpans:
             "contract_accumulate",
         ):
             assert len(tr.find(stage)) == result.n_levels
-        hist = tr.metrics.histograms["contract.bucket_occupancy"]
-        assert hist.total > 0
+        hist = run_metrics(tr.spans)["histograms"]["contract.bucket_occupancy"]
+        assert hist["total"] > 0
+        # Bucket sizes add up to the edges the bucket sort placed, and
+        # there is one non-empty bucket per distinct first endpoint.
+        sorts = tr.find("contract_bucket_sort")
+        assert hist["sum"] == sum(s.items for s in sorts)
+        assert hist["total"] == sum(
+            s.attrs["occupancy"]["total"] for s in sorts
+        )
+        assert hist["total"] <= sum(
+            s.attrs["n_communities"] for s in tr.find("contract_map")
+        )
 
     def test_matching_pass_histogram(self, graph):
         tr = Tracer()
         result = detect_communities(graph, tracer=tr)
-        hist = tr.metrics.histograms["agglomeration.matching_passes"]
-        assert hist.total == result.n_levels
+        hist = run_metrics(tr.spans)["histograms"][
+            "agglomeration.matching_passes"
+        ]
+        assert hist["total"] == result.n_levels
+        assert hist["sum"] == sum(s.matching_passes for s in result.levels)
 
     def test_legacy_kernels_also_traced(self):
         g = karate_club()

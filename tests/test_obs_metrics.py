@@ -1,45 +1,142 @@
-"""Unit tests for counters, gauges, and histograms (repro.obs.metrics)."""
+"""Unit tests for the span-derived run metrics and histograms
+(repro.obs.metrics)."""
+
+import json
 
 import numpy as np
 import pytest
 
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
     Histogram,
-    MetricsRegistry,
-    NullMetricsRegistry,
+    render_prometheus,
+    run_metrics,
 )
+from repro.obs.trace import NULL_TRACER, Span
+
+
+def spans(*named):
+    """Finished spans from ``(name, attrs)`` pairs, in completion order."""
+    return [
+        Span(name=name, span_id=k, attrs=dict(attrs))
+        for k, (name, attrs) in enumerate(named)
+    ]
+
+
+def snapshot(counters=None, gauges=None, histograms=None):
+    return {
+        "counters": counters or {},
+        "gauges": gauges or {},
+        "histograms": histograms or {},
+    }
 
 
 class TestCounter:
     def test_increments(self):
-        c = Counter("x")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Counter("x").inc(-1)
+        snap = run_metrics(
+            spans(
+                ("guardian_audit", {"checks": 1}),
+                ("guardian_audit_quality", {"checks": 4}),
+                ("guardian_breach", {"kind": "phase_deadline"}),
+                ("guardian_degrade", {"rung": "lower-audit"}),
+                ("guardian_breach", {"kind": "memory_budget"}),
+                ("checkpoint_write", {"path": "level_00001.ckpt.npz"}),
+            )
+        )
+        assert snap["counters"] == {
+            "guardian.breaches": 2,
+            "guardian.checks": 5,
+            "guardian.degradations": 1,
+            "resilience.checkpoints_written": 1,
+        }
 
 
 class TestGauge:
     def test_tracks_last_min_max(self):
-        g = Gauge("x")
-        for v in (5, 2, 9):
-            g.set(v)
-        assert g.value == 9
-        assert g.min == 2
-        assert g.max == 9
-        assert g.n_sets == 3
+        snap = run_metrics(
+            spans(
+                ("match_pass", {"live_edges": 5}),
+                ("match_pass", {"live_edges": 2}),
+                ("match_scan", {"residual_edges": 9}),
+            )
+        )
+        assert snap["gauges"] == {
+            "match.worklist_edges": {
+                "value": 9.0,
+                "min": 2.0,
+                "max": 9.0,
+                "n_sets": 3,
+            }
+        }
 
-    def test_fresh_gauge_extremes(self):
-        g = Gauge("x")
-        assert g.n_sets == 0
-        assert g.min == float("inf")
-        assert g.max == float("-inf")
+
+class TestRunMetrics:
+    def test_no_spans_no_metrics(self):
+        empty = snapshot()
+        assert run_metrics([]) == empty
+        assert run_metrics(NULL_TRACER.spans) == empty
+        assert run_metrics(spans(("level", {"n_pairs": 3}))) == empty
+
+    def test_spans_without_their_attribute_feed_nothing(self):
+        # A span closed by an exception never stamped what the metric
+        # reads: an audit that raised, a checkpoint save that failed, a
+        # match whose matcher raised, a bucket sort of loops only.
+        snap = run_metrics(
+            spans(
+                ("guardian_audit", {"error": "InvariantViolation"}),
+                ("checkpoint_write", {"error": "OSError"}),
+                ("match", {"error": "ConvergenceError"}),
+                ("match_pass", {"pass_index": 1}),
+                ("contract_bucket_sort", {}),
+            )
+        )
+        assert snap == snapshot()
+
+    def test_matching_passes_histogram(self):
+        snap = run_metrics(
+            spans(
+                ("match", {"passes": 1}),
+                ("match", {"passes": 3}),
+                ("match", {"passes": 300}),
+            )
+        )
+        h = snap["histograms"]["agglomeration.matching_passes"]
+        assert h["edges"] == [float(e) for e in DEFAULT_BUCKETS]
+        assert h["counts"] == [1, 0, 1, 0, 0, 0, 0, 0, 0, 1]
+        assert h["total"] == 3
+        assert h["sum"] == 304.0
+
+    def test_occupancy_adds_levels_in_completion_order(self):
+        levels = [np.array([1, 1, 3, 40]), np.array([2, 600])]
+        parts = []
+        for occ in levels:
+            h = Histogram("level")
+            h.observe_many(occ)
+            parts.append({"counts": h.counts, "total": h.total, "sum": h.sum})
+        snap = run_metrics(
+            spans(*(("contract_bucket_sort", {"occupancy": p}) for p in parts))
+        )
+        whole = Histogram("contract.bucket_occupancy")
+        for occ in levels:
+            whole.observe_many(occ)
+        assert snap["histograms"]["contract.bucket_occupancy"] == whole.as_dict()
+
+    def test_snapshot_sorted_and_json_ready(self):
+        snap = run_metrics(
+            spans(
+                ("match", {"passes": 2}),
+                ("guardian_breach", {}),
+                ("contract_bucket_sort", {"occupancy": {
+                    "counts": [1] + [0] * 9, "total": 1, "sum": 1.0,
+                }}),
+                ("checkpoint_write", {"path": "p"}),
+                ("match_pass", {"live_edges": 4}),
+            )
+        )
+        assert list(snap) == ["counters", "gauges", "histograms"]
+        for section in snap.values():
+            assert list(section) == sorted(section)
+        assert json.loads(json.dumps(snap)) == snap
 
 
 class TestHistogramBucketEdges:
@@ -108,66 +205,7 @@ class TestObserveMany:
         assert h.total == 2
 
 
-class TestRegistry:
-    def test_get_or_create_returns_same_object(self):
-        reg = MetricsRegistry()
-        assert reg.counter("c") is reg.counter("c")
-        assert reg.gauge("g") is reg.gauge("g")
-        assert reg.histogram("h") is reg.histogram("h", edges=[99])
-
-    def test_histogram_custom_edges_on_create(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("h", edges=[3, 6])
-        assert h.edges == (3.0, 6.0)
-
-    def test_snapshot_shape(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc(2)
-        reg.gauge("g").set(1.5)
-        reg.histogram("h", edges=[1]).observe(0.5)
-        snap = reg.snapshot()
-        assert snap["counters"] == {"c": 2}
-        assert snap["gauges"]["g"]["value"] == 1.5
-        assert snap["gauges"]["g"]["n_sets"] == 1
-        assert snap["histograms"]["h"]["counts"] == [1, 0]
-
-    def test_snapshot_unset_gauge_has_null_extremes(self):
-        reg = MetricsRegistry()
-        reg.gauge("g")
-        snap = reg.snapshot()
-        assert snap["gauges"]["g"]["min"] is None
-        assert snap["gauges"]["g"]["max"] is None
-
-
-class TestNullRegistry:
-    def test_all_noops(self):
-        reg = NullMetricsRegistry()
-        reg.counter("c").inc(5)
-        reg.gauge("g").set(2)
-        reg.histogram("h").observe(1)
-        reg.histogram("h").observe_many([1, 2, 3])
-        assert reg.snapshot() == {
-            "counters": {},
-            "gauges": {},
-            "histograms": {},
-        }
-
-    def test_shared_instances(self):
-        reg = NullMetricsRegistry()
-        assert reg.counter("a") is reg.counter("b")
-        assert reg.histogram("a") is reg.histogram("b")
-
-
 class TestNaNRejection:
-    def test_gauge_rejects_nan(self):
-        g = Gauge("g")
-        g.set(1.0)
-        with pytest.raises(ValueError, match="NaN"):
-            g.set(float("nan"))
-        # state untouched by the rejected set
-        assert g.value == 1.0
-        assert g.n_sets == 1
-
     def test_histogram_observe_rejects_nan(self):
         h = Histogram("h", edges=[1, 2])
         with pytest.raises(ValueError, match="NaN"):
@@ -181,34 +219,29 @@ class TestNaNRejection:
             h.observe_many(np.array([1.0, np.nan, 2.0]))
         assert h.total == 0
 
-    def test_infinities_still_allowed_on_gauge(self):
-        g = Gauge("g")
-        g.set(float("inf"))
-        assert g.max == float("inf")
-
 
 class TestPrometheus:
     def test_counter_exposition(self):
-        reg = MetricsRegistry()
-        reg.counter("match.passes").inc(3)
-        text = reg.render_prometheus()
+        text = render_prometheus(snapshot(counters={"match.passes": 3}))
         assert "# TYPE repro_match_passes_total counter" in text
         assert "repro_match_passes_total 3" in text
 
     def test_gauge_exposition_with_extremes(self):
-        reg = MetricsRegistry()
-        reg.gauge("worklist").set(5)
-        reg.gauge("worklist").set(2)
-        text = reg.render_prometheus()
-        assert "repro_worklist 2.0" in text
-        assert "repro_worklist_min 2.0" in text
-        assert "repro_worklist_max 5.0" in text
+        snap = run_metrics(
+            spans(
+                ("match_pass", {"live_edges": 5}),
+                ("match_pass", {"live_edges": 2}),
+            )
+        )
+        text = render_prometheus(snap)
+        assert "repro_match_worklist_edges 2.0" in text
+        assert "repro_match_worklist_edges_min 2.0" in text
+        assert "repro_match_worklist_edges_max 5.0" in text
 
     def test_histogram_cumulative_buckets(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("sizes", edges=[1, 2, 4])
+        h = Histogram("sizes", edges=[1, 2, 4])
         h.observe_many([0.5, 1.5, 3, 100])
-        text = reg.render_prometheus()
+        text = render_prometheus(snapshot(histograms={"sizes": h.as_dict()}))
         assert '# TYPE repro_sizes histogram' in text
         assert 'repro_sizes_bucket{le="1.0"} 1' in text
         assert 'repro_sizes_bucket{le="2.0"} 2' in text
@@ -218,21 +251,22 @@ class TestPrometheus:
         assert "repro_sizes_sum 105.0" in text
 
     def test_name_sanitization_and_namespace(self):
-        reg = MetricsRegistry()
-        reg.counter("a.b-c/d").inc()
-        text = reg.render_prometheus(namespace="ns")
+        snap = snapshot(counters={"a.b-c/d": 1})
+        text = render_prometheus(snap, namespace="ns")
         assert "ns_a_b_c_d_total 1" in text
 
     def test_empty_registry_renders_empty(self):
-        assert MetricsRegistry().render_prometheus() == ""
-        assert NullMetricsRegistry().render_prometheus() == ""
+        assert render_prometheus(run_metrics([])) == ""
 
     def test_parseable_line_shape(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc()
-        reg.gauge("g").set(1)
-        reg.histogram("h", edges=[1]).observe(0.5)
-        for line in reg.render_prometheus().strip().splitlines():
+        snap = run_metrics(
+            spans(
+                ("guardian_breach", {}),
+                ("match_scan", {"residual_edges": 1}),
+                ("match", {"passes": 1}),
+            )
+        )
+        for line in render_prometheus(snap).strip().splitlines():
             if line.startswith("#"):
                 assert line.startswith("# TYPE ")
             else:

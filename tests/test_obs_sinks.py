@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.errors import ReproError
+from repro.obs.metrics import run_metrics
 from repro.obs.sinks import (
     UnknownTraceRecordWarning,
     phase_totals,
@@ -24,13 +25,14 @@ def make_tracer(n_levels: int = 2) -> Tracer:
             ):
                 with tr.span("score", level=lvl) as sp:
                     sp.set(items=400 >> lvl)
-                with tr.span("match", level=lvl):
-                    pass
+                with tr.span("match", level=lvl) as sp:
+                    with tr.span("match_pass", pass_index=1) as pp:
+                        pp.set(live_edges=37 >> lvl)
+                    sp.set(passes=1)
                 with tr.span("contract", level=lvl):
                     pass
-    tr.counter("levels").inc(n_levels)
-    tr.gauge("match.worklist_edges").set(37)
-    tr.histogram("h", edges=[1, 2]).observe(1.5)
+    with tr.span("guardian_breach", level=0, kind="phase_deadline"):
+        pass
     return tr
 
 
@@ -59,10 +61,18 @@ class TestRoundTrip:
         path = tmp_path / "t.jsonl"
         write_trace(tr, path)
         data = read_trace(path)
-        assert data.counters == {"levels": 2}
-        assert data.gauges["match.worklist_edges"]["value"] == 37
-        assert data.histograms["h"]["edges"] == [1, 2]
-        assert data.histograms["h"]["counts"] == [0, 1, 0]
+        assert data.counters == {"guardian.breaches": 1}
+        assert data.gauges["match.worklist_edges"] == {
+            "value": 18.0, "min": 18.0, "max": 37.0, "n_sets": 2,
+        }
+        h = data.histograms["agglomeration.matching_passes"]
+        assert h["counts"][0] == h["total"] == 2
+        # The records are the spans' metrics, and they survive a read.
+        assert {
+            "counters": data.counters,
+            "gauges": data.gauges,
+            "histograms": data.histograms,
+        } == run_metrics(tr.spans) == run_metrics(data.spans)
 
     def test_jsonl_one_object_per_line(self, tmp_path):
         path = tmp_path / "t.jsonl"

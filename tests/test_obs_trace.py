@@ -107,17 +107,6 @@ class TestAttributes:
         assert tr.find("missing") == []
 
 
-class TestMetricsPassthrough:
-    def test_counter_gauge_histogram(self):
-        tr = Tracer()
-        tr.counter("c").inc(5)
-        tr.gauge("g").set(3.5)
-        tr.histogram("h").observe(2)
-        assert tr.metrics.counters["c"].value == 5
-        assert tr.metrics.gauges["g"].value == 3.5
-        assert tr.metrics.histograms["h"].total == 1
-
-
 class TestNullTracer:
     def test_span_returns_shared_singleton(self):
         h1 = NULL_TRACER.span("a", level=1, foo="bar")
@@ -130,20 +119,6 @@ class TestNullTracer:
             assert sp.span is None
         assert NULL_TRACER.spans == ()
         assert NULL_TRACER.find("x") == []
-
-    def test_metrics_are_shared_noops(self):
-        c1 = NULL_TRACER.counter("a")
-        c2 = NULL_TRACER.counter("b")
-        assert c1 is c2
-        c1.inc(10)
-        assert c1.value == 0
-        NULL_TRACER.gauge("g").set(9)
-        NULL_TRACER.histogram("h").observe(1)
-        assert NULL_TRACER.metrics.snapshot() == {
-            "counters": {},
-            "gauges": {},
-            "histograms": {},
-        }
 
     def test_enabled_flags(self):
         assert Tracer().enabled is True

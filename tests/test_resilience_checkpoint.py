@@ -6,6 +6,7 @@ import pytest
 from repro.core import detect_communities
 from repro.core.termination import TerminationCriteria
 from repro.errors import CheckpointError
+from repro.generators import planted_partition_graph, rmat_graph
 from repro.resilience import (
     CHECKPOINT_SCHEMA_VERSION,
     CheckpointManager,
@@ -247,6 +248,43 @@ class TestResume:
             resumed.partition.labels, baseline.partition.labels
         )
         assert resumed.levels == baseline.levels
+
+    def _assert_resume_from_final_checkpoint_stops(
+        self, graph, termination, tmp_path, terminated_by
+    ):
+        full = detect_communities(
+            graph, termination=termination, checkpoint_dir=tmp_path
+        )
+        assert full.terminated_by == terminated_by
+        assert CheckpointManager(tmp_path).levels_on_disk()[-1] == full.n_levels
+        resumed = detect_communities(
+            graph, termination=termination, checkpoint_dir=tmp_path, resume=True
+        )
+        assert resumed.recovery.resumed_from_level == full.n_levels
+        np.testing.assert_array_equal(
+            resumed.partition.labels, full.partition.labels
+        )
+        assert resumed.levels == full.levels
+        assert resumed.terminated_by == full.terminated_by
+
+    def test_resume_after_coverage_stop_runs_no_further_level(self, tmp_path):
+        # 5 levels reach coverage 0.5 (109 communities); the criterion
+        # must also hold for the level the resume restores.
+        self._assert_resume_from_final_checkpoint_stops(
+            planted_partition_graph(3000, seed=5),
+            TerminationCriteria(coverage=0.5),
+            tmp_path,
+            "coverage",
+        )
+
+    def test_resume_after_stall_runs_no_further_level(self, tmp_path):
+        # Level 9 merges under a tenth of its communities.
+        self._assert_resume_from_final_checkpoint_stops(
+            rmat_graph(10, 8, seed=1),
+            TerminationCriteria.paper_experiments(),
+            tmp_path,
+            "stalled",
+        )
 
     def test_resume_from_empty_dir_runs_fresh(self, karate, tmp_path):
         full = detect_communities(karate)

@@ -18,6 +18,7 @@ from repro.core.engine import RunContext
 from repro.core.matching import MatchingResult, match_locally_dominant
 from repro.errors import GuardianBreach, RunAbortedError
 from repro.obs import Tracer
+from repro.obs.metrics import run_metrics
 from repro.resilience import RecoveryReport
 from repro.resilience.guardian import (
     LADDER_RUNGS,
@@ -135,8 +136,9 @@ class TestWatchdog:
         assert breach[0].level == 1
         degrade = ctx.tracer.find("guardian_degrade")
         assert len(degrade) == 1
-        assert ctx.tracer.metrics.counter("guardian.breaches").value == 1
-        assert ctx.tracer.metrics.counter("guardian.degradations").value == 1
+        counters = run_metrics(ctx.tracer.spans)["counters"]
+        assert counters["guardian.breaches"] == 1
+        assert counters["guardian.degradations"] == 1
 
 
 class TestStallDetector:
@@ -259,7 +261,9 @@ class TestAuditHooks:
         assert len(spans) == 1
         n = spans[0].attrs["checks"]
         assert n >= 5
-        assert ctx.tracer.metrics.counter("guardian.checks").value == n
+        assert run_metrics(ctx.tracer.spans)["counters"] == {
+            "guardian.checks": n
+        }
 
     def test_audit_quality_defers_partition_build(self, level):
         karate, scores, matching, mapping, after = level
