@@ -79,12 +79,14 @@ def community_summary(
     li = labels[e.ei]
     lj = labels[e.ej]
     internal_mask = li == lj
-    internal = group_reduce_sum(li[internal_mask], e.w[internal_mask], k)
+    inside = internal_mask.nonzero()[0]
+    internal = group_reduce_sum(li[inside], e.w[inside], k)
     internal += group_reduce_sum(labels, graph.self_weights, k)
 
-    cross = ~internal_mask
-    cut = group_reduce_sum(li[cross], e.w[cross], k)
-    cut += group_reduce_sum(lj[cross], e.w[cross], k)
+    cross = (~internal_mask).nonzero()[0]
+    w_cross = e.w[cross]
+    cut = group_reduce_sum(li[cross], w_cross, k)
+    cut += group_reduce_sum(lj[cross], w_cross, k)
 
     volume = 2.0 * internal + cut
 

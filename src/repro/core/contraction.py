@@ -5,10 +5,14 @@ edge's endpoints through the match map, re-apply the parity hash, bucket by
 the first stored endpoint (an atomic fetch-and-add per edge — no locks),
 sort within buckets by the second endpoint, accumulate duplicates, and copy
 back out.  Our vectorized expression fuses bucketing and in-bucket sorting
-into one radix pair order (:func:`~repro.util.arrays.pair_order`: a stable
-LSD radix over 16-bit digits of the key ``first * k + second``, each digit
-a counting sort) plus a segmented reduction, touching each edge O(1) times
-per digit like the paper's linear-time bucket sort.
+into one stable LSD radix sort (:func:`~repro.util.arrays.radix_order`,
+each 16-bit digit a counting sort) of the int64 key ``first * k + second``,
+computed as ``first * (k - 1) + lo + hi`` from the pair's smaller and
+larger endpoint, plus a segmented reduction, touching each edge O(1) times
+per digit like the paper's linear-time bucket sort.  Only the key and the
+weights are permuted; the endpoints are split back out of the summed keys.
+When ``k * k`` overflows int64 the key is held as Python ints and the
+pairs are ordered by ``np.lexsort``.
 
 :func:`contract_hash_chains` is the *legacy* method due to John T. Feo:
 edges go into linked lists selected by an endpoint hash; each insertion
@@ -29,13 +33,23 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.matching import MatchingResult
-from repro.graph.edgelist import EdgeList, parity_canonical
+from repro.graph.edgelist import (
+    EdgeList,
+    parity_canonical,
+    parity_min_first,
+)
 from repro.graph.graph import CommunityGraph
 from repro.obs.metrics import Histogram
 from repro.obs.trace import NullTracer, Tracer, as_tracer
 from repro.platform.kernels import KernelRecord, TraceRecorder
 from repro.types import NO_VERTEX, VERTEX_DTYPE
-from repro.util.arrays import pair_order, renumber_dense, segment_starts
+from repro.util.arrays import (
+    INT64_MAX,
+    radix_digits,
+    radix_order,
+    renumber_dense,
+    segment_starts,
+)
 
 __all__ = ["contract", "contract_hash_chains"]
 
@@ -80,13 +94,24 @@ def _build_contracted(
         new_self = np.bincount(
             mapping, weights=graph.self_weights, minlength=k
         )
-        if loops.any():
-            new_self += np.bincount(ni[loops], weights=e.w[loops], minlength=k)
+        at = loops.nonzero()[0]
+        if len(at):
+            new_self += np.bincount(ni[at], weights=e.w[at], minlength=k)
 
+        # All but a few percent of the edges survive, and a boolean mask
+        # that keeps nearly every element compacts as fast as an index
+        # gather (see the module docstring of repro.util.arrays).
         keep = ~loops
-        first, second = parity_canonical(ni[keep], nj[keep])
         w = e.w[keep]
-        sp.set(items=e.n_edges, n_loops=int(np.count_nonzero(loops)))
+        ni = ni[keep]
+        nj = nj[keep]
+        lo = np.minimum(ni, nj)
+        hi = np.maximum(ni, nj)
+        # Each array dropped here or below before the sort lowers the
+        # contraction's peak memory.
+        del loops, keep, ni, nj
+        first = np.where(parity_min_first(lo, hi), lo, hi)
+        sp.set(items=e.n_edges, n_loops=len(at))
 
     with tr.span("contract_bucket_sort") as sp:
         if tr.enabled and len(first):
@@ -96,20 +121,33 @@ def _build_contracted(
             sp.set(
                 occupancy={"counts": h.counts, "total": h.total, "sum": h.sum}
             )
-        order = pair_order(first, second, k)
-        first = first[order]
-        second = second[order]
+        if k * k <= INT64_MAX:
+            # first * k + second, as first + second = lo + hi
+            key = first * (k - 1)
+            key += lo
+            key += hi
+            del first, lo, hi
+            order = radix_order(radix_digits(key, k))
+        else:
+            # The key overflows int64: hold it as Python ints and sort
+            # the pairs themselves.
+            second = lo + hi - first
+            key = first.astype(object) * k + second
+            order = np.lexsort((second, first))
+        key = key[order]
         w = w[order]
-        sp.set(items=len(first))
+        sp.set(items=len(key))
 
     with tr.span("contract_accumulate") as sp:
-        if len(first):
-            starts = segment_starts(first * np.int64(k) + second)
+        if len(key):
+            starts = segment_starts(key)
             w = np.add.reduceat(w, starts)
-            first = first[starts]
-            second = second[starts]
-        edges = EdgeList._from_grouped(first, second, w, k)
-        sp.set(items=len(first))
+            key = key[starts]
+        first = key // k
+        edges = EdgeList._from_grouped(
+            first.astype(VERTEX_DTYPE, copy=False), key - first * k, w, k
+        )
+        sp.set(items=len(w))
     return CommunityGraph(edges, new_self.astype(np.float64, copy=False))
 
 

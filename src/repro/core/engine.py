@@ -414,6 +414,9 @@ class AgglomerationEngine:
         levels: list[LevelStats] = []
         # Input vertices per community, for the max_community_size veto.
         member_counts = np.ones(graph.n_vertices, dtype=VERTEX_DTYPE)
+        # (levels, path) of the newest checkpoint this run has written or
+        # resumed from.
+        saved: tuple[int, Path] | None = None
 
         with tr.span(
             "agglomeration",
@@ -433,6 +436,8 @@ class AgglomerationEngine:
                         state.member_counts, dtype=VERTEX_DTYPE
                     )
                     levels = [LevelStats(**d) for d in state.level_stats]
+                    # The loaded checkpoint holds these levels already.
+                    saved = (len(levels), ctx.checkpoints.path_for(state.level))
                     ctx.recovery.resumed_from_level = state.level
                     run_span.set(resumed_from_level=state.level)
                     ctx.log.info(
@@ -459,17 +464,22 @@ class AgglomerationEngine:
                         terminated_by = "local_maximum"
                         break
                     levels.append(stats)
-                    self._after_level(
+                    path = self._after_level(
                         ctx, current, dendrogram, member_counts, levels
                     )
+                    if path is not None:
+                        saved = (len(levels), path)
             except RunAbortedError as exc:
                 # The guardian spent its last ladder rung.  Persist the
-                # completed levels when checkpointing is configured so
-                # the aborted run stays resumable, then re-raise with
-                # the forensics attached.
-                exc.checkpoint_path = self._save_checkpoint(
-                    ctx, current, dendrogram, member_counts, levels
-                )
+                # completed levels when checkpointing is configured and
+                # they are not saved yet, so the aborted run stays
+                # resumable, then re-raise with the forensics attached.
+                if saved is not None and saved[0] == len(levels):
+                    exc.checkpoint_path = saved[1]
+                else:
+                    exc.checkpoint_path = self._save_checkpoint(
+                        ctx, current, dendrogram, member_counts, levels
+                    )
                 exc.report = ctx.recovery
                 run_span.set(
                     terminated_by="aborted",
@@ -661,13 +671,17 @@ class AgglomerationEngine:
         dendrogram: Dendrogram,
         member_counts: np.ndarray,
         levels: list[LevelStats],
-    ) -> None:
-        """Telemetry, checkpointing and logging after a completed level."""
+    ) -> Path | None:
+        """Telemetry, checkpointing and logging after a completed level.
+
+        Returns the path of the checkpoint written, or ``None``.
+        """
         stats = levels[-1]
         ctx.telemetry.publish_phase("idle", stats.level)
         ctx.telemetry.publish_progress(len(levels), current.n_vertices)
+        path = None
         if len(levels) % ctx.checkpoint_every == 0:
-            self._save_checkpoint(
+            path = self._save_checkpoint(
                 ctx, current, dendrogram, member_counts, levels
             )
         ctx.log.info(
@@ -677,6 +691,7 @@ class AgglomerationEngine:
             current.n_vertices,
             stats.coverage_after,
         )
+        return path
 
     def _save_checkpoint(
         self,

@@ -10,6 +10,14 @@ Two implementations of the same locally-dominant matching:
   shrinking set of *live* edges (both endpoints unmatched) per pass — the
   same work profile as scanning each worklist vertex's bucket.
 
+  A pass sweeps the live edges twice, for each vertex's best score and
+  then for the least priority among the edges at that score, and settles
+  the claims per vertex: a vertex's slot holds the priority of the one
+  edge it claims, :func:`_edge_of` reads that edge back, and the claim
+  wins when the edge's other endpoint holds the same priority.  Partners,
+  matched edges and failed claims come from these claimer-length arrays;
+  the live list shrinks by one index gather.
+
   On long dominance chains the passes stop paying: each visits most live
   edges again to match a few.  Before each pass the level decides, rent or
   buy, whether to hand its residual live edges to one sorted greedy scan
@@ -80,6 +88,8 @@ _SCAN_COST = 12
 #: Residual edges the scan converts to Python ints at a time.
 _SCAN_CHUNK = 1 << 14
 _MIX_MULTIPLIER = np.int64(-7046029254386353131)  # 0x9E3779B97F4A7C15 as int64
+#: The inverse of ``_MIX_MULTIPLIER`` mod 2**64.
+_MIX_INVERSE = np.int64(-1018231460777725123)
 
 
 def _edge_priority(edge_index: np.ndarray) -> np.ndarray:
@@ -92,9 +102,18 @@ def _edge_priority(edge_index: np.ndarray) -> np.ndarray:
     count.  Random priorities cut dominance chains to expected O(log n)
     passes (the same argument as Luby's algorithm), while remaining a fixed
     total order, which is all the paper's correctness argument needs.
+    The product of int64 arrays wraps mod 2**64 without a warning.
     """
-    with np.errstate(over="ignore"):
-        return edge_index * _MIX_MULTIPLIER
+    return edge_index * _MIX_MULTIPLIER
+
+
+def _edge_of(priority: np.ndarray) -> np.ndarray:
+    """The edge indices whose priorities are ``priority``.
+
+    Inverts :func:`_edge_priority`: the multiplier is odd, so it has an
+    inverse mod 2**64, and multiplying by it undoes the hash.
+    """
+    return priority * _MIX_INVERSE
 
 
 @dataclass
@@ -220,10 +239,18 @@ def _run_passes(
     if len(scores) != e.n_edges:
         raise ValueError("scores length must equal edge count")
 
+    scores = np.asarray(scores, dtype=np.float64)
     partner = np.full(n, NO_VERTEX, dtype=VERTEX_DTYPE)
-    candidates = np.flatnonzero(scores > 0.0)
+    candidates = (scores > 0.0).nonzero()[0]
     matched_edges: list[np.ndarray] = []
     unmatched = np.ones(n, dtype=bool)
+    # Per-vertex claim slots, reset after each pass where it wrote them:
+    # the best live score's bits (positive floats order as their int64
+    # bit patterns do, above the 0 of an empty slot) and the priority of
+    # the claimed edge.
+    score_bits = scores.view(np.int64)
+    best = np.zeros(n, dtype=np.int64)
+    best_edge = np.full(n, _SENTINEL_EDGE, dtype=np.int64)
     total_failed = 0
     passes = 0
     if max_passes is None:
@@ -261,7 +288,7 @@ def _run_passes(
                 # Legacy: rescan the whole edge array and re-derive liveness.
                 scanned = candidates
                 mask = unmatched[e.ei[scanned]] & unmatched[e.ej[scanned]]
-                live = scanned[mask]
+                live = scanned[mask.nonzero()[0]]
                 scan_items = len(scanned)
             else:
                 scan_items = len(live)
@@ -272,44 +299,47 @@ def _run_passes(
 
             u = e.ei[live]
             v = e.ej[live]
-            s = scores[live]
+            s = score_bits[live]
             prio = _edge_priority(live)
 
             # Per-vertex best score over live incident edges (atomic-max in C).
-            best = np.full(n, -np.inf)
             np.maximum.at(best, u, s)
             np.maximum.at(best, v, s)
 
             # Tie-break on minimum hashed priority among score-maximal edges —
             # a fixed total order, as the paper requires (it uses score then
             # vertex indices; see _edge_priority for why we hash).
-            best_edge = np.full(n, _SENTINEL_EDGE, dtype=np.int64)
-            at_u = s == best[u]
-            at_v = s == best[v]
+            at_u = (s == best[u]).nonzero()[0]
+            at_v = (s == best[v]).nonzero()[0]
             np.minimum.at(best_edge, u[at_u], prio[at_u])
             np.minimum.at(best_edge, v[at_v], prio[at_v])
 
-            # An edge wins when both endpoints chose it (the two-sided claim).
-            chosen_u = best_edge[u] == prio  # this edge is u's chosen claim
-            chosen_v = best_edge[v] == prio
-            mutual = chosen_u & chosen_v
-            n_new = int(np.count_nonzero(mutual))
+            # Every endpoint of a live edge claims exactly one edge, the one
+            # whose priority it now holds; an edge wins when its other
+            # endpoint claims it too (the two-sided claim).
+            claimers = (best_edge != _SENTINEL_EDGE).nonzero()[0]
+            claim = best_edge[claimers]
+            edge = _edge_of(claim)
+            # The claimed edge's endpoint that is not the claimer.
+            target = e.ei[edge] + e.ej[edge] - claimers
+            won = (best_edge[target] == claim).nonzero()[0]
+            best[claimers] = 0
+            best_edge[claimers] = _SENTINEL_EDGE
+            n_new = len(won) // 2
             if n_new == 0:
                 raise ConvergenceError(
                     "no locally dominant edge found among live edges; "
                     "scores may contain NaN"
                 )
 
-            failed = int(np.count_nonzero((chosen_u | chosen_v) & ~mutual))
+            failed = len(claimers) - len(won)
             total_failed += failed
 
-            mu = u[mutual]
-            mv = v[mutual]
-            partner[mu] = mv
-            partner[mv] = mu
-            unmatched[mu] = False
-            unmatched[mv] = False
-            matched_edges.append(live[mutual])
+            winners = claimers[won]
+            partner[winners] = target[won]
+            unmatched[winners] = False
+            # Each won edge has two claimers; keep its lower end's claim.
+            matched_edges.append(edge[won][winners < target[won]])
             pass_span.set(matched=n_new, failed_claims=failed)
 
             if recorder is not None:
@@ -317,17 +347,16 @@ def _run_passes(
                     # Every scanned live edge pounds both endpoint slots with
                     # atomic-max updates: a high-degree vertex absorbs its whole
                     # degree in contended traffic each sweep (§IV-B hot spots).
+                    # The distinct endpoints are the claimers.
                     atomics = 2 * len(live)
-                    distinct = len(np.unique(np.concatenate([u, v])))
-                    contention = 1.0 - distinct / max(1, atomics)
+                    contention = 1.0 - len(claimers) / max(1, atomics)
                 else:
                     # Worklist algorithm: each unmatched vertex issues exactly
                     # one two-sided claim for its chosen edge.  Collisions only
                     # occur when several proposers target the same partner slot.
-                    partners = np.concatenate([v[chosen_u], u[chosen_v]])
-                    n_prop = len(partners)
+                    n_prop = len(claimers)
                     atomics = 2 * n_prop
-                    colliding = n_prop - len(np.unique(partners))
+                    colliding = n_prop - len(np.unique(target))
                     contention = 0.5 * colliding / max(1, n_prop)
                 if legacy_sweep:
                     # Full sweep: every candidate edge pays a cheap liveness
@@ -348,7 +377,7 @@ def _run_passes(
 
             if not legacy_sweep:
                 keep = unmatched[u] & unmatched[v]
-                live = live[keep]
+                live = live[keep.nonzero()[0]]
                 retired = len(keep) - len(live)
 
     matched = (

@@ -34,9 +34,19 @@ from repro.util.arrays import pair_order, segment_starts, strictly_increasing
 __all__ = [
     "EdgeList",
     "parity_canonical",
+    "parity_min_first",
     "lower_triangle_canonical",
     "bucket_sizes",
 ]
+
+
+def parity_min_first(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Where the parity hash stores an edge's smaller endpoint first.
+
+    True for same-parity endpoints; mixed-parity edges store the larger
+    endpoint first.
+    """
+    return ((i ^ j) & 1) == 0
 
 
 def parity_canonical(
@@ -50,11 +60,11 @@ def parity_canonical(
     """
     i = np.asarray(i, dtype=VERTEX_DTYPE)
     j = np.asarray(j, dtype=VERTEX_DTYPE)
-    same_parity = ((i ^ j) & 1) == 0
+    min_first = parity_min_first(i, j)
     lo = np.minimum(i, j)
     hi = np.maximum(i, j)
-    first = np.where(same_parity, lo, hi)
-    second = np.where(same_parity, hi, lo)
+    first = np.where(min_first, lo, hi)
+    second = np.where(min_first, hi, lo)
     return first, second
 
 

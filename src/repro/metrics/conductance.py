@@ -33,9 +33,10 @@ def conductances(graph: CommunityGraph, partition: Partition) -> np.ndarray:
 
     li = labels[e.ei]
     lj = labels[e.ej]
-    cross = li != lj
-    cut = group_reduce_sum(li[cross], e.w[cross], k)
-    cut += group_reduce_sum(lj[cross], e.w[cross], k)
+    cross = (li != lj).nonzero()[0]
+    w_cross = e.w[cross]
+    cut = group_reduce_sum(li[cross], w_cross, k)
+    cut += group_reduce_sum(lj[cross], w_cross, k)
 
     vol = group_reduce_sum(labels, graph.strengths(), k)
     two_w = 2.0 * graph.total_weight()

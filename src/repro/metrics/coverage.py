@@ -26,7 +26,7 @@ def coverage(graph: CommunityGraph, partition: Partition) -> float:
         return 1.0
     labels = partition.labels
     e = graph.edges
-    internal = float(e.w[labels[e.ei] == labels[e.ej]].sum())
+    internal = float(e.w[(labels[e.ei] == labels[e.ej]).nonzero()[0]].sum())
     internal += float(graph.self_weights.sum())
     return internal / w_total
 

@@ -66,9 +66,10 @@ def expansion(graph: CommunityGraph, partition: Partition) -> float:
         return 0.0
     e = graph.edges
     li, lj = labels[e.ei], labels[e.ej]
-    cross = li != lj
-    cut = group_reduce_sum(li[cross], e.w[cross], k)
-    cut += group_reduce_sum(lj[cross], e.w[cross], k)
+    cross = (li != lj).nonzero()[0]
+    w_cross = e.w[cross]
+    cut = group_reduce_sum(li[cross], w_cross, k)
+    cut += group_reduce_sum(lj[cross], w_cross, k)
     sizes = partition.sizes().astype(np.float64)
     denom = np.minimum(sizes, graph.n_vertices - sizes)
     vals = np.zeros(k)
@@ -93,9 +94,9 @@ def min_intracluster_density(
     labels = partition.labels
     k = partition.n_communities
     e = graph.edges
-    li, lj = labels[e.ei], labels[e.ej]
-    internal_mask = li == lj
-    internal = group_reduce_sum(li[internal_mask], e.w[internal_mask], k)
+    li = labels[e.ei]
+    inside = (li == labels[e.ej]).nonzero()[0]
+    internal = group_reduce_sum(li[inside], e.w[inside], k)
     internal += group_reduce_sum(labels, graph.self_weights, k)
     sizes = partition.sizes().astype(np.float64)
     possible = sizes * (sizes - 1) / 2.0

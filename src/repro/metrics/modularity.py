@@ -44,8 +44,8 @@ def modularity_and_coverage(
 ) -> tuple[float, float]:
     """``(modularity, coverage)`` of ``partition`` from one pass over the edges.
 
-    One label gather per endpoint array and one internal-edge mask serve
-    both values, which equal :func:`modularity` and
+    One label gather per endpoint array and one index of the internal
+    edges serve both values, which equal :func:`modularity` and
     :func:`~repro.metrics.coverage.coverage` bit for bit.  A zero-weight
     graph gives ``(0.0, 1.0)``.
     """
@@ -59,9 +59,9 @@ def modularity_and_coverage(
     e = graph.edges
 
     li = labels[e.ei]
-    internal_mask = li == labels[e.ej]
-    w_internal = e.w[internal_mask]
-    internal = group_reduce_sum(li[internal_mask], w_internal, k)
+    inside = (li == labels[e.ej]).nonzero()[0]
+    w_internal = e.w[inside]
+    internal = group_reduce_sum(li[inside], w_internal, k)
     internal += group_reduce_sum(labels, graph.self_weights, k)
 
     vol = group_reduce_sum(labels, graph.strengths(), k)

@@ -108,14 +108,85 @@ class TestStallDegradation:
         assert len(tracer.find("guardian_degrade")) == 2
         counters = run_metrics(tracer.spans)["counters"]
         assert counters["guardian.degradations"] == 2
-        # the abort's checkpoint is written inside a span like every
-        # other, so the trace, the report and the metric agree
+        # level 1 was saved when it completed, so the abort returns that
+        # checkpoint instead of writing it again; the trace, the report
+        # and the metric agree
         assert (
             len(tracer.find("checkpoint_write"))
             == exc.report.checkpoints_written
             == counters["resilience.checkpoints_written"]
-            == 2
+            == 1
         )
+
+    def test_abort_writes_the_level_not_yet_saved(
+        self, graph, baseline, tmp_path
+    ):
+        # with a checkpoint every second level, level 1 is unsaved when
+        # the abort comes, so the abort path writes it
+        faults = FaultPlan.stall_phase("score", range(10), delay_s=0.2)
+        guardian = RunGuardian(
+            "sample", phase_deadline_s=0.05, faults=faults
+        )
+        tracer = Tracer()
+        ckpt = tmp_path / "ckpt"
+        with pytest.warns(GuardianBreach), pytest.raises(
+            RunAbortedError
+        ) as ei:
+            detect_communities(
+                graph,
+                guardian=guardian,
+                tracer=tracer,
+                checkpoint_dir=ckpt,
+                checkpoint_every=2,
+            )
+        exc = ei.value
+        assert exc.reason == "phase_deadline@level1"
+        assert exc.checkpoint_path.name == "level_00001.ckpt.npz"
+        (span,) = tracer.find("checkpoint_write")
+        assert span.attrs["path"] == str(exc.checkpoint_path)
+        assert exc.report.checkpoints_written == 1
+        resumed = detect_communities(
+            graph, checkpoint_dir=ckpt, resume=True
+        )
+        np.testing.assert_array_equal(
+            resumed.partition.labels, baseline.partition.labels
+        )
+
+    def test_resumed_abort_returns_the_loaded_checkpoint(
+        self, graph, tmp_path
+    ):
+        faults = FaultPlan.stall_phase("score", range(10), delay_s=0.2)
+        ckpt = tmp_path / "ckpt"
+        with pytest.warns(GuardianBreach), pytest.raises(RunAbortedError):
+            detect_communities(
+                graph,
+                guardian=RunGuardian(
+                    "sample", phase_deadline_s=0.05, faults=faults
+                ),
+                checkpoint_dir=ckpt,
+            )
+        # with audits off there is nothing to lower, so the resumed run
+        # aborts on the level after the checkpoint, before it completes
+        # any level: the abort returns the checkpoint it resumed from
+        # instead of writing that level again
+        guardian = RunGuardian("off", phase_deadline_s=0.05, faults=faults)
+        tracer = Tracer()
+        with pytest.warns(GuardianBreach), pytest.raises(
+            RunAbortedError
+        ) as ei:
+            detect_communities(
+                graph,
+                guardian=guardian,
+                tracer=tracer,
+                checkpoint_dir=ckpt,
+                resume=True,
+            )
+        exc = ei.value
+        assert exc.reason == "phase_deadline@level1"
+        assert exc.report.resumed_from_level == 1
+        assert exc.checkpoint_path.samefile(ckpt / "level_00001.ckpt.npz")
+        assert tracer.find("checkpoint_write") == []
+        assert exc.report.checkpoints_written == 0
 
     def test_aborted_run_resumes_to_the_baseline_answer(
         self, graph, baseline, tmp_path

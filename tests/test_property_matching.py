@@ -1,11 +1,14 @@
 """Property-based tests for the matching kernel: validity, maximality and
-the 1/2-approximation guarantee on random graphs and scores, and identity
-of the scan-finished worklist with the full pass loop."""
+the 1/2-approximation guarantee on random graphs and scores, identity
+of the scan-finished worklist with the full pass loop, and the per-vertex
+claim pass against the reference and the records it replaced."""
 
+import dataclasses
 import itertools
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -21,6 +24,8 @@ from repro.core import matching
 from repro.generators import path_graph, planted_partition_graph, rmat_graph
 from repro.graph import from_edges
 from repro.obs import Tracer
+from repro.platform.kernels import TraceRecorder
+from repro.reference import locally_dominant_matching_ref
 from repro.types import NO_VERTEX
 
 
@@ -319,3 +324,96 @@ class TestResidualRanking:
         np.testing.assert_array_equal(
             matching._rank_residual(live, live_scores), expected
         )
+
+
+# --------------------------------------------------- per-vertex claim pass
+class TestClaimReadBack:
+    """A pass reads each claimer's edge back from its priority and
+    settles the claims per vertex instead of per live edge."""
+
+    @given(hnp.arrays(np.int64, st.integers(0, 64), elements=st.integers(0, 2**62 - 1)))
+    @settings(max_examples=200, deadline=None)
+    def test_edge_of_inverts_edge_priority(self, index):
+        np.testing.assert_array_equal(
+            matching._edge_of(matching._edge_priority(index)), index
+        )
+
+    @given(graph_with_tied_scores(), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_tied_scores_equal_reference(self, args, legacy_sweep):
+        g, scores = args
+        ref = locally_dominant_matching_ref(g, scores)
+        if legacy_sweep:
+            res = match_full_sweep(g, scores)
+            # the sweep also counts its last pass, which finds no live edge
+            ref = dataclasses.replace(ref, passes=ref.passes + (ref.passes > 0))
+        else:
+            # with the scan kept out, every pass settles its own claims
+            res, _ = _run_with_scan_cost(g, scores, NEVER)
+        _assert_identical(res, ref)
+
+
+#: ``(items, mem_words, atomics, locks, contention)`` of each recorded
+#: ``match_pass``, as the per-edge claim pass it replaced recorded them.
+PINNED_PASS_RECORDS = {
+    ("planted", "worklist"): [
+        (465, 2367, 240, 42, 0.225),
+        (291, 1479, 156, 24, 0.24358974358974358),
+        (188, 954, 106, 14, 0.25471698113207547),
+        (142, 722, 78, 12, 0.24358974358974358),
+        (88, 454, 54, 14, 0.24074074074074073),
+        (39, 201, 26, 6, 0.23076923076923078),
+        (15, 77, 14, 2, 0.2857142857142857),
+        (7, 37, 10, 2, 0.3),
+        (2, 12, 6, 2, 0.16666666666666666),
+    ],
+    ("planted", "sweep"): [
+        (465, 3297, 930, 42, 0.8709677419354839),
+        (465, 2409, 582, 24, 0.865979381443299),
+        (465, 1884, 376, 14, 0.8590425531914894),
+        (465, 1652, 284, 12, 0.8626760563380281),
+        (465, 1384, 176, 14, 0.8465909090909091),
+        (465, 1131, 78, 6, 0.8333333333333334),
+        (465, 1007, 30, 2, 0.7666666666666666),
+        (465, 967, 14, 2, 0.6428571428571428),
+        (465, 942, 4, 2, 0.25),
+    ],
+    ("rmat_unit", "worklist"): [
+        (255, 1313, 124, 38, 0.16129032258064516),
+        (34, 180, 42, 10, 0.19047619047619047),
+        (8, 46, 20, 6, 0.15),
+        (1, 7, 4, 2, 0.0),
+    ],
+    ("rmat_unit", "sweep"): [
+        (255, 1823, 510, 38, 0.8784313725490196),
+        (255, 690, 68, 10, 0.6911764705882353),
+        (255, 556, 16, 6, 0.375),
+        (255, 517, 2, 2, 0.0),
+    ],
+}
+
+
+class TestPassRecords:
+    @staticmethod
+    def _input(name):
+        if name == "planted":
+            g = planted_partition_graph(120, seed=5)
+            return g, ModularityScorer().score(g)
+        g = rmat_graph(6, 8, seed=3)
+        return g, np.ones(g.n_edges)
+
+    @pytest.mark.parametrize("name, matcher", sorted(PINNED_PASS_RECORDS))
+    def test_records_equal_pinned(self, name, matcher):
+        g, scores = self._input(name)
+        kernel = match_full_sweep if matcher == "sweep" else match_locally_dominant
+        recorder = TraceRecorder()
+        kernel(g, scores, recorder)
+        assert [r.name for r in recorder.records] == ["match_pass"] * len(
+            recorder.records
+        )
+        assert all(r.chain_ops == 0 and r.level == 0 for r in recorder.records)
+        got = [
+            (r.items, r.mem_words, r.atomics, r.locks, r.contention)
+            for r in recorder.records
+        ]
+        assert got == PINNED_PASS_RECORDS[name, matcher]

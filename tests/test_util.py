@@ -5,7 +5,6 @@ import pytest
 
 from repro.util import Timer, as_generator, spawn_seeds
 from repro.util.arrays import (
-    compact_indices,
     group_reduce_sum,
     renumber_dense,
     segment_starts,
@@ -123,11 +122,6 @@ class TestArrays:
 
     def test_segment_starts_empty(self):
         assert len(segment_starts(np.empty(0, int))) == 0
-
-    def test_compact_indices(self):
-        np.testing.assert_array_equal(
-            compact_indices(np.array([True, False, True])), [0, 2]
-        )
 
     def test_renumber_dense(self):
         labels, k = renumber_dense(np.array([10, 3, 10, 7]))
