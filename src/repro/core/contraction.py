@@ -5,14 +5,16 @@ edge's endpoints through the match map, re-apply the parity hash, bucket by
 the first stored endpoint (an atomic fetch-and-add per edge — no locks),
 sort within buckets by the second endpoint, accumulate duplicates, and copy
 back out.  Our vectorized expression fuses bucketing and in-bucket sorting
-into one stable LSD radix sort (:func:`~repro.util.arrays.radix_order`,
-each 16-bit digit a counting sort) of the int64 key ``first * k + second``,
-computed as ``first * (k - 1) + lo + hi`` from the pair's smaller and
-larger endpoint, plus a segmented reduction, touching each edge O(1) times
-per digit like the paper's linear-time bucket sort.  Only the key and the
-weights are permuted; the endpoints are split back out of the summed keys.
-When ``k * k`` overflows int64 the key is held as Python ints and the
-pairs are ordered by ``np.lexsort``.
+into one sort (:func:`~repro.util.arrays.sort_keys`) of the int64 key
+``first * k + second``, computed as ``first * (k - 1) + lo + hi`` from the
+pair's smaller and larger endpoint
+(:func:`~repro.graph.edgelist.parity_key`), plus a segmented reduction.
+Each key is packed with its row index, so NumPy's SIMD sort returns the
+stable order.  Edges inside a merged pair get the key ``k * k``, which
+sorts after every other key, and the sort cuts them off.  Only the
+weights are permuted; the endpoints are split back out of the summed
+keys.  When ``k * k`` overflows int64 the key is held as Python ints and
+the pairs are ordered by ``np.lexsort``.
 
 :func:`contract_hash_chains` is the *legacy* method due to John T. Feo:
 edges go into linked lists selected by an endpoint hash; each insertion
@@ -35,8 +37,9 @@ import numpy as np
 from repro.core.matching import MatchingResult
 from repro.graph.edgelist import (
     EdgeList,
+    lexsorted_parity_keys,
     parity_canonical,
-    parity_min_first,
+    parity_key,
 )
 from repro.graph.graph import CommunityGraph
 from repro.obs.metrics import Histogram
@@ -45,10 +48,9 @@ from repro.platform.kernels import KernelRecord, TraceRecorder
 from repro.types import NO_VERTEX, VERTEX_DTYPE
 from repro.util.arrays import (
     INT64_MAX,
-    radix_digits,
-    radix_order,
     renumber_dense,
     segment_starts,
+    sort_keys,
 )
 
 __all__ = ["contract", "contract_hash_chains"]
@@ -84,58 +86,53 @@ def _build_contracted(
     """
     tr = as_tracer(tracer)
     e = graph.edges
+    fits = k * k <= INT64_MAX
 
     with tr.span("contract_relabel") as sp:
         ni = mapping[e.ei]
         nj = mapping[e.ej]
 
         # Edges inside a merged pair become self weight.
-        loops = ni == nj
+        at = (ni == nj).nonzero()[0]
         new_self = np.bincount(
             mapping, weights=graph.self_weights, minlength=k
         )
-        at = loops.nonzero()[0]
         if len(at):
             new_self += np.bincount(ni[at], weights=e.w[at], minlength=k)
 
-        # All but a few percent of the edges survive, and a boolean mask
-        # that keeps nearly every element compacts as fast as an index
-        # gather (see the module docstring of repro.util.arrays).
-        keep = ~loops
-        w = e.w[keep]
-        ni = ni[keep]
-        nj = nj[keep]
         lo = np.minimum(ni, nj)
         hi = np.maximum(ni, nj)
         # Each array dropped here or below before the sort lowers the
         # contraction's peak memory.
-        del loops, keep, ni, nj
-        first = np.where(parity_min_first(lo, hi), lo, hi)
+        del ni, nj
+        if fits:
+            key = parity_key(lo, hi, k)
+            del lo, hi
+            # A loop's key sorts after every pair's, and the sort cuts
+            # the loops off.
+            key[at] = k * k
         sp.set(items=e.n_edges, n_loops=len(at))
 
     with tr.span("contract_bucket_sort") as sp:
-        if tr.enabled and len(first):
-            occupancy = np.bincount(first, minlength=k)
+        if fits:
+            key, order = sort_keys(key, k * k + 1)
+            cut = len(key) - len(at)
+            key = key[:cut]
+            w = e.w[order[:cut]]
+            del order
+        else:
+            keep = lo != hi
+            key, order = lexsorted_parity_keys(lo[keep], hi[keep], k)
+            w = e.w[keep][order]
+        if tr.enabled and len(key):
+            occupancy = np.bincount(
+                (key // k).astype(VERTEX_DTYPE, copy=False), minlength=k
+            )
             h = Histogram("contract.bucket_occupancy")
             h.observe_many(occupancy[occupancy > 0])
             sp.set(
                 occupancy={"counts": h.counts, "total": h.total, "sum": h.sum}
             )
-        if k * k <= INT64_MAX:
-            # first * k + second, as first + second = lo + hi
-            key = first * (k - 1)
-            key += lo
-            key += hi
-            del first, lo, hi
-            order = radix_order(radix_digits(key, k))
-        else:
-            # The key overflows int64: hold it as Python ints and sort
-            # the pairs themselves.
-            second = lo + hi - first
-            key = first.astype(object) * k + second
-            order = np.lexsort((second, first))
-        key = key[order]
-        w = w[order]
         sp.set(items=len(key))
 
     with tr.span("contract_accumulate") as sp:
@@ -144,8 +141,9 @@ def _build_contracted(
             w = np.add.reduceat(w, starts)
             key = key[starts]
         first = key // k
+        key %= k  # now the second endpoints
         edges = EdgeList._from_grouped(
-            first.astype(VERTEX_DTYPE, copy=False), key - first * k, w, k
+            first.astype(VERTEX_DTYPE, copy=False), key, w, k
         )
         sp.set(items=len(w))
     return CommunityGraph(edges, new_self.astype(np.float64, copy=False))

@@ -284,18 +284,10 @@ def _run_passes(
             raise ConvergenceError("matching exceeded its pass budget")
 
         with tr.span("match_pass", pass_index=passes) as pass_span:
-            if legacy_sweep:
-                # Legacy: rescan the whole edge array and re-derive liveness.
-                scanned = candidates
-                mask = unmatched[e.ei[scanned]] & unmatched[e.ej[scanned]]
-                live = scanned[mask.nonzero()[0]]
-                scan_items = len(scanned)
-            else:
-                scan_items = len(live)
+            # Legacy: every sweep scans the whole candidate array.
+            scan_items = len(candidates) if legacy_sweep else len(live)
             visits += scan_items
             pass_span.set(items=scan_items, live_edges=len(live))
-            if len(live) == 0:
-                break
 
             u = e.ei[live]
             v = e.ej[live]
@@ -375,7 +367,13 @@ def _run_passes(
                     )
                 )
 
-            if not legacy_sweep:
+            if legacy_sweep:
+                # Legacy: rescan the whole edge array and re-derive
+                # liveness, so the loop ends without a sweep that finds
+                # no live edge.
+                mask = unmatched[e.ei[candidates]] & unmatched[e.ej[candidates]]
+                live = candidates[mask.nonzero()[0]]
+            else:
                 keep = unmatched[u] & unmatched[v]
                 live = live[keep.nonzero()[0]]
                 retired = len(keep) - len(live)

@@ -29,12 +29,19 @@ import numpy as np
 
 from repro.errors import InvariantViolation
 from repro.types import VERTEX_DTYPE, WEIGHT_DTYPE
-from repro.util.arrays import pair_order, segment_starts, strictly_increasing
+from repro.util.arrays import (
+    INT64_MAX,
+    segment_starts,
+    sort_keys,
+    strictly_increasing,
+)
 
 __all__ = [
     "EdgeList",
     "parity_canonical",
     "parity_min_first",
+    "parity_key",
+    "lexsorted_parity_keys",
     "lower_triangle_canonical",
     "bucket_sizes",
 ]
@@ -47,6 +54,36 @@ def parity_min_first(i: np.ndarray, j: np.ndarray) -> np.ndarray:
     endpoint first.
     """
     return ((i ^ j) & 1) == 0
+
+
+def parity_key(lo: np.ndarray, hi: np.ndarray, k: int) -> np.ndarray:
+    """The fused key ``first * k + second`` of each parity-ordered edge.
+
+    ``lo`` and ``hi`` are each edge's smaller and larger endpoint, below
+    ``k``, and ``k * k`` must fit in int64.  As ``first + second`` is
+    ``lo + hi``, the key is ``first * (k - 1) + lo + hi``; keys sort by
+    ``first`` and then by ``second``.  A loop (``lo == hi``) gets
+    ``lo * (k + 1)``.
+    """
+    key = np.where(parity_min_first(lo, hi), lo, hi)
+    key *= k - 1
+    key += lo
+    key += hi
+    return key
+
+
+def lexsorted_parity_keys(
+    lo: np.ndarray, hi: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`parity_key` for a ``k`` whose ``k * k`` overflows int64.
+
+    Returns the keys as Python ints, sorted, and the order that sorts
+    them: ``np.lexsort`` of the parity-ordered pairs.
+    """
+    first = np.where(parity_min_first(lo, hi), lo, hi)
+    second = lo + hi - first
+    order = np.lexsort((second, first))
+    return (first.astype(object) * k + second)[order], order
 
 
 def parity_canonical(
@@ -144,21 +181,31 @@ class EdgeList:
                 "CommunityGraph self-weight array first"
             )
 
-        first, second = parity_canonical(i, j)
-        # Group by (first, second): the pair order makes duplicates adjacent
-        # and simultaneously produces the bucket grouping by first endpoint.
-        order = pair_order(first, second, n_vertices)
-        first = first[order]
-        second = second[order]
+        # Sorting by the fused key groups the edges by first endpoint and
+        # makes duplicates adjacent.  Only the weights are permuted; the
+        # endpoints are split back out of the summed keys.
+        n = int(n_vertices)
+        lo = np.minimum(i, j)
+        hi = np.maximum(i, j)
+        if n * n <= INT64_MAX:
+            key = parity_key(lo, hi, n)
+            # Each array dropped before the sort lowers the peak.
+            del lo, hi
+            key, order = sort_keys(key, n * n)
+        else:
+            key, order = lexsorted_parity_keys(lo, hi, n)
         w = w[order]
+        del order
 
-        if accumulate and len(first):
-            starts = segment_starts(first * np.int64(n_vertices) + second)
+        if accumulate and len(key):
+            starts = segment_starts(key)
             w = np.add.reduceat(w, starts)
-            first = first[starts]
-            second = second[starts]
-
-        return cls._from_grouped(first, second, w, n_vertices)
+            key = key[starts]
+        first = key // n
+        key %= n  # now the second endpoints
+        return cls._from_grouped(
+            first.astype(VERTEX_DTYPE, copy=False), key, w, n
+        )
 
     @classmethod
     def _from_grouped(
@@ -259,8 +306,9 @@ class EdgeList:
             raise InvariantViolation("endpoint out of range")
         if np.any(ei == ej):
             raise InvariantViolation("self loop stored in edge list")
-        first, second = parity_canonical(ei, ej)
-        if np.any(first != ei) or np.any(second != ej):
+        # With no self loops, an edge is stored smaller endpoint first
+        # exactly where the parity rule says so.
+        if np.any((ei < ej) != parity_min_first(ei, ej)):
             raise InvariantViolation("parity-hash ordering violated")
         if np.any(np.diff(ei) < 0):
             raise InvariantViolation("edges not grouped by first endpoint")

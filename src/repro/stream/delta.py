@@ -37,7 +37,7 @@ from repro.errors import WalError
 from repro.graph.build import from_edges
 from repro.graph.graph import CommunityGraph
 from repro.types import VERTEX_DTYPE, WEIGHT_DTYPE
-from repro.util.arrays import pair_order, segment_starts, strictly_increasing
+from repro.util.arrays import segment_starts, sort_keys, strictly_increasing
 
 __all__ = [
     "BATCH_SCHEMA_VERSION",
@@ -374,22 +374,23 @@ class EdgeStore:
             self.n_vertices,
             int(max(int(batch.i.max()), int(batch.j.max()))) + 1,
         )
-        lo_b = np.minimum(batch.i, batch.j)
-        hi_b = np.maximum(batch.i, batch.j)
         signed = batch.w * batch.op.astype(WEIGHT_DTYPE)
 
         # The batch's distinct keys, and each row's key index in them.
-        order = pair_order(lo_b, hi_b, n_new)
-        lo_s, hi_s = lo_b[order], hi_b[order]
-        starts = segment_starts(lo_s * n_new + hi_s)
-        lo_k, hi_k = lo_s[starts], hi_s[starts]
+        key = np.minimum(batch.i, batch.j) * n_new
+        key += np.maximum(batch.i, batch.j)
+        key, order = sort_keys(key, n_new * n_new)
+        starts = segment_starts(key)
+        key = key[starts]
+        lo_k = key // n_new
+        hi_k = key % n_new
         row_key = np.repeat(
             np.arange(len(starts)), np.diff(starts, append=len(order))
         )
 
         pos, found = self._find(lo_k, hi_k)
         # Store weight first, then the batch rows in batch order (the
-        # pair order is stable): np.add.at adds one row at a time.
+        # key order is stable): np.add.at adds one row at a time.
         acc = np.zeros(len(starts), dtype=WEIGHT_DTYPE)
         acc[found] = self.w[pos[found]]
         np.add.at(acc, row_key, signed[order])

@@ -5,17 +5,20 @@ writes in C: segmented reductions over bucketed edge arrays and stable
 key-grouping.  Keeping them here lets the core algorithm read like the
 paper's pseudocode while every hot path stays vectorized.
 
-Sorted keys come from one place.  :func:`radix_order` is the paper's
-bucket sort of §IV-C: a stable LSD radix over the 16-bit digits
-(:func:`radix_digits`) of a fused pair key ``first * k + second``, each
-digit one NumPy counting sort.  Contraction builds that key itself;
-:func:`pair_order` builds it from two arrays.  Both return an *order*,
-never sums: callers keep their own ``reduceat``/``bincount``
-accumulation, so float sums are taken in the same order as with
-``np.lexsort``.  :func:`strictly_increasing` proves uniqueness of an
-already sorted key without sorting, and :func:`renumber_dense` ranks dense
-labels through a presence bitmap.  None of them calls NumPy's hash-based
-``np.unique``, which is super-linear on large key arrays.
+Sorted keys come from one place.  :func:`sort_keys` is the paper's
+bucket sort of §IV-C: it packs each int64 key with its row index,
+``key << b | row``, and sorts the packed values with ``ndarray.sort``,
+which NumPy dispatches to an AVX-512 or AVX2 sort where the CPU has one.
+The packed values are distinct, so the unstable sort returns the stable
+order, and the sorted keys and the order both unpack from the sorted
+values without a gather.  Callers fuse integer pairs into one key
+``first * k + second`` and keep their own ``reduceat``/``np.add.at``
+accumulation over the order, so float sums are taken in the same order
+as with ``np.lexsort``.  :func:`strictly_increasing` proves uniqueness
+of an already sorted key without sorting, and :func:`renumber_dense`
+ranks dense labels through a presence bitmap.  None of them calls
+NumPy's hash-based ``np.unique``, which is super-linear on large key
+arrays.
 
 Compaction is written inline.  Boolean indexing branches on every
 element, so on NumPy 2.4 a mask that keeps a random half of 415k
@@ -25,9 +28,10 @@ cost less in total on the masks of the benchmark's detect inputs, and
 the boolean mask, which allocates no index, where neither won on both
 (ROADMAP records the shares and times).  The matching pass, the quality
 recomputes and contraction's self-loop edges gather through one index
-shared by every array they select from; contraction's surviving edges,
-95% or more of them, keep the boolean mask.  ``np.flatnonzero`` wraps
-``nonzero()[0]`` in a Python call that per-pass code should not pay.
+shared by every array they select from.  Contraction compacts no
+surviving edges: its sort puts the loops last and cuts them off.
+``np.flatnonzero`` wraps ``nonzero()[0]`` in a Python call that
+per-pass code should not pay.
 """
 
 from __future__ import annotations
@@ -40,15 +44,16 @@ __all__ = [
     "group_reduce_sum",
     "segment_starts",
     "renumber_dense",
-    "pair_order",
-    "radix_digits",
-    "radix_order",
+    "sort_keys",
     "strictly_increasing",
 ]
 
 #: Fused pair keys ``first * k + second`` fit int64 while ``k * k`` is
 #: at most this.
 INT64_MAX = int(np.iinfo(np.int64).max)
+#: Bits of a packed sort value (:func:`sort_keys`): all of an int64 but
+#: its sign bit.
+_PACK_BITS = 63
 
 
 def group_reduce_sum(
@@ -105,48 +110,46 @@ def renumber_dense(labels: np.ndarray) -> tuple[np.ndarray, int]:
     return inv.astype(VERTEX_DTYPE, copy=False), int(len(uniq))
 
 
-def radix_digits(key: np.ndarray, k: int) -> np.ndarray:
-    """The 16-bit digit rows that sort the fused pair keys ``key``.
+def sort_keys(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sort ``key`` and return ``(sorted_key, order)``.
 
-    ``key`` holds int64 values ``first * k + second`` below ``k * k``.
-    Row ``d`` holds digit ``d`` of every key, least significant first:
-    one row per 16 bits of ``k * k``, two for any ``k`` up to 65,536.
+    ``key`` holds int64 values in ``[0, bound)`` and is overwritten.
+    ``order`` is the permutation ``np.argsort(key, kind="stable")``
+    returns, and ``sorted_key`` equals ``key[order]``.
+
+    Each key is packed with its row index, ``key << b | row``, where
+    ``b`` bits hold any row.  Packed values are distinct, so NumPy's
+    unstable ``ndarray.sort`` orders them exactly as a stable sort
+    orders the keys, and both results unpack from the sorted values
+    without a gather.  Keys wider than the ``_PACK_BITS - b`` bits left
+    are sorted least significant digit first, one packed sort per digit
+    of that width.
     """
-    passes = max(1, -(-(k * k - 1).bit_length() // 16))
-    digits = key.astype("<i8", copy=False).view("<u2").reshape(-1, 4)
-    return digits.T[:passes].copy()
-
-
-def radix_order(digits: np.ndarray) -> np.ndarray:
-    """The stable order of the keys whose :func:`radix_digits` are ``digits``.
-
-    An LSD radix sort: each row is sorted with NumPy's stable ``argsort``
-    on ``uint16``, a counting sort, least significant row first.
-    """
-    order = np.argsort(digits[0], kind="stable")
-    for digit in digits[1:]:
-        order = order[np.argsort(digit[order], kind="stable")]
-    return order
-
-
-def pair_order(first: np.ndarray, second: np.ndarray, k: int) -> np.ndarray:
-    """The permutation ``np.lexsort((second, first))`` returns.
-
-    That is, indices sorting by ``first`` then ``second``, equal pairs kept
-    in input order.  Requires ``0 <= first, second < k``.  The pairs fuse
-    into the int64 key ``first * k + second``, which :func:`radix_order`
-    sorts.  When ``k * k`` overflows int64 it falls back to ``np.lexsort``.
-    """
-    k = int(k)
-    if k * k > INT64_MAX:
-        return np.lexsort((second, first))
-    key = np.asarray(first, dtype=np.int64) * np.int64(k) + np.asarray(
-        second, dtype=np.int64
-    )
-    digits = radix_digits(key, k)
-    # The key is not needed while sorting; freeing it lowers the peak.
-    del key
-    return radix_order(digits)
+    key = np.asarray(key, dtype=np.int64)
+    n = len(key)
+    b = max(n - 1, 0).bit_length()
+    width = _PACK_BITS - b
+    rows = np.arange(n, dtype=np.int64)
+    row_mask = np.int64((1 << b) - 1)
+    key_bits = (int(bound) - 1).bit_length()
+    if key_bits <= width:
+        key <<= b
+        key |= rows
+        key.sort()
+        order = key & row_mask
+        key >>= b
+        return key, order
+    digit_mask = np.int64((1 << width) - 1)
+    order = rows
+    for shift in range(0, key_bits, width):
+        digit = key[order] >> shift
+        digit &= digit_mask
+        digit <<= b
+        digit |= rows
+        digit.sort()
+        digit &= row_mask
+        order = order[digit]
+    return key[order], order
 
 
 def strictly_increasing(key: np.ndarray) -> bool:

@@ -207,10 +207,13 @@ class TestScanFinish:
         tr = Tracer()
         swept = match_full_sweep(g, scores, tracer=tr)
         assert not tr.find("match_scan")
+        # Every sweep that opens a span finds a live edge.
+        assert len(tr.find("match_pass")) == swept.passes
+        assert all(s.attrs["live_edges"] for s in tr.find("match_pass"))
         for other in (recorded, swept):
             np.testing.assert_array_equal(other.partner, plain.partner)
-        assert recorded.passes == plain.passes
-        assert recorded.failed_claims == plain.failed_claims
+            assert other.passes == plain.passes
+            assert other.failed_claims == plain.failed_claims
 
 
 class TestStarGraph:

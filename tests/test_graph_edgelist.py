@@ -1,11 +1,18 @@
 """Unit tests for the parity-hashed bucketed edge list (§IV-A)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.errors import InvariantViolation
+from repro.graph import edgelist
 from repro.graph.edgelist import EdgeList, parity_canonical
-from repro.types import VERTEX_DTYPE
+from repro.types import VERTEX_DTYPE, WEIGHT_DTYPE
+from repro.util.arrays import segment_starts
 
 
 class TestParityCanonical:
@@ -105,6 +112,104 @@ class TestFromRaw:
         np.testing.assert_array_equal(e.w, [1.0, 1.0])
 
 
+def reference_from_raw(i, j, w, n, accumulate):
+    """The construction ``from_raw`` replaced: both parity-ordered
+    endpoint arrays, ``np.lexsort`` and a ``reduceat`` over the pairs."""
+    first, second = parity_canonical(i, j)
+    order = np.lexsort((second, first))
+    first, second, w = first[order], second[order], w[order]
+    if accumulate and len(first):
+        starts = segment_starts(first * np.int64(n) + second)
+        w = np.add.reduceat(w, starts)
+        first, second = first[starts], second[starts]
+    return EdgeList._from_grouped(first, second, w, n)
+
+
+#: Weights whose sums are inexact in binary, so that a different
+#: accumulation order shows in the bits.
+WEIGHTS = [0.1, 0.2, 0.3, 1.0 / 3.0, 0.7, 1e-3, 2.5]
+
+
+@st.composite
+def raw_edges(draw):
+    """Endpoint arrays without self loops, many pairs repeated in both
+    orientations, and inexact float weights."""
+    n = draw(st.sampled_from([2, 3, 17, 256, 257, 65_537, 3037000499]))
+    m = draw(st.integers(0, 120))
+    pool = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=12))
+    ids = st.one_of(st.sampled_from(pool), st.integers(0, n - 1))
+    i = draw(hnp.arrays(np.int64, m, elements=ids))
+    j = draw(hnp.arrays(np.int64, m, elements=ids))
+    keep = i != j
+    i, j = i[keep], j[keep]
+    if len(i):
+        # Repeat some rows, half of them flipped.
+        dup = draw(st.lists(st.integers(0, len(i) - 1), max_size=20))
+        flip = draw(st.lists(st.booleans(), min_size=len(dup), max_size=len(dup)))
+        a = np.where(flip, j[dup], i[dup]).astype(np.int64)
+        b = np.where(flip, i[dup], j[dup]).astype(np.int64)
+        i, j = np.concatenate([i, a]), np.concatenate([j, b])
+    w = draw(hnp.arrays(np.float64, len(i), elements=st.sampled_from(WEIGHTS)))
+    return i, j, w, n
+
+
+def assert_edge_lists_identical(got, want):
+    assert got.n_vertices == want.n_vertices
+    for name in ("ei", "ej", "w", "bucket_start", "bucket_end"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestFromRawEqualsLexsortBuild:
+    """``from_raw`` sorts one packed key per edge and permutes only the
+    weights; its arrays must equal the lexsort construction bit for bit."""
+
+    @given(raw_edges(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical(self, args, accumulate):
+        i, j, w, n = args
+        if n > 10**6:
+            # Bucket offsets of 3 * 10**9 vertices do not fit in memory:
+            # compare the sorted triples the two builds assemble.
+            with mock.patch.object(
+                EdgeList, "_from_grouped", side_effect=lambda *a: a
+            ):
+                got = EdgeList.from_raw(i, j, w, n, accumulate=accumulate)
+                want = reference_from_raw(i, j, w, n, accumulate)
+            for a, b in zip(got[:3], want[:3]):
+                a = np.asarray(a, dtype=b.dtype)
+                np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+            return
+        got = EdgeList.from_raw(i, j, w, n, accumulate=accumulate)
+        assert_edge_lists_identical(got, reference_from_raw(i, j, w, n, accumulate))
+        if accumulate:
+            got.validate()
+
+    @given(raw_edges(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_lexsort_fallback_bit_identical(self, args, accumulate):
+        # A key past int64 needs n above 3 * 10**9; lowering the limit
+        # sends every build down the fallback instead.
+        i, j, w, n = args
+        if n > 10**6:
+            return
+        with mock.patch.object(edgelist, "INT64_MAX", -1):
+            got = EdgeList.from_raw(i, j, w, n, accumulate=accumulate)
+        assert_edge_lists_identical(got, reference_from_raw(i, j, w, n, accumulate))
+
+    def test_duplicates_in_both_orientations_sum_in_input_order(self):
+        i = np.array([3, 8, 3, 8, 4])
+        j = np.array([8, 3, 8, 3, 1])
+        w = np.array([0.1, 0.2, 0.3, 1.0 / 3.0, 0.7])
+        got = EdgeList.from_raw(i, j, w, 9)
+        assert_edge_lists_identical(got, reference_from_raw(i, j, w, 9, True))
+        # (3, 8) is a mixed-parity pair, stored larger endpoint first.
+        in_input_order = np.add.reduceat(w[:4], [0])[0]
+        assert got.w[list(got.ei).index(8)] == in_input_order
+        assert got.w.dtype == WEIGHT_DTYPE
+
+
 class TestBuckets:
     def test_bucket_contains_only_first_stored(self):
         rng = np.random.default_rng(1)
@@ -177,6 +282,39 @@ class TestValidate:
         e.ei, e.ej = e.ej.copy(), e.ei.copy()
         with pytest.raises(InvariantViolation, match="parity"):
             e.validate()
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_parity_verdict_equals_canonical_comparison(self, data):
+        # Random orientations, or a canonical list with one edge flipped:
+        # the check must reject exactly the lists whose endpoints differ
+        # from their parity-canonical order.
+        n = data.draw(st.integers(2, 40))
+        m = data.draw(st.integers(1, 60))
+        ids = hnp.arrays(np.int64, m, elements=st.integers(0, n - 1))
+        i, j = data.draw(ids), data.draw(ids)
+        keep = i != j
+        if not keep.any():
+            return
+        e = EdgeList.from_raw(i[keep], j[keep], None, n)
+        ei, ej = e.ei.copy(), e.ej.copy()
+        if data.draw(st.booleans()):
+            flip = data.draw(
+                hnp.arrays(bool, len(ei), elements=st.booleans())
+            )
+        else:
+            flip = np.zeros(len(ei), dtype=bool)
+            flip[data.draw(st.integers(0, len(ei) - 1))] = True
+        ei[flip], ej[flip] = e.ej[flip], e.ei[flip]
+        first, second = parity_canonical(ei, ej)
+        # validate checks the parity order before the grouping, which a
+        # flipped edge may also break.
+        flipped = EdgeList._from_grouped(ei, ej, e.w, n)
+        if np.array_equal(first, ei) and np.array_equal(second, ej):
+            flipped.validate()
+        else:
+            with pytest.raises(InvariantViolation, match="parity"):
+                flipped.validate()
 
     def test_detects_self_loop(self):
         e = EdgeList.from_raw(np.array([0]), np.array([2]), None, 3)

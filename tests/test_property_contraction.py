@@ -1,6 +1,6 @@
 """Property-based tests for contraction: weight conservation, modularity
 delta exactness, dendrogram/partition consistency, and the fused-key
-sort against the reference at the radix digit boundaries."""
+sort against the reference around the packed sort's bit boundaries."""
 
 from unittest import mock
 
@@ -19,7 +19,10 @@ from repro.core import (
     match_locally_dominant,
 )
 from repro.graph import from_edges
+from repro.graph.edgelist import parity_canonical
 from repro.metrics import Partition, community_graph_modularity, modularity
+from repro.obs import Tracer
+from repro.obs.metrics import Histogram
 from repro.reference import contract_ref
 from repro.types import NO_VERTEX
 
@@ -93,9 +96,9 @@ class TestContractionProperties:
 
 
 # ------------------------------------------------- fused key vs reference
-#: Community counts on either side of the radix sort's digit boundaries:
-#: one 16-bit digit up to k = 256, two up to 65,536 and three above.
-RADIX_KS = [0, 1, 2, 255, 256, 257, 65535, 65536, 65537]
+#: Community counts on either side of 2**8 and 2**16, where the bit
+#: length of the contraction key, up to ``k * k``, steps.
+BOUNDARY_KS = [0, 1, 2, 255, 256, 257, 65535, 65536, 65537]
 #: Weights whose sums are exact in any order, so the kernel and the
 #: reference must agree bit for bit.
 EXACT_WEIGHTS = np.array([0.5, 1.0, 2.0, 3.0])
@@ -108,7 +111,7 @@ def level_with_k_communities(draw, loops):
     ``loops`` shapes the edges: ``"none"`` puts no edge inside a matched
     pair, ``"only"`` puts every edge inside one, ``"mixed"`` draws both.
     """
-    k = draw(st.sampled_from(RADIX_KS))
+    k = draw(st.sampled_from(BOUNDARY_KS))
     n_pairs = draw(st.integers(int(loops == "only" and k > 0), min(k, 40)))
     n = k + n_pairs
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -183,6 +186,31 @@ class TestFusedKeyContraction:
         # sends every level down the fallback instead.
         with mock.patch.object(contraction, "INT64_MAX", -1):
             _assert_equals_reference(*args)
+
+    @pytest.mark.parametrize("limit", ["int64", "fallback"])
+    @given(args=level_with_k_communities("mixed"))
+    @settings(max_examples=40, deadline=None)
+    def test_traced_occupancy_counts_non_loop_first_endpoints(self, limit, args):
+        g, matching, k = args
+        tr = Tracer()
+        with mock.patch.object(
+            contraction, "INT64_MAX", -1 if limit == "fallback" else 2**63 - 1
+        ):
+            _, mapping = contract(g, matching, tracer=tr)
+        (span,) = tr.find("contract_bucket_sort")
+        ni, nj = mapping[g.edges.ei], mapping[g.edges.ej]
+        cross = ni != nj
+        first, _ = parity_canonical(ni[cross], nj[cross])
+        if not len(first):
+            assert "occupancy" not in span.attrs
+            return
+        occupancy = np.bincount(first, minlength=k)
+        want = Histogram("contract.bucket_occupancy")
+        want.observe_many(occupancy[occupancy > 0])
+        assert span.attrs["occupancy"] == {
+            "counts": want.counts, "total": want.total, "sum": want.sum
+        }
+        assert span.items == len(first)
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_empty_and_single_vertex(self, k):

@@ -1,7 +1,8 @@
 """Property tests for the sorted-key primitives and their callers.
 
 Each fast path is compared with the NumPy call or the fold it replaced:
-``pair_order`` with ``np.lexsort``, ``renumber_dense`` with
+``sort_keys`` with ``np.argsort(kind="stable")``, and with
+``np.lexsort`` on integer pairs, ``renumber_dense`` with
 ``np.unique(return_inverse=True)``, ``EdgeList.validate``'s duplicate
 check with a ``np.unique`` count, and ``EdgeStore.apply`` with the
 ``unique`` + ``bincount`` fold kept below as the reference.
@@ -20,11 +21,87 @@ from repro.graph.edgelist import EdgeList
 from repro.stream import delta
 from repro.stream.delta import WEIGHT_EPS, EdgeBatch, EdgeStore
 from repro.types import VERTEX_DTYPE, WEIGHT_DTYPE
-from repro.util.arrays import pair_order, renumber_dense, strictly_increasing
+from repro.util import arrays
+from repro.util.arrays import (
+    INT64_MAX,
+    renumber_dense,
+    sort_keys,
+    strictly_increasing,
+)
 
-#: ``k`` on both sides of every 16-bit digit boundary of the fused key
-#: (key bits 16, 32 and 48), of ``k = 2**16`` and ``2**32``, and of the
-#: largest ``k`` whose ``k * k`` fits in int64.
+
+def assert_sorts_stably(key, bound):
+    """``sort_keys`` returns the sorted keys and the stable argsort, both
+    int64."""
+    want_order = np.argsort(key, kind="stable")
+    want_key = np.sort(key)
+    got_key, got_order = sort_keys(key.copy(), bound)
+    assert got_key.dtype == got_order.dtype == np.int64
+    np.testing.assert_array_equal(got_order, want_order)
+    np.testing.assert_array_equal(got_key, want_key)
+
+
+@st.composite
+def keys(draw, max_rows=80):
+    """Keys below a drawn bound, from a small pool (heavy ties) or not."""
+    bound = draw(
+        st.one_of(
+            st.integers(1, 16), st.integers(1, 2**40), st.just(INT64_MAX)
+        )
+    )
+    n = draw(st.integers(0, max_rows))
+    pool = draw(
+        st.lists(
+            st.integers(0, bound - 1), min_size=1, max_size=max(1, n // 4 + 1)
+        )
+    )
+    values = st.one_of(st.sampled_from(pool), st.integers(0, bound - 1))
+    return draw(hnp.arrays(np.int64, n, elements=values)), bound
+
+
+class TestSortKeys:
+    @given(keys())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_stable_argsort(self, args):
+        assert_sorts_stably(*args)
+
+    @pytest.mark.parametrize("bound", [1, 2, 2**31, INT64_MAX])
+    @pytest.mark.parametrize("n", [0, 1, 2, 70_000])
+    def test_all_equal_keys_keep_input_order(self, n, bound):
+        assert_sorts_stably(np.full(n, bound - 1, dtype=np.int64), bound)
+
+    @pytest.mark.parametrize("b", [0, 1, 2, 7, 8, 10])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_row_counts_at_a_power_of_two(self, b, extra):
+        # 2**b rows need b index bits and 2**b + 1 rows b + 1; the keys
+        # use every bit the packed value leaves them.
+        n = 2**b + extra
+        width = arrays._PACK_BITS - (n - 1).bit_length()
+        rng = np.random.default_rng(b)
+        key = rng.integers(0, 4, n) << (width - 2)
+        key[::3] = 2**width - 1
+        assert_sorts_stably(key, 2**width)
+
+    @given(keys(max_rows=40), st.sampled_from([2, 3]))
+    @settings(max_examples=200, deadline=None)
+    def test_digit_passes_equal_stable_argsort(self, args, passes):
+        # Lowering the packed width splits even short keys into 3-bit
+        # digits: keys up to ``bound - 1`` need ``passes`` of them.
+        key, _ = args
+        width = 3
+        bound = 2 ** (width * (passes - 1)) + 1
+        key = key % bound
+        if len(key):
+            key[len(key) // 2] = bound - 1
+        b = max(len(key) - 1, 0).bit_length()
+        assert -(-(bound - 1).bit_length() // width) == passes
+        with mock.patch.object(arrays, "_PACK_BITS", b + width):
+            assert_sorts_stably(key, bound)
+
+
+#: ``k`` on both sides of the old radix digit boundaries (key bits 16,
+#: 32 and 48), of ``k = 2**16`` and ``2**32``, and of the largest ``k``
+#: whose ``k * k`` fits in int64.
 BOUNDARY_K = [
     1, 2, 255, 256, 257,
     2**16 - 1, 2**16, 2**16 + 1,
@@ -32,6 +109,20 @@ BOUNDARY_K = [
     2**32 - 1, 2**32, 2**32 + 1,
     3037000499, 3037000500,
 ]
+
+
+def order_pairs(first, second, k):
+    """Order pairs below ``k`` by ``first``, then ``second``.
+
+    One fused key ``first * k + second`` while ``k * k`` fits in int64,
+    as contraction, ``EdgeList.from_raw`` and ``EdgeStore.apply`` sort
+    them; above that two key sorts, ``second`` first, which agree with
+    ``np.lexsort`` only if each sort is stable.
+    """
+    if k * k <= INT64_MAX:
+        return sort_keys(first * k + second, k * k)[1]
+    order = sort_keys(second.copy(), k)[1]
+    return order[sort_keys(first[order], k)[1]]
 
 
 @st.composite
@@ -53,7 +144,7 @@ class TestPairOrder:
     @settings(max_examples=300, deadline=None)
     def test_equals_lexsort(self, args):
         first, second, k = args
-        got = pair_order(first, second, k)
+        got = order_pairs(first, second, k)
         want = np.lexsort((second, first))
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
@@ -63,14 +154,14 @@ class TestPairOrder:
     def test_empty_and_one_row(self, k, n):
         first = np.full(n, k - 1, dtype=np.int64)
         second = np.full(n, k // 2, dtype=np.int64)
-        got = pair_order(first, second, k)
+        got = order_pairs(first, second, k)
         np.testing.assert_array_equal(got, np.lexsort((second, first)))
         assert got.dtype == np.intp
 
     def test_all_ties_keep_input_order(self):
         first = np.full(70000, 3, dtype=np.int64)
         np.testing.assert_array_equal(
-            pair_order(first, first, 2**20), np.arange(70000)
+            order_pairs(first, first, 2**20), np.arange(70000)
         )
 
 

@@ -2,7 +2,8 @@
 
 Without ``return_inverse``, ``np.unique`` takes a hash path that grows
 super-linearly with the key count, and ``np.lexsort`` on integer pairs
-is several times slower than ``repro.util.arrays.pair_order``.  These
+is several times slower than one ``repro.util.arrays.sort_keys`` sort
+of their fused key.  These
 tests record every call to either function while a small ``repro detect``
 runs from a text file and from an ``.npz`` (load, ``validate`` and
 detection), and while ``DetectionService`` ingests a graph and one more
