@@ -292,7 +292,6 @@ def _run_passes(
             u = e.ei[live]
             v = e.ej[live]
             s = score_bits[live]
-            prio = _edge_priority(live)
 
             # Per-vertex best score over live incident edges (atomic-max in C).
             np.maximum.at(best, u, s)
@@ -303,8 +302,8 @@ def _run_passes(
             # vertex indices; see _edge_priority for why we hash).
             at_u = (s == best[u]).nonzero()[0]
             at_v = (s == best[v]).nonzero()[0]
-            np.minimum.at(best_edge, u[at_u], prio[at_u])
-            np.minimum.at(best_edge, v[at_v], prio[at_v])
+            np.minimum.at(best_edge, u[at_u], _edge_priority(live[at_u]))
+            np.minimum.at(best_edge, v[at_v], _edge_priority(live[at_v]))
 
             # Every endpoint of a live edge claims exactly one edge, the one
             # whose priority it now holds; an edge wins when its other

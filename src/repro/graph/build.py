@@ -43,7 +43,7 @@ def from_edges(
             raise ValueError("weight array must match endpoint arrays")
     if n_vertices is None:
         n_vertices = int(max(i.max(), j.max())) + 1 if len(i) else 0
-    if len(i) and i.min() < 0:
+    if len(i) and min(i.min(), j.min()) < 0:
         raise ValueError("negative vertex id")
 
     loops = i == j

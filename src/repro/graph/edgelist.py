@@ -173,7 +173,9 @@ class EdgeList:
             w = np.asarray(w, dtype=WEIGHT_DTYPE)
             if w.shape != i.shape:
                 raise ValueError("weight array must match endpoint arrays")
-        if len(i) and (i.min() < 0 or max(i.max(), j.max()) >= n_vertices):
+        if len(i) and (
+            min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n_vertices
+        ):
             raise ValueError("endpoint out of range for n_vertices")
         if np.any(i == j):
             raise ValueError(
@@ -191,6 +193,11 @@ class EdgeList:
             key = parity_key(lo, hi, n)
             # Each array dropped before the sort lowers the peak.
             del lo, hi
+            if strictly_increasing(key):
+                # Grouped already and free of duplicates, as every list
+                # ``write_edgelist`` wrote reads back.  The copy keeps the
+                # built list off the caller's weights.
+                return cls._from_keys(key, w.copy(), n)
             key, order = sort_keys(key, n * n)
         else:
             key, order = lexsorted_parity_keys(lo, hi, n)
@@ -201,6 +208,12 @@ class EdgeList:
             starts = segment_starts(key)
             w = np.add.reduceat(w, starts)
             key = key[starts]
+        return cls._from_keys(key, w, n)
+
+    @classmethod
+    def _from_keys(cls, key: np.ndarray, w: np.ndarray, n: int) -> "EdgeList":
+        """Assemble from sorted, distinct keys ``first * n + second``;
+        ``key`` is overwritten."""
         first = key // n
         key %= n  # now the second endpoints
         return cls._from_grouped(

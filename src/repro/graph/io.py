@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import warnings
 from typing import BinaryIO, Iterable
 
@@ -122,41 +123,32 @@ def _read_lines(
     return i, j, w
 
 
-#: Bytes read per block by the bulk parse; each block is then cut back to
-#: its last newline, so it holds whole lines.
-_BULK_BLOCK_BYTES = 1 << 20
+#: Bytes the bulk parse reads as digits and whitespace.  Beyond them a
+#: data row may hold only ``+ - . e E``, which make the weight column float.
+_PLAIN_BYTES = b"0123456789 \t\r\n"
 
-#: Longest vertex token the bulk parse accepts.  Fifteen characters stay
-#: below 2**53, so a float64 parse of an id is exact, and an int64 parse
-#: cannot saturate.
-_MAX_ID_CHARS = 15
+#: The end of loadtxt's message for a token in a vertex id column.
+_BAD_ID = re.compile(r"to int64 at row \d+, column [12]\.")
 
-# Byte classes of the bulk parse, as a ``bytes.translate`` table; class 0
-# bytes decline it.
-_SPACE, _DIGIT, _SIGN, _FRACTION = 1, 2, 3, 4
-_BYTE_CLASS = bytes(
-    _SPACE if b in b" \t\r\n"
-    else _DIGIT if b in b"0123456789"
-    else _SIGN if b in b"+-"
-    else _FRACTION if b in b".eE"
-    else 0
-    for b in range(256)
-)
+#: Suffixes of the files loadtxt's opener decompresses.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 class _Declined(Exception):
     """The bulk parse cannot vouch for the file; the message says why."""
 
 
-def _seek_first_data_line(fh: BinaryIO) -> int:
+def _seek_first_data_line(fh: BinaryIO) -> tuple[int, int]:
     """Skip leading blank and comment lines; return the column count of
-    the first data line (0 when there is none), positioned at its start.
+    the first data line (0 when there is none) and the number of lines
+    skipped, positioned at its start.
     """
+    skipped = 0
     while True:
         start = fh.tell()
         line = fh.readline()
         if not line:
-            return 0
+            return 0, skipped
         body = line.removesuffix(b"\n").removesuffix(b"\r")
         if b"\r" in body:
             # A lone CR ends a line for the text-mode reader.
@@ -167,105 +159,80 @@ def _seek_first_data_line(fh: BinaryIO) -> int:
             raise _Declined("invalid UTF-8") from None
         if text and not text.startswith(("#", "%")):
             fh.seek(start)
-            return len(text.split())
-
-
-def _parse_block(block: bytes, cols: int) -> np.ndarray | None:
-    """Values of the whole data lines in ``block``, shaped ``(-1, cols)``,
-    or ``None`` when the block holds only blank lines.
-    """
-    a = np.frombuffer(block, dtype=np.uint8)
-    cls = np.frombuffer(block.translate(_BYTE_CLASS), dtype=np.uint8)
-    bad = np.flatnonzero(cls == 0)
-    if bad.size:
-        byte = block[bad[0]]
-        if byte >= 0x80:
-            raise _Declined("non-ASCII byte")
-        if byte in b"#%":
-            raise _Declined("comment after data")
-        raise _Declined(f"unsupported byte {chr(byte)!r}")
-    cr = np.flatnonzero(a == ord("\r"))
-    if cr.size and (cr[-1] == a.size - 1 or (a[cr + 1] != ord("\n")).any()):
-        raise _Declined("lone CR")
-    # Token boundaries alternate start, end, start, end, ...
-    bounds = np.flatnonzero(np.diff(cls > _SPACE, prepend=False, append=False))
-    starts, ends = bounds[0::2], bounds[1::2]
-    if not starts.size:
-        return None
-    if starts.size % cols:
-        raise _Declined("ragged columns")
-    # Each line holds ``cols`` tokens exactly when a newline precedes every
-    # ``cols``-th token and no other one (the block starts at a line start).
-    after_newline = np.zeros(starts.size + 1, dtype=bool)
-    after_newline[np.searchsorted(starts, np.flatnonzero(a == ord("\n")))] = True
-    after_newline[0] = True
-    grid = after_newline[:-1].reshape(-1, cols)
-    if not grid[:, 0].all() or grid[:, 1:].any():
-        raise _Declined("ragged columns")
-    lengths = (ends - starts).reshape(-1, cols)
-    if lengths[:, :2].max() > _MAX_ID_CHARS:
-        raise _Declined(f"vertex id longer than {_MAX_ID_CHARS} characters")
-    fraction = np.flatnonzero(cls == _FRACTION)
-    token = np.searchsorted(starts, fraction, side="right") - 1
-    if (token % cols < 2).any():
-        raise _Declined("non-integer vertex id")
-    # Plain digit strings parse exactly as int64.  Anything else takes the
-    # float parse, which keeps the sign of -0 and rejects a lone sign (the
-    # int parse reads one as 0).
-    plain = cls.max() <= _DIGIT and lengths.max() <= _MAX_ID_CHARS
-    try:
-        values = np.fromstring(block, np.int64 if plain else np.float64, sep=" ")
-    except ValueError:
-        raise _Declined("unparsable token") from None
-    if values.size != starts.size:
-        # Older NumPy warns and stops at the bad token instead of raising.
-        raise _Declined("unparsable token")
-    values = values.reshape(-1, cols)
-    if (values[:, :2] < 0).any():
-        raise _Declined("negative vertex id")
-    return values
+            return len(text.split()), skipped
+        skipped += 1
 
 
 def _read_bulk(
     path: str | os.PathLike, weighted: bool | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Block-wise NumPy parse; raises :class:`_Declined` unless
-    :func:`_read_lines` would accept every line with the same result.
+    """NumPy's C text reader over the data rows; raises :class:`_Declined`
+    unless :func:`_read_lines` would accept every line with the same result.
     """
-    i_parts = [np.empty(0, VERTEX_DTYPE)]
-    j_parts = [np.empty(0, VERTEX_DTYPE)]
-    w_parts = [np.empty(0, WEIGHT_DTYPE)]
-    with open(path, "rb") as fh:
+    # Absolute, so loadtxt's opener never takes it for a URL, but not
+    # normalised: "link/.." must resolve through the link.
+    fname = os.path.join(os.getcwd(), os.fsdecode(path))
+    if fname.endswith(_COMPRESSED):
+        raise _Declined("compressed-file suffix")
+    with open(fname, "rb") as fh:
         if not fh.seekable():
             # A pipe could not be read a second time by the fallback.
             raise _Declined("unseekable input")
-        cols = _seek_first_data_line(fh)
-        if cols:
-            if cols not in (2, 3):
-                raise _Declined(f"{cols} columns")
-            if weighted is None:
-                weighted = cols == 3
-            elif weighted and cols < 3:
-                raise _Declined("no weight column")
-        tail = b""
-        while cols:
-            chunk = fh.read(_BULK_BLOCK_BYTES)
-            buf = tail + chunk
-            cut = buf.rfind(b"\n") + 1 if chunk else len(buf)
-            block, tail = buf[:cut], buf[cut:]
-            values = _parse_block(block, cols) if block else None
-            if values is not None:
-                i_parts.append(values[:, 0].astype(VERTEX_DTYPE))
-                j_parts.append(values[:, 1].astype(VERTEX_DTYPE))
-                if weighted:
-                    w = values[:, 2].astype(WEIGHT_DTYPE)
-                    if not np.isfinite(w).all():
-                        raise _Declined("non-finite weight")
-                    w_parts.append(w)
-            if not chunk:
-                break
-    w = np.concatenate(w_parts) if weighted else None
-    return np.concatenate(i_parts), np.concatenate(j_parts), w
+        cols, skiprows = _seek_first_data_line(fh)
+        if not cols:
+            w = np.empty(0, WEIGHT_DTYPE) if weighted else None
+            return np.empty(0, VERTEX_DTYPE), np.empty(0, VERTEX_DTYPE), w
+        if cols not in (2, 3):
+            raise _Declined(f"{cols} columns")
+        if weighted is None:
+            weighted = cols == 3
+        elif weighted and cols < 3:
+            raise _Declined("no weight column")
+        data = fh.read()
+        size = fh.tell()
+    rest = data.translate(None, _PLAIN_BYTES)
+    bad = rest.translate(None, b"+-.eE")
+    if bad:
+        byte = bad[0]
+        if byte >= 0x80:
+            raise _Declined("non-ASCII byte")
+        if byte in b"#%":
+            raise _Declined("comment after data")
+        raise _Declined(f"unsupported byte {chr(byte)!r}")
+    if b"\r" in data and b"\r" in data.replace(b"\r\n", b""):
+        raise _Declined("lone CR")
+    del data
+    # Plain digits read as int64 in every column; otherwise the weights
+    # read as float64, which keeps the sign of -0.
+    fields = [("i", np.int64), ("j", np.int64), ("w", np.float64 if rest else np.int64)]
+    try:
+        with warnings.catch_warnings():
+            # Before NumPy 2, loadtxt reads 3.0 in an int column with a
+            # DeprecationWarning instead of raising.
+            warnings.simplefilter("error", DeprecationWarning)
+            # A path is the fastest form: loadtxt reads it in its own chunks.
+            values = np.loadtxt(
+                fname, np.dtype(fields[:cols]), comments=None,
+                skiprows=skiprows, ndmin=1, encoding="utf-8",
+            )
+    except (ValueError, DeprecationWarning) as exc:
+        # loadtxt's message names the row, column and token.
+        why = str(exc)
+        raise _Declined(
+            "ragged columns" if "columns" in why
+            else "non-integer vertex id" if _BAD_ID.search(why)
+            else "unparsable token"
+        ) from None
+    if os.stat(fname).st_size != size:
+        raise _Declined("file changed while read")
+    i = np.ascontiguousarray(values["i"])
+    j = np.ascontiguousarray(values["j"])
+    if (i < 0).any() or (j < 0).any():
+        raise _Declined("negative vertex id")
+    w = values["w"].astype(WEIGHT_DTYPE) if weighted else None
+    if weighted and not np.isfinite(w).all():
+        raise _Declined("non-finite weight")
+    return i, j, w
 
 
 def read_edgelist(
@@ -290,20 +257,21 @@ def read_edgelist(
     skipped line never does.
 
     The file is first parsed in bulk: leading blank and comment lines
-    are skipped, then the rest is read in blocks of about 1 MiB, cut
-    at newlines, and each block is tokenised and parsed by NumPy.  The
-    bulk parse returns only what the line-by-line reader would return for
-    the same file, bit for bit; otherwise it declines, logs the reason at
-    INFO on the ``repro.graph.io`` logger (``repro -v`` shows it), and the
-    file is read again line by line, which raises the usual errors and
-    applies ``strict=False``.  It declines on a pipe, on any byte other
-    than ASCII digits, ``+ - . e E``, space, tab and newlines (so on
-    comments after the first data line, non-ASCII text, ``_``,
-    ``inf``/``nan`` and hex), a lone CR, invalid UTF-8 in a leading
-    comment, lines whose column counts differ or are not 2 or 3 (or 2 when
-    ``weighted=True``), vertex ids that are not integers of at most 15
-    characters, negative ids, tokens NumPy cannot parse completely, and
-    non-finite weights.
+    are skipped, and NumPy's C text reader (``np.loadtxt``) parses the
+    rest.  The bulk parse returns only what the line-by-line reader
+    would return for the same file, bit for bit; otherwise it declines,
+    logs the reason at INFO on the ``repro.graph.io`` logger (``repro -v``
+    shows it), and the file is read again line by line, which raises the
+    usual errors and applies ``strict=False``.  It declines on a pipe, on
+    a path ending in ``.gz``, ``.bz2``, ``.xz`` or ``.lzma`` (which
+    ``np.loadtxt`` would decompress), on any byte other than ASCII digits,
+    ``+ - . e E``, space, tab and newlines after the first data line (so
+    on comments there, non-ASCII text, ``_``, ``inf``/``nan`` and hex), a
+    lone CR, invalid UTF-8 in a leading comment, lines whose column counts
+    differ or are not 2 or 3 (or 2 when ``weighted=True``), any token
+    NumPy cannot parse as its column's type (a vertex id that is not an
+    int64, such as ``3.0``, ``1e3`` or one of 20 digits), negative ids,
+    non-finite weights, and a file whose size changes while it is read.
     """
     try:
         i, j, w = _read_bulk(path, weighted)

@@ -34,6 +34,13 @@ class TestFromEdges:
         with pytest.raises(ValueError):
             from_edges(np.array([-1]), np.array([0]))
 
+    def test_negative_second_endpoint_rejected(self):
+        # The parity key of (-1, 2) once split into the valid pair (1, 2).
+        with pytest.raises(ValueError, match="negative vertex id"):
+            from_edges([2], [-1], n_vertices=3)
+        with pytest.raises(ValueError, match="negative vertex id"):
+            from_edges([0, 1], [-1, 2])
+
     def test_mismatched_rejected(self):
         with pytest.raises(ValueError):
             from_edges(np.array([0, 1]), np.array([1]))

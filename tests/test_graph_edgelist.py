@@ -89,6 +89,11 @@ class TestFromRaw:
         with pytest.raises(ValueError, match="out of range"):
             EdgeList.from_raw(np.array([0]), np.array([5]), None, n_vertices=3)
 
+    @pytest.mark.parametrize("i, j", [([2], [-1]), ([-1], [2])])
+    def test_rejects_negative_endpoint(self, i, j):
+        with pytest.raises(ValueError, match="out of range"):
+            EdgeList.from_raw(np.array(i), np.array(j), None, n_vertices=3)
+
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             EdgeList.from_raw(np.array([0, 1]), np.array([1]), None, 3)
@@ -208,6 +213,58 @@ class TestFromRawEqualsLexsortBuild:
         in_input_order = np.add.reduceat(w[:4], [0])[0]
         assert got.w[list(got.ei).index(8)] == in_input_order
         assert got.w.dtype == WEIGHT_DTYPE
+
+
+@st.composite
+def presorted_edges(draw):
+    """A canonical list's arrays in stored order, and in half the draws
+    some rows repeated next to themselves, half of those flipped."""
+    i, j, w, n = draw(raw_edges().filter(lambda a: a[3] < 10**6))
+    e = EdgeList.from_raw(i, j, w, n)
+    i, j, w = e.ei, e.ej, e.w
+    if len(i) and draw(st.booleans()):
+        rows = np.array(sorted(draw(
+            st.lists(st.integers(0, len(i) - 1), min_size=1, max_size=20)
+        )))
+        flip = np.array(draw(
+            st.lists(st.booleans(), min_size=len(rows), max_size=len(rows))
+        ))
+        extra = draw(
+            hnp.arrays(np.float64, len(rows), elements=st.sampled_from(WEIGHTS))
+        )
+        i, j, w = (
+            np.insert(i, rows + 1, np.where(flip, j[rows], i[rows])),
+            np.insert(j, rows + 1, np.where(flip, i[rows], j[rows])),
+            np.insert(w, rows + 1, extra),
+        )
+    return i, j, w, n
+
+
+class TestFromRawPresorted:
+    """Strictly increasing keys skip the sort; the list built must equal
+    the sort path's bit for bit."""
+
+    @given(presorted_edges(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_skip_bit_identical_to_sort(self, args, accumulate):
+        i, j, w, n = args
+        got = EdgeList.from_raw(i, j, w, n, accumulate=accumulate)
+        with mock.patch.object(edgelist, "strictly_increasing", return_value=False):
+            want = EdgeList.from_raw(i, j, w, n, accumulate=accumulate)
+        for name in ("ei", "ej", "w", "bucket_start", "bucket_end"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    def test_skip_copies_the_weights(self):
+        from repro.graph.graph import CommunityGraph
+
+        i, j = np.array([0, 2, 3]), np.array([2, 1, 0])  # parity order
+        w = np.array([0.1, 0.2, 0.3])
+        with mock.patch.object(edgelist, "sort_keys", side_effect=AssertionError):
+            e = EdgeList.from_raw(i, j, w, 4)
+        assert not np.shares_memory(e.w, w)
+        CommunityGraph(e).total_weight()  # freezes the graph's arrays
+        assert w.flags.writeable
 
 
 class TestBuckets:

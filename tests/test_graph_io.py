@@ -188,7 +188,6 @@ class TestBulkParseLogging:
             (b"0 1 2\n1 2\n", "ragged columns"),
             (b"0 1 2 3\n", "4 columns"),
             (b"3.0 1\n", "non-integer vertex id"),
-            (b"0000000000000002 1\n", "vertex id longer than 15 characters"),
             (b"0 1 1e\n", "unparsable token"),
             (b"0 -1\n", "negative vertex id"),
             (b"0 1 1e999\n", "non-finite weight"),
@@ -206,6 +205,42 @@ class TestBulkParseLogging:
         assert len(records) == 1
         assert records[0].levelno == logging.INFO
         assert f"({reason})" in records[0].getMessage()
+
+    def test_sixteen_character_id_parses_in_bulk(self, tmp_path, caplog):
+        from repro.graph import io as graph_io
+
+        path = tmp_path / "g.txt"
+        path.write_text("0000000000000002 1\n")
+        caplog.set_level(logging.INFO, logger="repro.graph.io")
+        got = read_edgelist(path)
+        assert not caplog.records
+        want = from_edges(*graph_io._read_lines(path, None, True))
+        for name in ("ei", "ej", "w"):
+            a, b = getattr(got.edges, name), getattr(want.edges, name)
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_compressed_suffix_read_line_by_line(self, tmp_path, caplog):
+        # loadtxt would open a .gz path as gzip; this one is plain text.
+        path = tmp_path / "g.txt.gz"
+        path.write_text("0 1\n1 2\n")
+        caplog.set_level(logging.INFO, logger="repro.graph.io")
+        assert read_edgelist(path).n_edges == 2
+        assert "(compressed-file suffix)" in caplog.text
+
+    def test_file_changed_while_read(self, tmp_path, caplog, monkeypatch):
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n")
+        loadtxt = np.loadtxt
+
+        def append_then_load(*args, **kwargs):
+            with open(path, "a") as fh:
+                fh.write("1 2\n")
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", append_then_load)
+        caplog.set_level(logging.INFO, logger="repro.graph.io")
+        assert read_edgelist(path).n_edges == 2
+        assert "(file changed while read)" in caplog.text
 
     def test_no_weight_column_logs_reason(self, tmp_path, caplog):
         path = tmp_path / "g.txt"
