@@ -18,9 +18,7 @@ from repro.core.agglomeration import AgglomerationResult, detect_communities
 from repro.core.scoring import EdgeScorer
 from repro.core.termination import TerminationCriteria
 from repro.graph.graph import CommunityGraph
-from repro.obs.memprof import NullMemoryProfiler, PhaseMemoryProfiler
 from repro.obs.sinks import phase_totals
-from repro.obs.telemetry import NullTelemetry, TelemetrySampler
 from repro.obs.timeline import QualityTimeline
 from repro.obs.trace import NullTracer, Tracer, as_tracer
 from repro.platform.kernels import TraceRecorder
@@ -109,8 +107,6 @@ def run_with_trace(
     checkpoint_dir: str | None = None,
     resume: bool = False,
     guardian: "RunGuardian | NullGuardian | None" = None,
-    telemetry: "TelemetrySampler | NullTelemetry | None" = None,
-    memprof: "PhaseMemoryProfiler | NullMemoryProfiler | None" = None,
 ) -> TracedRun:
     """Run detection with a fresh recorder (and optional tracer) attached.
 
@@ -122,10 +118,10 @@ def run_with_trace(
     ``guardian`` attaches a :class:`~repro.resilience.RunGuardian`
     supervising the run (watchdog, invariant audits, degradation
     ladder) — its recovery accounting lands on the result and hence the
-    benchmark ledger.  ``telemetry``/``memprof`` attach the
-    live-telemetry sampler and the phase memory attributor (the caller
-    owns their start/stop lifecycle; see :mod:`repro.obs.telemetry` and
-    :mod:`repro.obs.memprof`).
+    benchmark ledger.  A live-telemetry sampler or phase memory
+    profiler built on ``tracer`` follows the run through its spans
+    (the caller owns their start/stop lifecycle; see
+    :mod:`repro.obs.telemetry` and :mod:`repro.obs.memprof`).
     """
     recorder = TraceRecorder()
     tr = as_tracer(tracer)
@@ -141,8 +137,6 @@ def run_with_trace(
             checkpoint_dir=checkpoint_dir,
             resume=resume,
             guardian=guardian,
-            telemetry=telemetry,
-            memprof=memprof,
         )
         sp.set(
             items=graph.n_edges,

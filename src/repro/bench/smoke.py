@@ -111,7 +111,7 @@ def run_smoke(
         if memprof:
             from repro.obs.memprof import PhaseMemoryProfiler
 
-            profiler = PhaseMemoryProfiler().start()
+            profiler = PhaseMemoryProfiler(tracer).start()
         t0 = time.perf_counter()
         try:
             run = run_with_trace(
@@ -121,8 +121,6 @@ def run_smoke(
                 contractor=contractor,  # type: ignore[arg-type]
                 tracer=tracer,
                 guardian=guardian,
-                telemetry=sampler,
-                memprof=profiler,
             )
         except BaseException:
             # tracemalloc must not stay armed past a failed repetition

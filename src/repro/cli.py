@@ -55,12 +55,17 @@ __all__ = ["main"]
 
 def _make_tracer(args: argparse.Namespace) -> Tracer | None:
     """A real tracer when ``--trace-out``/``--profile``/``--metrics-out``/
-    ``--perfetto-out`` ask for one."""
+    ``--perfetto-out`` ask for one, or ``--telemetry``/``--status-file``/
+    ``--memprof``, which follow the run through its spans.  The spans
+    stay in memory unless a trace flag writes them."""
     if (
         getattr(args, "trace_out", None)
         or getattr(args, "profile", False)
         or getattr(args, "metrics_out", None)
         or getattr(args, "perfetto_out", None)
+        or getattr(args, "telemetry", False)
+        or getattr(args, "status_file", None)
+        or getattr(args, "memprof", False)
     ):
         return Tracer()
     return None
@@ -69,9 +74,9 @@ def _make_tracer(args: argparse.Namespace) -> Tracer | None:
 def _make_telemetry(
     args: argparse.Namespace, tracer: Tracer | None
 ) -> "TelemetrySampler | None":
-    """A live-telemetry sampler when ``--telemetry``/``--status-file``
-    ask for one (counter samples need a tracer; the status heartbeat
-    does not)."""
+    """A live-telemetry sampler on ``tracer`` when ``--telemetry``/
+    ``--status-file`` ask for one (:func:`_make_tracer` made a tracer
+    for them)."""
     if not (
         getattr(args, "telemetry", False)
         or getattr(args, "status_file", None)
@@ -87,12 +92,14 @@ def _make_telemetry(
     )
 
 
-def _make_memprof(args: argparse.Namespace) -> "PhaseMemoryProfiler | None":
+def _make_memprof(
+    args: argparse.Namespace, tracer: Tracer | None
+) -> "PhaseMemoryProfiler | None":
     if not getattr(args, "memprof", False):
         return None
     from repro.obs.memprof import PhaseMemoryProfiler
 
-    return PhaseMemoryProfiler()
+    return PhaseMemoryProfiler(tracer)
 
 
 def _print_memprof(report: dict) -> None:
@@ -204,7 +211,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             )
         tr = as_tracer(tracer)
         telemetry = _make_telemetry(args, tracer)
-        memprof = _make_memprof(args)
+        memprof = _make_memprof(args, tracer)
         if telemetry is not None:
             telemetry.start()
         if memprof is not None:
@@ -238,8 +245,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                     checkpoint_dir=args.checkpoint_dir,
                     resume=args.resume,
                     guardian=guardian,
-                    telemetry=telemetry,
-                    memprof=memprof,
                 )
                 rsp.set(
                     items=graph.n_edges,

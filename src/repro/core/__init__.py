@@ -23,14 +23,7 @@ from repro.core.agglomeration import (
     LevelStats,
     detect_communities,
 )
-from repro.core.engine import (
-    AgglomerationEngine,
-    ContractKernel,
-    MatchKernel,
-    PhaseKernel,
-    RunContext,
-    ScoreKernel,
-)
+from repro.core.engine import AgglomerationEngine, RunContext, ScoreKernel
 from repro.core.registry import (
     KERNEL_KINDS,
     KernelInfo,
@@ -46,10 +39,7 @@ from repro.core.refinement import refine_partition
 __all__ = [
     "AgglomerationEngine",
     "RunContext",
-    "PhaseKernel",
     "ScoreKernel",
-    "MatchKernel",
-    "ContractKernel",
     "KERNEL_KINDS",
     "KernelInfo",
     "register_kernel",

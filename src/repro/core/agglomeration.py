@@ -36,8 +36,6 @@ from repro.core.engine import (
 from repro.core.scoring import EdgeScorer
 from repro.core.termination import TerminationCriteria
 from repro.graph.graph import CommunityGraph
-from repro.obs.memprof import NullMemoryProfiler, PhaseMemoryProfiler
-from repro.obs.telemetry import NullTelemetry, TelemetrySampler
 from repro.obs.trace import NullTracer, Tracer
 from repro.platform.kernels import TraceRecorder
 from repro.resilience.guardian import NullGuardian, RunGuardian
@@ -61,8 +59,6 @@ def detect_communities(
     resume: bool = False,
     checkpoint_every: int = 1,
     guardian: RunGuardian | NullGuardian | None = None,
-    telemetry: "TelemetrySampler | NullTelemetry | None" = None,
-    memprof: "PhaseMemoryProfiler | NullMemoryProfiler | None" = None,
 ) -> AgglomerationResult:
     """Detect communities by parallel agglomeration.
 
@@ -97,7 +93,10 @@ def detect_communities(
         ``"contract"`` children, plus a ``"checkpoint_write"`` span per
         persisted level).  The run's counters, gauges and histograms
         derive from these spans
-        (:func:`repro.obs.metrics.run_metrics`).  ``None`` uses the
+        (:func:`repro.obs.metrics.run_metrics`), and a
+        :class:`~repro.obs.telemetry.TelemetrySampler` or
+        :class:`~repro.obs.memprof.PhaseMemoryProfiler` built on the
+        tracer follows the run through them.  ``None`` uses the
         zero-overhead :data:`~repro.obs.NULL_TRACER`.
     checkpoint_dir:
         When set, atomically persist the loop state after every
@@ -116,14 +115,6 @@ def detect_communities(
         memory-budget guard, post-contraction invariant audits, and the
         adaptive degradation ladder (see docs/RESILIENCE.md).  ``None``
         runs unguarded at zero overhead.
-    telemetry:
-        Optional :class:`~repro.obs.telemetry.TelemetrySampler` the
-        engine publishes phase/level transitions to; the caller owns
-        its start/stop lifecycle.  ``None`` records nothing.
-    memprof:
-        Optional :class:`~repro.obs.memprof.PhaseMemoryProfiler`
-        attributing allocation deltas to phases; the caller owns
-        start/stop.  ``None`` profiles nothing.
 
     Returns
     -------
@@ -147,8 +138,6 @@ def detect_communities(
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=checkpoint_every,
         guardian=guardian,
-        telemetry=telemetry,
-        memprof=memprof,
     )
     ctx.log = _log  # legacy logger name for per-level progress lines
     return engine.run(graph, ctx, resume=resume)

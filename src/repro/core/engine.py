@@ -9,10 +9,10 @@ pipeline as an explicit composition instead of a monolithic loop:
   simulated-work recorder, RNG
   seed, logger) and is passed **once** through every layer, replacing
   the ad-hoc kwarg plumbing the driver had grown.
-* :class:`PhaseKernel` is the one protocol scorers, matchers and
-  contractors plug in behind; concrete kernels resolve by name through
-  :mod:`repro.core.registry`, so ablation variants and user kernels are
-  a registration away.
+* Scorers, matchers and contractors resolve by name through
+  :mod:`repro.core.registry` (or are passed as objects), so ablation
+  variants and user kernels are a registration away; a
+  :class:`ScoreKernel` validates an external scorer's output once.
 * :class:`AgglomerationEngine` runs the loop: termination checks,
   per-level spans, the ``max_community_size`` veto, dendrogram and
   member-count bookkeeping, and checkpoint/resume: the loop's policy
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -41,18 +41,6 @@ from repro.graph.edgelist import EdgeList
 from repro.graph.graph import CommunityGraph
 from repro.metrics.modularity import community_graph_modularity
 from repro.metrics.partition import Partition
-from repro.obs.memprof import (
-    NULL_MEMPROF,
-    NullMemoryProfiler,
-    PhaseMemoryProfiler,
-    as_memprof,
-)
-from repro.obs.telemetry import (
-    NULL_TELEMETRY,
-    NullTelemetry,
-    TelemetrySampler,
-    as_telemetry,
-)
 from repro.obs.trace import NullTracer, Tracer, as_tracer
 from repro.platform.kernels import TraceRecorder
 from repro.resilience.checkpoint import CheckpointManager, CheckpointState
@@ -70,10 +58,7 @@ __all__ = [
     "LevelStats",
     "AgglomerationResult",
     "RunContext",
-    "PhaseKernel",
     "ScoreKernel",
-    "MatchKernel",
-    "ContractKernel",
     "AgglomerationEngine",
 ]
 
@@ -181,12 +166,10 @@ class RunContext:
     guardian:
         Run guardian (watchdog + invariant audits + degradation
         ladder); defaults to the inert :data:`NULL_GUARDIAN`.
-    telemetry:
-        Live-telemetry sampler the engine publishes phase/level
-        transitions to; defaults to the inert :data:`NULL_TELEMETRY`.
-    memprof:
-        Phase-scoped tracemalloc memory attributor; defaults to the
-        inert :data:`NULL_MEMPROF`.
+
+    The live-telemetry sampler and the phase memory profiler are not
+    services of the context: they listen to the tracer's spans
+    (:attr:`repro.obs.trace.Tracer.listeners`).
     """
 
     tracer: Tracer | NullTracer
@@ -197,8 +180,6 @@ class RunContext:
     seed: int = 0
     log: Any = _log
     guardian: RunGuardian | NullGuardian = NULL_GUARDIAN
-    telemetry: TelemetrySampler | NullTelemetry = NULL_TELEMETRY
-    memprof: PhaseMemoryProfiler | NullMemoryProfiler = NULL_MEMPROF
 
     @classmethod
     def create(
@@ -211,8 +192,6 @@ class RunContext:
         checkpoint_every: int = 1,
         seed: int = 0,
         guardian: RunGuardian | NullGuardian | None = None,
-        telemetry: TelemetrySampler | NullTelemetry | None = None,
-        memprof: PhaseMemoryProfiler | NullMemoryProfiler | None = None,
     ) -> "RunContext":
         """Normalize optional services into a ready-to-use context."""
         if checkpoint_every < 1:
@@ -229,30 +208,10 @@ class RunContext:
             checkpoint_every=checkpoint_every,
             seed=seed,
             guardian=as_guardian(guardian),
-            telemetry=as_telemetry(telemetry),
-            memprof=as_memprof(memprof),
         )
 
 
 # ----------------------------------------------------------------- kernels
-@runtime_checkable
-class PhaseKernel(Protocol):
-    """One pipeline phase, executable against a :class:`RunContext`.
-
-    ``kind`` names the phase slot (``"scorer"`` / ``"matcher"`` /
-    ``"contractor"``), ``name`` the concrete implementation; ``run``
-    receives the context plus the phase's inputs and returns its
-    outputs.  The adapters below wrap the raw kernel callables in this
-    shape so the engine drives all three phases uniformly.
-    """
-
-    kind: str
-    name: str
-
-    def run(self, ctx: RunContext, graph: CommunityGraph, **inputs: Any) -> Any:
-        ...  # pragma: no cover - protocol stub
-
-
 class ScoreKernel:
     """Scoring phase: wraps an :class:`~repro.core.scoring.EdgeScorer`.
 
@@ -261,62 +220,16 @@ class ScoreKernel:
     here, once, instead of re-validating every scorer every level.
     """
 
-    kind = "scorer"
-
     def __init__(self, scorer: EdgeScorer) -> None:
         self.scorer = scorer
         self.name = scorer.name
         self._needs_validation = not getattr(scorer, "validates_output", False)
 
-    def run(
-        self, ctx: RunContext, graph: CommunityGraph, **inputs: Any
-    ) -> np.ndarray:
+    def run(self, ctx: RunContext, graph: CommunityGraph) -> np.ndarray:
         scores = self.scorer.score(graph, ctx.recorder)
         if self._needs_validation:
             scores = validate_scores(scores, scorer=self.name)
         return scores
-
-
-class MatchKernel:
-    """Matching phase: wraps a matching callable from the registry."""
-
-    kind = "matcher"
-
-    def __init__(
-        self, name: str, fn: Callable[..., MatchingResult]
-    ) -> None:
-        self.name = name
-        self.fn = fn
-
-    def run(
-        self,
-        ctx: RunContext,
-        graph: CommunityGraph,
-        *,
-        scores: np.ndarray,
-        **inputs: Any,
-    ) -> MatchingResult:
-        return self.fn(graph, scores, ctx.recorder, tracer=ctx.tracer)
-
-
-class ContractKernel:
-    """Contraction phase: wraps a contraction callable from the registry."""
-
-    kind = "contractor"
-
-    def __init__(self, name: str, fn: Callable[..., tuple]) -> None:
-        self.name = name
-        self.fn = fn
-
-    def run(
-        self,
-        ctx: RunContext,
-        graph: CommunityGraph,
-        *,
-        matching: MatchingResult,
-        **inputs: Any,
-    ) -> tuple[CommunityGraph, np.ndarray]:
-        return self.fn(graph, matching, ctx.recorder, tracer=ctx.tracer)
 
 
 def _resolve_scorer(scorer: EdgeScorer | str | None) -> ScoreKernel:
@@ -327,18 +240,12 @@ def _resolve_scorer(scorer: EdgeScorer | str | None) -> ScoreKernel:
     return ScoreKernel(scorer)  # type: ignore[arg-type]
 
 
-def _resolve_matcher(matcher: str | Callable[..., MatchingResult]) -> MatchKernel:
-    if callable(matcher):
-        return MatchKernel(getattr(matcher, "__name__", "custom"), matcher)
-    return MatchKernel(matcher, create_kernel("matcher", matcher))  # type: ignore[arg-type]
-
-
-def _resolve_contractor(contractor: str | Callable[..., tuple]) -> ContractKernel:
-    if callable(contractor):
-        return ContractKernel(getattr(contractor, "__name__", "custom"), contractor)
-    return ContractKernel(
-        contractor, create_kernel("contractor", contractor)  # type: ignore[arg-type]
-    )
+def _resolve(kind: str, kernel: str | Callable) -> tuple[str, Callable]:
+    """A matcher or contractor as ``(name, callable)``: a registry name
+    resolves through the registry, and a callable names itself."""
+    if callable(kernel):
+        return getattr(kernel, "__name__", "custom"), kernel
+    return kernel, create_kernel(kind, kernel)  # type: ignore[return-value]
 
 
 # ------------------------------------------------------------------ engine
@@ -362,8 +269,10 @@ class AgglomerationEngine:
         termination: TerminationCriteria | None = None,
     ) -> None:
         self.score_kernel = _resolve_scorer(scorer)
-        self.match_kernel = _resolve_matcher(matcher)
-        self.contract_kernel = _resolve_contractor(contractor)
+        self.matcher_name, self._match = _resolve("matcher", matcher)
+        self.contractor_name, self._contract = _resolve(
+            "contractor", contractor
+        )
         self.termination = (
             termination
             if termination is not None
@@ -404,10 +313,6 @@ class AgglomerationEngine:
         tr = ctx.tracer
         guard = as_guardian(ctx.guardian)
         guard.bind(ctx, graph)
-        # The live-telemetry sampler reads the recovery report off the
-        # context every tick, so a guardian degradation is visible
-        # immediately; the engine publishes phase transitions.
-        ctx.telemetry.bind_run(ctx)
 
         current = graph.copy()
         dendrogram = Dendrogram(graph.n_vertices)
@@ -421,8 +326,8 @@ class AgglomerationEngine:
         with tr.span(
             "agglomeration",
             scorer=self.score_kernel.name,
-            matcher=self.match_kernel.name,
-            contractor=self.contract_kernel.name,
+            matcher=self.matcher_name,
+            contractor=self.contractor_name,
             seed=ctx.seed,
         ) as run_span:
             if resume:
@@ -498,7 +403,6 @@ class AgglomerationEngine:
                 n_levels=len(levels),
                 items=graph.n_edges,
             )
-            ctx.telemetry.publish_phase("done", None)
 
         return AgglomerationResult(
             partition=dendrogram.final_partition(),
@@ -566,11 +470,8 @@ class AgglomerationEngine:
         with tr.span(
             "level", level=level_idx, n_vertices=entering_v, n_edges=entering_e
         ) as level_span:
-            ctx.telemetry.publish_phase("score", level_idx)
             with tr.span("score", level=level_idx) as sp:
-                with guard.phase("score", level_idx), ctx.memprof.phase(
-                    "score", level_idx
-                ):
+                with guard.phase("score", level_idx):
                     scores = self.score_kernel.run(ctx, current)
                 if termination.max_community_size is not None:
                     e = current.edges
@@ -588,13 +489,10 @@ class AgglomerationEngine:
             if n_positive == 0:
                 return None, current, member_counts
 
-            ctx.telemetry.publish_phase("match", level_idx)
             with tr.span("match", level=level_idx) as sp:
-                with guard.phase("match", level_idx), ctx.memprof.phase(
-                    "match", level_idx
-                ):
-                    matching = self.match_kernel.run(
-                        ctx, current, scores=scores
+                with guard.phase("match", level_idx):
+                    matching = self._match(
+                        current, scores, ctx.recorder, tracer=tr
                     )
                 guard.observe_matching(level_idx, matching, entering_v)
                 max_pairs = current.n_vertices - termination.min_communities
@@ -611,13 +509,10 @@ class AgglomerationEngine:
                 )
 
             before = current
-            ctx.telemetry.publish_phase("contract", level_idx)
             with tr.span("contract", level=level_idx) as sp:
-                with guard.phase("contract", level_idx), ctx.memprof.phase(
-                    "contract", level_idx
-                ):
-                    current, mapping = self.contract_kernel.run(
-                        ctx, current, matching=matching
+                with guard.phase("contract", level_idx):
+                    current, mapping = self._contract(
+                        current, matching, ctx.recorder, tracer=tr
                     )
                 sp.set(
                     items=entering_e,
@@ -672,13 +567,11 @@ class AgglomerationEngine:
         member_counts: np.ndarray,
         levels: list[LevelStats],
     ) -> Path | None:
-        """Telemetry, checkpointing and logging after a completed level.
+        """Checkpointing and logging after a completed level.
 
         Returns the path of the checkpoint written, or ``None``.
         """
         stats = levels[-1]
-        ctx.telemetry.publish_phase("idle", stats.level)
-        ctx.telemetry.publish_progress(len(levels), current.n_vertices)
         path = None
         if len(levels) % ctx.checkpoint_every == 0:
             path = self._save_checkpoint(

@@ -26,8 +26,9 @@ from repro.graph.build import from_edges
 from repro.graph.csr import CSRAdjacency
 from repro.graph.edgelist import EdgeList
 from repro.graph.graph import CommunityGraph
-from repro.types import VERTEX_DTYPE, WEIGHT_DTYPE
+from repro.types import MAX_VERTICES, VERTEX_DTYPE, WEIGHT_DTYPE
 from repro.util.log import get_logger
+from repro.util.memprobe import physical_memory_bytes
 
 __all__ = [
     "read_edgelist",
@@ -52,6 +53,10 @@ def _parse_vertex(path: object, lineno: int, token: str) -> int:
     if v < 0:
         raise GraphFormatError(
             f"{path}:{lineno}: negative vertex id {token!r}"
+        )
+    if v >= MAX_VERTICES:
+        raise GraphFormatError(
+            f"{path}:{lineno}: vertex id {token!r} is not below {MAX_VERTICES}"
         )
     return v
 
@@ -229,10 +234,33 @@ def _read_bulk(
     j = np.ascontiguousarray(values["j"])
     if (i < 0).any() or (j < 0).any():
         raise _Declined("negative vertex id")
+    if (i >= MAX_VERTICES).any() or (j >= MAX_VERTICES).any():
+        raise _Declined("vertex id too large")
     w = values["w"].astype(WEIGHT_DTYPE) if weighted else None
     if weighted and not np.isfinite(w).all():
         raise _Declined("non-finite weight")
     return i, j, w
+
+
+#: 64-bit words per vertex a detection run holds: 3 for the graph, 4 for
+#: score and match state, 1 lock and 1 of contraction scratch.  This is
+#: the per-vertex part of :func:`repro.core.memory.algorithm_memory_words`
+#: (the paper's §IV accounting).
+_WORDS_PER_VERTEX = 9
+
+
+def _check_vertex_count(path: object, i: np.ndarray, j: np.ndarray) -> None:
+    """Refuse a file whose vertex count the host's memory cannot hold."""
+    memory = physical_memory_bytes()
+    if memory is None or not len(i):
+        return
+    largest = max(int(i.max()), int(j.max()))
+    if (largest + 1) * _WORDS_PER_VERTEX * 8 > memory:
+        raise GraphFormatError(
+            f"{path}: largest vertex id {largest} makes {largest + 1} "
+            f"vertices; at {_WORDS_PER_VERTEX} words each they need more "
+            f"than this host's {memory} bytes of memory"
+        )
 
 
 def read_edgelist(
@@ -244,8 +272,15 @@ def read_edgelist(
     """Read a SNAP-style whitespace edge list.
 
     ``weighted=None`` auto-detects a third column from the first data line.
-    Vertex ids must be non-negative integers; they are used directly (the
-    graph gets ``max_id + 1`` vertices).
+    Vertex ids must be non-negative integers below
+    :data:`~repro.types.MAX_VERTICES`; they are used directly (the graph
+    gets ``max_id + 1`` vertices).  A larger id is a malformed line.  A
+    file whose vertex count needs more memory than the host has, at
+    9 words per vertex (the per-vertex part of
+    :func:`repro.core.memory.algorithm_memory_words`), is refused with a
+    :class:`~repro.errors.GraphFormatError` naming its largest id and
+    vertex count, before the graph is built; the check is skipped where
+    the host's physical memory cannot be read.
 
     Malformed lines raise :class:`~repro.errors.GraphFormatError` naming
     the file, 1-based line number, and offending token.  With
@@ -271,13 +306,15 @@ def read_edgelist(
     differ or are not 2 or 3 (or 2 when ``weighted=True``), any token
     NumPy cannot parse as its column's type (a vertex id that is not an
     int64, such as ``3.0``, ``1e3`` or one of 20 digits), negative ids,
-    non-finite weights, and a file whose size changes while it is read.
+    non-finite weights, ids not below ``MAX_VERTICES``, and a file whose
+    size changes while it is read.
     """
     try:
         i, j, w = _read_bulk(path, weighted)
     except _Declined as why:
         _log.info("%s: bulk parse declined (%s); reading line by line", path, why)
         i, j, w = _read_lines(path, weighted, strict)
+    _check_vertex_count(path, i, j)
     return from_edges(i, j, w)
 
 

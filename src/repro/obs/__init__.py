@@ -28,6 +28,9 @@ Four layers:
   tracemalloc phase-scoped memory attributor merged into the
   attribution document.
 
+The sampler and the profiler are listeners of a :class:`Tracer`
+(:attr:`Tracer.listeners`): they follow a run through its spans.
+
 Distinct from :mod:`repro.platform` tracing: the platform layer records
 *simulated* work quantities for the paper's machine cost models; this
 package measures what the current machine actually did.  See
@@ -56,10 +59,7 @@ __getattr__, __dir__ = _lazy_exports(
         "Histogram": "metrics",
         "render_prometheus": "metrics",
         "run_metrics": "metrics",
-        "NULL_MEMPROF": "memprof",
-        "NullMemoryProfiler": "memprof",
         "PhaseMemoryProfiler": "memprof",
-        "as_memprof": "memprof",
         "to_chrome_trace": "perfetto",
         "write_perfetto": "perfetto",
         "markdown_to_html": "report",
@@ -71,10 +71,7 @@ __getattr__, __dir__ = _lazy_exports(
         "read_trace": "sinks",
         "render_profile": "sinks",
         "write_trace": "sinks",
-        "NULL_TELEMETRY": "telemetry",
-        "NullTelemetry": "telemetry",
         "TelemetrySampler": "telemetry",
-        "as_telemetry": "telemetry",
         "read_status": "telemetry",
         "render_status": "telemetry",
         "LevelQuality": "timeline",
@@ -101,15 +98,9 @@ __all__ = [
     "phase_totals",
     "render_profile",
     "TelemetrySampler",
-    "NullTelemetry",
-    "NULL_TELEMETRY",
-    "as_telemetry",
     "read_status",
     "render_status",
     "PhaseMemoryProfiler",
-    "NullMemoryProfiler",
-    "NULL_MEMPROF",
-    "as_memprof",
     "attribute_run",
     "self_times",
     "hotspots",

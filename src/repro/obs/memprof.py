@@ -3,9 +3,9 @@
 The telemetry sampler (:mod:`repro.obs.telemetry`) answers *how much*
 memory a run used over time; this module answers *which phase and which
 allocation sites* the memory came from.  A :class:`PhaseMemoryProfiler`
-wraps each score/match/contract execution (the engine drives it through
-``RunContext.memprof``, mirroring the guardian's phase hook) and
-records, per phase kind:
+listens to its tracer's spans and measures each ``score``/``match``/
+``contract`` span, from its opening to its closing, recording per
+phase kind:
 
 * the **net allocation delta** across the phase (traced current memory
   at exit minus entry — negative when a phase frees more than it
@@ -22,11 +22,10 @@ renders as a section of ``repro report``.
 
 tracemalloc instruments every Python-level allocation, so profiling is
 *not* free (typically 2–4× slower with snapshot diffs) — this is a
-diagnosis tool, opt-in via ``--memprof``, never a default.  The default
-is :data:`NULL_MEMPROF`, whose phase hook returns a shared no-op
-handle.  NumPy buffers are traced too (NumPy routes its data allocator
-through tracemalloc's ``np`` domain), which is what makes the per-phase
-deltas meaningful for this pipeline's array-heavy kernels.
+diagnosis tool, opt-in via ``--memprof``, never a default.  NumPy
+buffers are traced too (NumPy routes its data allocator through
+tracemalloc's ``np`` domain), which is what makes the per-phase deltas
+meaningful for this pipeline's array-heavy kernels.
 """
 
 from __future__ import annotations
@@ -34,77 +33,12 @@ from __future__ import annotations
 import tracemalloc
 from typing import Any
 
-__all__ = [
-    "PhaseMemoryProfiler",
-    "NullMemoryProfiler",
-    "NULL_MEMPROF",
-    "as_memprof",
-]
+from repro.obs.trace import Span, Tracer
 
+__all__ = ["PhaseMemoryProfiler"]
 
-class _PhaseProbe:
-    """Context manager measuring one phase execution."""
-
-    __slots__ = ("_prof", "_name", "_entry_bytes", "_entry_snapshot")
-
-    def __init__(self, prof: "PhaseMemoryProfiler", name: str) -> None:
-        self._prof = prof
-        self._name = name
-        self._entry_bytes = 0
-        self._entry_snapshot: tracemalloc.Snapshot | None = None
-
-    def __enter__(self) -> "_PhaseProbe":
-        if not tracemalloc.is_tracing():  # pragma: no cover - defensive
-            return self
-        self._entry_bytes, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        if self._prof.top_sites > 0:
-            self._entry_snapshot = tracemalloc.take_snapshot()
-        return self
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        if not tracemalloc.is_tracing():  # pragma: no cover - defensive
-            return
-        current, peak = tracemalloc.get_traced_memory()
-        self._prof._record(
-            self._name,
-            net_bytes=current - self._entry_bytes,
-            peak_bytes=max(0, peak - self._entry_bytes),
-        )
-        if self._entry_snapshot is not None:
-            try:
-                exit_snapshot = tracemalloc.take_snapshot()
-                # tracemalloc's own bookkeeping dominates small diffs;
-                # drop it so the top sites point at the pipeline.
-                own = tracemalloc.Filter(False, tracemalloc.__file__)
-                diff = exit_snapshot.filter_traces((own,)).compare_to(
-                    self._entry_snapshot.filter_traces((own,)), "lineno"
-                )
-            except Exception:  # pragma: no cover - never fail the run
-                return
-            finally:
-                self._entry_snapshot = None
-            for stat in diff:
-                if stat.size_diff == 0:
-                    continue
-                frame = stat.traceback[0]
-                site = f"{frame.filename}:{frame.lineno}"
-                self._prof._record_site(self._name, site, stat.size_diff)
-
-
-class _NullPhaseProbe:
-    """Shared do-nothing phase probe — the unprofiled fast path."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullPhaseProbe":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        return None
-
-
-_NULL_PROBE = _NullPhaseProbe()
+#: The spans a profiler measures.
+_PHASES = ("score", "match", "contract")
 
 
 class PhaseMemoryProfiler:
@@ -112,6 +46,11 @@ class PhaseMemoryProfiler:
 
     Parameters
     ----------
+    tracer:
+        The run's :class:`~repro.obs.trace.Tracer`; the profiler
+        measures its phase spans.  Anything else (``None``, a
+        :class:`~repro.obs.trace.NullTracer`) raises ``TypeError``,
+        since the profiler would see no phases.
     top_sites:
         Allocation sites kept per phase kind in the report (by absolute
         net growth).  ``0`` disables snapshot diffs entirely — phase
@@ -120,11 +59,18 @@ class PhaseMemoryProfiler:
         Traceback depth passed to ``tracemalloc.start`` (deeper frames
         cost memory per live allocation; the report only uses the
         innermost frame, so the default stays shallow).
+
+    Phases are measured while tracemalloc traces, which :meth:`start`
+    (or ``with profiler:``) arranges.
     """
 
-    enabled = True
-
-    def __init__(self, *, top_sites: int = 5, frames: int = 1) -> None:
+    def __init__(
+        self, tracer: Tracer, *, top_sites: int = 5, frames: int = 1
+    ) -> None:
+        if not isinstance(tracer, Tracer):
+            raise TypeError(
+                f"PhaseMemoryProfiler needs a Tracer, got {type(tracer).__name__}"
+            )
         if top_sites < 0:
             raise ValueError("top_sites must be >= 0")
         if frames < 1:
@@ -134,6 +80,9 @@ class PhaseMemoryProfiler:
         self._owns_tracing = False
         self._phases: dict[str, dict] = {}
         self._sites: dict[str, dict[str, int]] = {}
+        #: Entry reading of each open phase span, by span id.
+        self._open: dict[int, tuple[int, tracemalloc.Snapshot | None]] = {}
+        tracer.listeners.append(self)
 
     # ------------------------------------------------------- lifecycle
     def start(self) -> "PhaseMemoryProfiler":
@@ -156,15 +105,45 @@ class PhaseMemoryProfiler:
     def __exit__(self, *exc: Any) -> None:
         self.stop()
 
-    # ----------------------------------------------------------- hooks
-    def phase(self, name: str, level: int | None = None) -> _PhaseProbe:
-        """Measure one phase execution (use as a context manager).
+    # ------------------------------------------------- span listener
+    def span_open(self, span: Span) -> None:
+        if span.name not in _PHASES or not tracemalloc.is_tracing():
+            return
+        entry_bytes, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        snapshot = tracemalloc.take_snapshot() if self.top_sites > 0 else None
+        self._open[span.span_id] = (entry_bytes, snapshot)
 
-        ``level`` is accepted for hook-signature symmetry with the
-        guardian; attribution is by phase *kind* (levels of the same
-        phase aggregate), matching how the span attribution reports.
-        """
-        return _PhaseProbe(self, name)
+    def span_close(self, span: Span) -> None:
+        entry = self._open.pop(span.span_id, None)
+        if entry is None or not tracemalloc.is_tracing():
+            return
+        entry_bytes, entry_snapshot = entry
+        current, peak = tracemalloc.get_traced_memory()
+        self._record(
+            span.name,
+            net_bytes=current - entry_bytes,
+            peak_bytes=max(0, peak - entry_bytes),
+        )
+        if entry_snapshot is None:
+            return
+        try:
+            exit_snapshot = tracemalloc.take_snapshot()
+            # tracemalloc's own bookkeeping dominates small diffs;
+            # drop it so the top sites point at the pipeline.
+            own = tracemalloc.Filter(False, tracemalloc.__file__)
+            diff = exit_snapshot.filter_traces((own,)).compare_to(
+                entry_snapshot.filter_traces((own,)), "lineno"
+            )
+        except Exception:  # pragma: no cover - never fail the run
+            return
+        for stat in diff:
+            if stat.size_diff == 0:
+                continue
+            frame = stat.traceback[0]
+            self._record_site(
+                span.name, f"{frame.filename}:{frame.lineno}", stat.size_diff
+            )
 
     def _record(self, name: str, *, net_bytes: int, peak_bytes: int) -> None:
         entry = self._phases.setdefault(
@@ -199,38 +178,3 @@ class PhaseMemoryProfiler:
             "top_sites": self.top_sites,
             "phases": phases,
         }
-
-
-class NullMemoryProfiler:
-    """Inert profiler: no tracing, no-op probes, empty report."""
-
-    enabled = False
-
-    def start(self) -> "NullMemoryProfiler":
-        return self
-
-    def stop(self) -> dict:
-        return {}
-
-    def __enter__(self) -> "NullMemoryProfiler":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        return None
-
-    def phase(self, name: str, level: int | None = None) -> _NullPhaseProbe:
-        return _NULL_PROBE
-
-    def report(self) -> dict:
-        return {}
-
-
-#: Shared inert instance (stateless, safe to reuse across runs).
-NULL_MEMPROF = NullMemoryProfiler()
-
-
-def as_memprof(
-    memprof: "PhaseMemoryProfiler | NullMemoryProfiler | None",
-) -> "PhaseMemoryProfiler | NullMemoryProfiler":
-    """Normalize an optional profiler argument (``None`` -> null)."""
-    return NULL_MEMPROF if memprof is None else memprof

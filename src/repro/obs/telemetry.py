@@ -7,7 +7,7 @@ periodically records
 
 * anonymous RSS (:func:`repro.util.memprobe.rss_anon_mb`),
 * cumulative GC collections,
-* the current phase/level (published by the engine via ``RunContext``)
+* the current phase/level (read off the run's spans)
 
 into the trace as schema-v3 **counter samples**
 (:meth:`~repro.obs.trace.Tracer.record_counter`), so a live run's
@@ -18,13 +18,26 @@ heartbeat (current level/phase, progress, guardian ladder state, memory
 and ramp rate, last-sample timestamp) that ``repro watch`` renders
 live; :func:`render_status` is that renderer.
 
+The sampler is one of its tracer's :attr:`~repro.obs.trace.Tracer.listeners`
+and follows the run through its spans:
+
+* a ``score``/``match``/``contract`` span opening sets the phase and level;
+* a ``level`` span closing with ``n_pairs`` (a contracted level) sets
+  the phase to ``idle``, the levels done to its level + 1, and the
+  community count to its ``contract`` span's ``n_vertices_after``;
+* an ``agglomeration`` span closing without ``error`` sets the phase
+  to ``done`` and the level to ``None``;
+* each ``guardian_breach`` span counts a breach, and each
+  ``guardian_degrade`` span appends its ``transition`` to the ladder.
+
+An aborted run therefore keeps the phase it aborted in.
+
 The sampler keeps a bounded ring buffer of ``(ts_ns, rss_mb)`` pairs;
 :meth:`TelemetrySampler.ramp_mb_s` fits the RSS ramp rate over a recent
 window, which status.json, ``repro watch`` and the ledger display.
 
-Zero overhead when off: the default is :data:`NULL_TELEMETRY`, whose
-hooks are attribute-lookup no-ops — no thread, no samples, no status
-file, and the trace byte-output is unchanged.
+A run without a sampler pays nothing for it: no thread, no samples, no
+status file, and the trace byte-output is unchanged.
 """
 
 from __future__ import annotations
@@ -36,22 +49,16 @@ import threading
 import time
 from collections import deque
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.errors import ReproError
-from repro.obs.trace import NullTracer, Tracer, as_tracer
+from repro.obs.trace import Span, Tracer
 from repro.util.atomicio import atomic_write_text
 from repro.util.log import get_logger
 from repro.util.memprobe import rss_anon_mb, rss_probe_source
 
-if TYPE_CHECKING:  # engine imports this module; never the reverse at runtime
-    from repro.core.engine import RunContext
-
 __all__ = [
     "TelemetrySampler",
-    "NullTelemetry",
-    "NULL_TELEMETRY",
-    "as_telemetry",
     "read_status",
     "render_status",
     "STATUS_FILENAME",
@@ -69,7 +76,7 @@ STATUS_VERSION = 1
 
 #: Numeric encoding of the pipeline phase for the ``phase_id`` counter
 #: track (counter tracks plot numbers, not strings).  ``idle`` covers
-#: between-level housekeeping; ``done`` is published when the run ends.
+#: between-level housekeeping; ``done`` is set when the run ends.
 PHASE_IDS = {"idle": 0, "score": 1, "match": 2, "contract": 3, "done": 4}
 
 
@@ -80,8 +87,11 @@ class TelemetrySampler:
     Parameters
     ----------
     tracer:
-        Destination for counter samples.  A :class:`NullTracer` is
-        accepted (status.json still updates; no trace records).
+        The run's :class:`~repro.obs.trace.Tracer`: the sampler reads
+        the phase, progress and guardian state off its spans and
+        records counter samples into it.  Anything else (``None``, a
+        :class:`~repro.obs.trace.NullTracer`) raises ``TypeError``,
+        since the sampler would see no phases.
     interval_s:
         Sampling period of the background thread.
     status_path:
@@ -101,22 +111,24 @@ class TelemetrySampler:
     the thread from outliving an aborted run.
     """
 
-    enabled = True
-
     def __init__(
         self,
-        tracer: Tracer | NullTracer | None = None,
+        tracer: Tracer,
         *,
         interval_s: float = 0.25,
         status_path: str | os.PathLike | None = None,
         ring_size: int = 240,
         meta: dict | None = None,
     ) -> None:
+        if not isinstance(tracer, Tracer):
+            raise TypeError(
+                f"TelemetrySampler needs a Tracer, got {type(tracer).__name__}"
+            )
         if interval_s <= 0:
             raise ValueError("interval_s must be positive")
         if ring_size < 2:
             raise ValueError("ring_size must be >= 2")
-        self.tracer = as_tracer(tracer)
+        self.tracer = tracer
         self.interval_s = float(interval_s)
         if status_path is not None:
             p = Path(os.fspath(status_path))
@@ -137,34 +149,36 @@ class TelemetrySampler:
         self._level: int | None = None
         self._levels_done = 0
         self._n_communities: int | None = None
+        self._contracted_to: int | None = None
+        self._breaches = 0
+        self._ladder: list[str] = []
         self._state = "created"
-        self._ctx: "RunContext | None" = None
         self._started_unix: float | None = None
         self._stop_event = threading.Event()
         self._thread: threading.Thread | None = None
+        tracer.listeners.append(self)
 
-    # ------------------------------------------------------ run wiring
-    def bind_run(self, ctx: "RunContext") -> None:
-        """Attach to a run context.
+    # ------------------------------------------------- span listener
+    def span_open(self, span: Span) -> None:
+        if span.name in ("score", "match", "contract"):
+            self._phase = span.name
+            self._level = span.level
 
-        Gives the sampler live access to ``ctx.recovery`` (the guardian
-        ladder state for status.json, re-read every tick).  Called by
-        the engine at run start; harmless to call more than once.
-        """
-        self._ctx = ctx
-
-    def publish_phase(self, phase: str, level: int | None = None) -> None:
-        """Engine hook: the pipeline just entered ``phase`` at ``level``."""
-        self._phase = phase
-        self._level = level
-
-    def publish_progress(
-        self, levels_done: int, n_communities: int | None = None
-    ) -> None:
-        """Engine hook: a level completed."""
-        self._levels_done = int(levels_done)
-        if n_communities is not None:
-            self._n_communities = int(n_communities)
+    def span_close(self, span: Span) -> None:
+        name, attrs = span.name, span.attrs
+        if name == "contract":
+            self._contracted_to = attrs.get("n_vertices_after")
+        elif name == "level" and "n_pairs" in attrs:
+            self._phase = "idle"
+            self._levels_done = (span.level or 0) + 1
+            self._n_communities = self._contracted_to
+        elif name == "agglomeration" and "error" not in attrs:
+            self._phase = "done"
+            self._level = None
+        elif name == "guardian_breach":
+            self._breaches += 1
+        elif name == "guardian_degrade":
+            self._ladder.append(attrs["transition"])
 
     # ------------------------------------------------------- lifecycle
     @property
@@ -278,7 +292,6 @@ class TelemetrySampler:
             self.max_ramp_mb_s = ramp
         self.n_samples += 1
 
-        recovery = self._ctx.recovery if self._ctx is not None else None
         status = {
             "schema": STATUS_SCHEMA,
             "version": STATUS_VERSION,
@@ -298,8 +311,8 @@ class TelemetrySampler:
             "gc_collections": gc_collections,
             "n_samples": self.n_samples,
             "guardian": {
-                "breaches": getattr(recovery, "guardian_breaches", 0),
-                "ladder": list(getattr(recovery, "ladder", ()) or ()),
+                "breaches": self._breaches,
+                "ladder": list(self._ladder),
             },
             "meta": self.meta,
         }
@@ -321,69 +334,6 @@ class TelemetrySampler:
             "peak_rss_mb": self.peak_rss_mb,
             "max_ramp_mb_s": self.max_ramp_mb_s,
         }
-
-
-class NullTelemetry:
-    """Inert telemetry: every hook is a no-op, no thread ever starts.
-
-    The default for every run — mirrors ``NullTracer`` /
-    ``NullGuardian`` so instrumented code never branches on ``None``,
-    and the untelemetered path records nothing (trace byte-output is
-    unchanged).
-    """
-
-    enabled = False
-    running = False
-    ring: tuple = ()
-    interval_s = 0.0
-    n_samples = 0
-    peak_rss_mb = None
-    max_ramp_mb_s = None
-
-    def bind_run(self, ctx: Any) -> None:
-        return None
-
-    def publish_phase(self, phase: str, level: int | None = None) -> None:
-        return None
-
-    def publish_progress(
-        self, levels_done: int, n_communities: int | None = None
-    ) -> None:
-        return None
-
-    def start(self) -> "NullTelemetry":
-        return self
-
-    def stop(
-        self, *, timeout_s: float = 0.0, state: str | None = None
-    ) -> None:
-        return None
-
-    def __enter__(self) -> "NullTelemetry":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        return None
-
-    def ramp_mb_s(self, *, window_s: float | None = None) -> None:
-        return None
-
-    def sample_once(self, *, now_ns: int | None = None) -> dict:
-        return {}
-
-    def stats(self) -> dict:
-        return {}
-
-
-#: Shared inert instance (stateless, safe to reuse across runs).
-NULL_TELEMETRY = NullTelemetry()
-
-
-def as_telemetry(
-    telemetry: "TelemetrySampler | NullTelemetry | None",
-) -> "TelemetrySampler | NullTelemetry":
-    """Normalize an optional telemetry argument (``None`` -> null)."""
-    return NULL_TELEMETRY if telemetry is None else telemetry
 
 
 # ------------------------------------------------------------ watch view

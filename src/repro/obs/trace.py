@@ -163,6 +163,8 @@ class _SpanHandle:
         self._timer.start()
         self._span.start_ns = self._timer.start_ns or 0
         self._tracer._stack.append(self._span)
+        for listener in self._tracer.listeners:
+            listener.span_open(self._span)
         return self
 
     def __exit__(
@@ -171,10 +173,14 @@ class _SpanHandle:
         exc: BaseException | None,
         tb: TracebackType | None,
     ) -> None:
-        self._timer.stop()
-        self._span.end_ns = self._timer.stop_ns or self._span.start_ns
         if exc_type is not None:
             self._span.attrs.setdefault("error", exc_type.__name__)
+        # Listeners see the final attributes, and their cost stays
+        # inside the span.
+        for listener in self._tracer.listeners:
+            listener.span_close(self._span)
+        self._timer.stop()
+        self._span.end_ns = self._timer.stop_ns or self._span.start_ns
         stack = self._tracer._stack
         if stack and stack[-1] is self._span:
             stack.pop()
@@ -194,6 +200,12 @@ class Tracer:
     (:func:`repro.obs.metrics.run_metrics`).  One tracer serves one
     logical run but may span several :func:`detect_communities` calls
     (the bench harness tags each with a ``"run"`` root span).
+
+    :attr:`listeners` are told about every span as it happens: each
+    one's ``span_open(span)`` runs when a span opens (after it is
+    pushed) and ``span_close(span)`` when it closes (after ``error`` is
+    stamped, before the clock stops).  The live-telemetry sampler and
+    the phase memory profiler follow a run this way.
     """
 
     enabled = True
@@ -208,6 +220,8 @@ class Tracer:
         #: Monotonic-clock epoch stamped on every span this tracer
         #: records, so spans align in exported traces.
         self.epoch_ns = time.monotonic_ns()
+        #: Objects with ``span_open(span)`` and ``span_close(span)``.
+        self.listeners: list[Any] = []
         self._stack: list[Span] = []
         self._next_id = 0
 

@@ -28,7 +28,6 @@ absorbs them visibly instead of dying.
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +35,7 @@ import numpy as np
 from repro.errors import WalError
 from repro.graph.build import from_edges
 from repro.graph.graph import CommunityGraph
-from repro.types import VERTEX_DTYPE, WEIGHT_DTYPE
+from repro.types import MAX_VERTICES, VERTEX_DTYPE, WEIGHT_DTYPE
 from repro.util.arrays import segment_starts, sort_keys, strictly_increasing
 
 __all__ = [
@@ -60,10 +59,6 @@ OP_DELETE = -1
 
 #: Accumulated weights at or below this are treated as "edge gone".
 WEIGHT_EPS = 1e-9
-
-#: Vertex ids must be below this: the largest vertex count ``n`` whose
-#: pair key ``lo * n + hi`` fits in int64 (3,037,000,499).
-MAX_VERTICES = math.isqrt(2**63 - 1)
 
 #: :meth:`EdgeStore.apply` splices batches of up to this many distinct
 #: keys from slices of the store (:func:`_splice`), and assembles wider

@@ -10,6 +10,7 @@ representable).
 
 from __future__ import annotations
 
+import math
 from typing import TypeAlias
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "WeightArray",
     "ScoreArray",
     "NO_VERTEX",
+    "MAX_VERTICES",
 ]
 
 #: dtype used for vertex identifiers and edge endpoints.
@@ -36,6 +38,10 @@ SCORE_DTYPE = np.float64
 
 #: Sentinel for "no vertex" in match/partner arrays.
 NO_VERTEX: int = -1
+
+#: Vertex ids must be below this: the largest vertex count ``n`` whose
+#: pair key ``lo * n + hi`` fits in int64 (3,037,000,499).
+MAX_VERTICES = math.isqrt(2**63 - 1)
 
 VertexArray: TypeAlias = npt.NDArray[np.int64]
 WeightArray: TypeAlias = npt.NDArray[np.float64]

@@ -28,6 +28,10 @@ records can say whether a series is instantaneous (``rss_anon`` /
 :func:`trim_memory` hands freed allocator pages back to the OS (glibc
 retains free()d arena memory indefinitely), so a sample taken after a
 large phase reflects live memory rather than allocator history.
+
+:func:`physical_memory_bytes` reads the host's physical memory, which
+bounds the vertex count an edge-list file may name
+(:func:`repro.graph.io.read_edgelist`).
 """
 
 from __future__ import annotations
@@ -35,7 +39,12 @@ from __future__ import annotations
 import os
 import sys
 
-__all__ = ["rss_anon_mb", "rss_probe_source", "trim_memory"]
+__all__ = [
+    "rss_anon_mb",
+    "rss_probe_source",
+    "physical_memory_bytes",
+    "trim_memory",
+]
 
 
 def _rss_from_proc_status() -> float | None:
@@ -103,6 +112,15 @@ def rss_probe_source() -> str:
     if _rss_from_getrusage() is not None:  # pragma: no cover - non-Linux
         return "getrusage"
     return "none"  # pragma: no cover - no probe available
+
+
+def physical_memory_bytes() -> int | None:
+    """The host's physical memory in bytes (``None`` where unknown)."""
+    try:
+        size = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):  # pragma: no cover
+        return None
+    return size if size > 0 else None
 
 
 def trim_memory() -> None:

@@ -308,7 +308,9 @@ class TestStatusCorruption:
     ):
         status = tmp_path / "status.json"
         getattr(atomic_write_faults, mode)("status.json")
-        sampler = TelemetrySampler(None, interval_s=0.01, status_path=status)
+        sampler = TelemetrySampler(
+            Tracer(), interval_s=0.01, status_path=status
+        )
         sampler.sample_once()
         with pytest.raises(ReproError):
             read_status(status)

@@ -147,7 +147,8 @@ class TestDetect:
         # imports the other subcommands' modules inside them.
         assert _fresh_modules("import repro", "repro") == ["repro"]
         loaded = _fresh_modules("import repro.cli", "repro")
-        assert len(loaded) <= 50, loaded
+        assert len(loaded) <= 45, loaded
+        assert _fresh_modules("import repro.cli", "tracemalloc") == []
         deferred = (
             "repro.analysis",
             "repro.baselines",
@@ -161,8 +162,10 @@ class TestDetect:
             "repro.platform.whatif",
             "repro.platform.utilization",
             "repro.obs.attribution",
+            "repro.obs.memprof",
             "repro.obs.perfetto",
             "repro.obs.report",
+            "repro.obs.telemetry",
             "repro.obs.timeline",
         )
         unexpected = [

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError, GraphFormatWarning
+from repro.types import MAX_VERTICES
 from repro.graph import (
     from_edges,
     load_npz,
@@ -171,6 +172,82 @@ class TestWriterPrecision:
         write_metis(self._graph(), path)
         back = read_metis(path)
         assert back.edges.w.tobytes() == self._graph().edges.w.tobytes()
+
+
+class TestVertexIdBounds:
+    """Ids the pair keys cannot hold, and vertex counts the host's memory
+    cannot hold, are format errors, not crashes in NumPy."""
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            # past int64
+            ("0 1\n9999999999999999999 1\n", ":2: vertex id '9999999999999999999'"),
+            ("0 1\n1111111111111111 1\n", ":2: vertex id '1111111111111111'"),
+            ("8\t9139844215", ":1: vertex id '9139844215'"),
+        ],
+    )
+    def test_too_large_id_names_line_and_token(self, tmp_path, text, where):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        with pytest.raises(GraphFormatError) as exc:
+            read_edgelist(path)
+        assert str(exc.value) == f"{path}{where} is not below {MAX_VERTICES}"
+
+    def test_too_large_id_is_skipped_when_not_strict(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text(f"0 1\n{MAX_VERTICES} 1\n1 2\n")
+        with pytest.warns(GraphFormatWarning, match="1 malformed"):
+            g = read_edgelist(path, strict=False)
+        assert g.n_vertices == 3
+        assert g.n_edges == 2
+
+    def test_parse_vertex_bound(self):
+        from repro.graph.io import _parse_vertex
+
+        assert _parse_vertex("g", 1, str(MAX_VERTICES - 1)) == MAX_VERTICES - 1
+        with pytest.raises(GraphFormatError, match="g:1: vertex id"):
+            _parse_vertex("g", 1, str(MAX_VERTICES))
+
+    def test_bulk_parse_declines_too_large_id(self, tmp_path, caplog):
+        path = tmp_path / "g.txt"
+        path.write_text(f"0 1\n{MAX_VERTICES} 1\n")
+        caplog.set_level(logging.INFO, logger="repro.graph.io")
+        with pytest.raises(GraphFormatError, match=":2: vertex id"):
+            read_edgelist(path)
+        assert "(vertex id too large)" in caplog.text
+
+    def test_vertex_count_bounded_by_host_memory(self, tmp_path, monkeypatch):
+        from repro.graph import io as graph_io
+
+        monkeypatch.setattr(graph_io, "physical_memory_bytes", lambda: 2**30)
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n20000000 1\n")
+        with pytest.raises(
+            GraphFormatError,
+            match="largest vertex id 20000000 makes 20000001 vertices",
+        ):
+            read_edgelist(path)
+        path.write_text("0 1\n1000000 1\n")
+        assert read_edgelist(path).n_vertices == 1_000_001
+
+    def test_unknown_host_memory_skips_the_check(self, tmp_path, monkeypatch):
+        from repro.graph import io as graph_io
+
+        monkeypatch.setattr(graph_io, "physical_memory_bytes", lambda: None)
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n1000 1\n")
+        assert read_edgelist(path).n_vertices == 1001
+
+    def test_words_per_vertex_is_the_papers_accounting(self):
+        from repro.core.memory import algorithm_memory_words
+        from repro.graph.io import _WORDS_PER_VERTEX
+
+        per_vertex = (
+            algorithm_memory_words(2, 0).total
+            - algorithm_memory_words(1, 0).total
+        )
+        assert _WORDS_PER_VERTEX == per_vertex
 
 
 class TestBulkParseLogging:

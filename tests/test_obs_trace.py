@@ -1,5 +1,7 @@
 """Unit tests for the span tracer (repro.obs.trace)."""
 
+import time
+
 import pytest
 
 from repro.obs.trace import (
@@ -105,6 +107,134 @@ class TestAttributes:
                 pass
         assert len(tr.find("a")) == 2
         assert tr.find("missing") == []
+
+
+class _Recorder:
+    """A listener that logs each call with the span's attributes then."""
+
+    def __init__(self):
+        self.calls = []
+
+    def span_open(self, span):
+        self.calls.append(("open", span.name, dict(span.attrs)))
+
+    def span_close(self, span):
+        self.calls.append(("close", span.name, dict(span.attrs)))
+
+
+class TestListeners:
+    def test_calls_arrive_in_nesting_order(self):
+        tr = Tracer()
+        rec = _Recorder()
+        tr.listeners.append(rec)
+        with tr.span("level"):
+            with tr.span("score"):
+                pass
+            with tr.span("match"):
+                pass
+        assert [c[:2] for c in rec.calls] == [
+            ("open", "level"),
+            ("open", "score"),
+            ("close", "score"),
+            ("open", "match"),
+            ("close", "match"),
+            ("close", "level"),
+        ]
+
+    def test_open_sees_the_span_on_the_stack(self):
+        tr = Tracer()
+        seen = []
+
+        class Current:
+            def span_open(self, span):
+                seen.append(tr.current is span)
+
+            def span_close(self, span):
+                pass
+
+        tr.listeners.append(Current())
+        with tr.span("outer"):
+            with tr.span("inner"):
+                pass
+        assert seen == [True, True]
+
+    def test_close_sees_attributes_set_in_the_block(self):
+        tr = Tracer()
+        rec = _Recorder()
+        tr.listeners.append(rec)
+        with tr.span("contract", level=2, a=1) as sp:
+            sp.set(n_vertices_after=7)
+        assert rec.calls == [
+            ("open", "contract", {"a": 1}),
+            ("close", "contract", {"a": 1, "n_vertices_after": 7}),
+        ]
+
+    def test_close_sees_error_on_exception(self):
+        tr = Tracer()
+        rec = _Recorder()
+        tr.listeners.append(rec)
+        with pytest.raises(KeyError):
+            with tr.span("boom"):
+                raise KeyError("x")
+        assert rec.calls[-1] == ("close", "boom", {"error": "KeyError"})
+        assert tr.current is None
+
+    def test_close_runs_before_the_clock_stops(self):
+        # A listener's cost is part of the span it listens to.
+        tr = Tracer()
+
+        class Slow:
+            def span_open(self, span):
+                pass
+
+            def span_close(self, span):
+                time.sleep(0.02)
+
+        tr.listeners.append(Slow())
+        with tr.span("x"):
+            pass
+        (span,) = tr.spans
+        assert span.end_ns - span.start_ns >= 20_000_000
+
+    def test_every_listener_is_told_in_order(self):
+        tr = Tracer()
+        order = []
+
+        class Tagged:
+            def __init__(self, tag):
+                self.tag = tag
+
+            def span_open(self, span):
+                order.append((self.tag, "open"))
+
+            def span_close(self, span):
+                order.append((self.tag, "close"))
+
+        tr.listeners.extend([Tagged("a"), Tagged("b")])
+        with tr.span("x"):
+            pass
+        assert order == [("a", "open"), ("b", "open"), ("a", "close"), ("b", "close")]
+
+    def test_listeners_do_not_change_the_spans(self):
+        def record(tr):
+            with tr.span("outer", level=0, graph="g") as sp:
+                with tr.span("inner", level=0) as inner:
+                    inner.set(items=3)
+                sp.set(n=1)
+            with pytest.raises(ValueError):
+                with tr.span("bad"):
+                    raise ValueError
+            return [
+                (s.name, s.span_id, s.parent_id, s.level, s.items, s.attrs)
+                for s in tr.spans
+            ]
+
+        plain = Tracer()
+        listened = Tracer()
+        listened.listeners.append(_Recorder())
+        assert plain.listeners == []
+        assert record(listened) == record(plain)
+        assert all(s.end_ns >= s.start_ns for s in listened.spans)
 
 
 class TestNullTracer:

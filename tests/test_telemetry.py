@@ -1,12 +1,17 @@
 """Live-telemetry suite: sampler, status heartbeat, watch, memprof,
 and the guardian's indifference to the sampler's RSS ramp estimate.
 
-Covers the four contracts the live tier makes:
+Covers the five contracts the live tier makes:
 
-* **Zero overhead off.**  The default ``NULL_TELEMETRY`` path adds no
-  thread, no counter samples, and no new record kinds to the trace —
-  the JSONL byte-output carries exactly the record kinds it carried
-  before the live tier existed.
+* **Zero overhead off.**  A run without a sampler adds no thread, no
+  counter samples, and no new record kinds to the trace — the JSONL
+  byte-output carries exactly the record kinds it carried before the
+  live tier existed.
+* **Status comes from spans.**  The sampler and the memory profiler
+  listen to their tracer's spans; the phase, progress and guardian
+  state the heartbeat reports equal what the run's spans and result
+  say at every phase, at the end of a run, after an abort and after a
+  resume.
 * **Samples are well-formed on.**  Counter series carry monotonically
   non-decreasing timestamps, land in ``read_trace().samples`` and the
   Perfetto counter tracks, and the status.json heartbeat round-trips
@@ -23,49 +28,26 @@ import json
 
 import pytest
 
-from repro.core import detect_communities
-from repro.errors import ReproError
-from repro.obs import Tracer, read_trace, write_trace
-from repro.obs.memprof import (
-    NULL_MEMPROF,
-    NullMemoryProfiler,
-    PhaseMemoryProfiler,
-    as_memprof,
-)
+from repro.core import TerminationCriteria, detect_communities
+from repro.errors import GuardianBreach, ReproError, RunAbortedError
+from repro.generators import planted_partition_graph
+from repro.obs import NULL_TRACER, NullTracer, Tracer, read_trace, write_trace
+from repro.obs.memprof import PhaseMemoryProfiler
 from repro.obs.perfetto import to_chrome_trace
 from repro.obs.telemetry import (
-    NULL_TELEMETRY,
     PHASE_IDS,
-    NullTelemetry,
     TelemetrySampler,
-    as_telemetry,
     read_status,
     render_status,
 )
+from repro.resilience import FaultPlan
 from repro.resilience.guardian import RunGuardian
+
+PHASES = ("score", "match", "contract")
 
 
 # ----------------------------------------------------------- null path
 class TestNullPath:
-    def test_defaults_are_null(self):
-        assert as_telemetry(None) is NULL_TELEMETRY
-        assert as_memprof(None) is NULL_MEMPROF
-        assert not NULL_TELEMETRY.enabled
-        assert not NULL_MEMPROF.enabled
-
-    def test_null_hooks_are_noops(self):
-        t = NullTelemetry()
-        t.bind_run(None)
-        t.publish_phase("score", 0)
-        t.publish_progress(3, 100)
-        assert t.start() is t
-        t.stop(state="failed")
-        assert t.sample_once() == {}
-        assert t.stats() == {}
-        assert t.ramp_mb_s() is None
-        with t:
-            pass
-
     def test_untelemetered_run_records_no_samples(self, karate):
         tracer = Tracer()
         detect_communities(karate, tracer=tracer)
@@ -98,15 +80,15 @@ class TestNullPath:
 class TestSampler:
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="interval_s"):
-            TelemetrySampler(interval_s=0.0)
+            TelemetrySampler(Tracer(), interval_s=0.0)
         with pytest.raises(ValueError, match="ring_size"):
-            TelemetrySampler(ring_size=1)
+            TelemetrySampler(Tracer(), ring_size=1)
 
     def test_sample_once_records_expected_series(self):
         tracer = Tracer()
         sampler = TelemetrySampler(tracer, interval_s=0.01)
-        sampler.publish_phase("match", 2)
-        status = sampler.sample_once()
+        with tracer.span("match", level=2):
+            status = sampler.sample_once()
         names = {s.name for s in tracer.counter_samples}
         assert {"gc_collections", "phase_id"} <= names
         assert "workers_alive" not in names
@@ -174,14 +156,17 @@ class TestSampler:
         assert stats["interval_s"] == 0.05
         assert "peak_rss_mb" in stats and "max_ramp_mb_s" in stats
 
-    def test_null_tracer_still_updates_status(self, tmp_path):
-        status_path = tmp_path / "status.json"
-        sampler = TelemetrySampler(
-            None, interval_s=0.01, status_path=status_path
-        )
-        sampler.sample_once()
-        assert status_path.exists()
-        assert read_status(status_path)["n_samples"] == 1
+    def test_null_tracer_is_refused(self, tmp_path):
+        # A sampler on no tracer would see no phases at all.
+        for tracer in (None, NullTracer(), NULL_TRACER):
+            with pytest.raises(TypeError, match="needs a Tracer"):
+                TelemetrySampler(tracer, status_path=tmp_path / "status.json")
+        assert not (tmp_path / "status.json").exists()
+
+    def test_subscribes_to_its_tracer(self):
+        tracer = Tracer()
+        sampler = TelemetrySampler(tracer)
+        assert tracer.listeners == [sampler]
 
 
 # ----------------------------------------------------------- lifecycle
@@ -237,15 +222,21 @@ class TestLifecycle:
 # ------------------------------------------------------ status + watch
 class TestStatusAndWatch:
     def make_status(self, tmp_path, **overrides):
+        tracer = Tracer()
         sampler = TelemetrySampler(
-            Tracer(),
+            tracer,
             interval_s=0.05,
             status_path=tmp_path,  # directory form
             meta={"graph": "toy"},
         )
-        sampler.publish_phase("contract", 3)
-        sampler.publish_progress(3, 1234)
-        status = sampler.sample_once()
+        # Level 2 contracts to 1234 communities, then level 3 contracts.
+        with tracer.span("level", level=2) as level:
+            with tracer.span("contract", level=2) as sp:
+                sp.set(n_vertices_after=1234)
+            level.set(n_pairs=99)
+        with tracer.span("level", level=3):
+            with tracer.span("contract", level=3):
+                status = sampler.sample_once()
         path = tmp_path / "status.json"
         if overrides:
             status.update(overrides)
@@ -324,11 +315,9 @@ class TestEngineIntegration:
             tracer, interval_s=0.005, status_path=tmp_path / "status.json"
         )
         with sampler:
-            result = detect_communities(
-                karate, tracer=tracer, telemetry=sampler
-            )
+            result = detect_communities(karate, tracer=tracer)
         assert result.n_levels >= 1
-        # the engine published terminal state before the final snapshot
+        # the run span closed before the final snapshot
         status = read_status(tmp_path / "status.json")
         assert status["phase"] == "done"
         assert status["state"] == "stopped"
@@ -341,7 +330,7 @@ class TestEngineIntegration:
         tracer = Tracer()
         sampler = TelemetrySampler(tracer, interval_s=0.005)
         with sampler:
-            detect_communities(karate, tracer=tracer, telemetry=sampler)
+            detect_communities(karate, tracer=tracer)
         path = tmp_path / "t.jsonl"
         write_trace(tracer, path)
         data = read_trace(path)
@@ -356,7 +345,7 @@ class TestEngineIntegration:
         tracer = Tracer()
         sampler = TelemetrySampler(tracer, interval_s=0.005)
         with sampler:
-            detect_communities(karate, tracer=tracer, telemetry=sampler)
+            detect_communities(karate, tracer=tracer)
         doc = to_chrome_trace(
             list(tracer.spans), samples=list(tracer.counter_samples)
         )
@@ -383,14 +372,13 @@ class TestRampNeverBreaches:
         rss = _rss_mb()
         if rss is None:  # pragma: no cover - no probe on this platform
             pytest.skip("no RSS probe on this platform")
-        sampler = TelemetrySampler(Tracer(), interval_s=0.1)
+        tracer = Tracer()
+        sampler = TelemetrySampler(tracer, interval_s=0.1)
         sampler.ring.append((0, rss))
         sampler.ring.append((10**9, rss + 2000.0))
         assert sampler.ramp_mb_s() == pytest.approx(2000.0)
         guardian = RunGuardian("sample", memory_budget_mb=rss + 10_000.0)
-        result = detect_communities(
-            graph, guardian=guardian, telemetry=sampler
-        )
+        result = detect_communities(graph, guardian=guardian, tracer=tracer)
         assert result.recovery.guardian_breaches == 0
         assert result.recovery.ladder == []
         assert (
@@ -401,11 +389,12 @@ class TestRampNeverBreaches:
 # -------------------------------------------------------------- memprof
 class TestMemprof:
     def test_phases_record_net_and_peak(self):
-        prof = PhaseMemoryProfiler(top_sites=3)
+        tracer = Tracer()
+        prof = PhaseMemoryProfiler(tracer, top_sites=3)
         with prof:
-            with prof.phase("score", 0):
+            with tracer.span("score", level=0):
                 keep = [bytearray(256 * 1024) for _ in range(8)]
-            with prof.phase("score", 1):
+            with tracer.span("score", level=1):
                 del keep
         report = prof.report()
         assert report["tool"] == "tracemalloc"
@@ -417,9 +406,10 @@ class TestMemprof:
             assert ":" in site["site"]
 
     def test_top_sites_zero_disables_snapshots(self):
-        prof = PhaseMemoryProfiler(top_sites=0)
+        tracer = Tracer()
+        prof = PhaseMemoryProfiler(tracer, top_sites=0)
         with prof:
-            with prof.phase("match"):
+            with tracer.span("match"):
                 _ = bytearray(64 * 1024)
         report = prof.report()
         assert report["phases"]["match"]["top_sites"] == []
@@ -428,7 +418,7 @@ class TestMemprof:
         import tracemalloc
 
         assert not tracemalloc.is_tracing()
-        prof = PhaseMemoryProfiler().start()
+        prof = PhaseMemoryProfiler(Tracer()).start()
         assert tracemalloc.is_tracing()
         report = prof.stop()
         assert not tracemalloc.is_tracing()
@@ -439,7 +429,7 @@ class TestMemprof:
 
         tracemalloc.start()
         try:
-            prof = PhaseMemoryProfiler().start()
+            prof = PhaseMemoryProfiler(Tracer()).start()
             prof.stop()
             assert tracemalloc.is_tracing()  # not ours to stop
         finally:
@@ -447,28 +437,190 @@ class TestMemprof:
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="top_sites"):
-            PhaseMemoryProfiler(top_sites=-1)
+            PhaseMemoryProfiler(Tracer(), top_sites=-1)
         with pytest.raises(ValueError, match="frames"):
-            PhaseMemoryProfiler(frames=0)
+            PhaseMemoryProfiler(Tracer(), frames=0)
+        with pytest.raises(TypeError, match="needs a Tracer"):
+            PhaseMemoryProfiler(None)
+        with pytest.raises(TypeError, match="needs a Tracer"):
+            PhaseMemoryProfiler(NULL_TRACER)
 
-    def test_null_profiler_shares_probe(self):
-        null = NullMemoryProfiler()
-        assert null.phase("a") is null.phase("b")
-        assert null.stop() == {}
+    def test_other_spans_are_not_measured(self):
+        tracer = Tracer()
+        with PhaseMemoryProfiler(tracer) as prof:
+            with tracer.span("level", level=0):
+                with tracer.span("contract", level=0):
+                    with tracer.span("contract_map"):
+                        pass
+            with tracer.span("checkpoint_write"):
+                pass
+        assert set(prof.report()["phases"]) == {"contract"}
+        assert prof.report()["phases"]["contract"]["calls"] == 1
+
+    def test_calls_equal_phase_spans(self):
+        # A guarded run at full audit strictness: every phase span is
+        # measured once, whatever else runs inside it.
+        graph = planted_partition_graph(400, seed=3)
+        tracer = Tracer()
+        with PhaseMemoryProfiler(tracer, top_sites=1) as prof:
+            detect_communities(
+                graph, tracer=tracer, guardian=RunGuardian("full")
+            )
+        phases = prof.report()["phases"]
+        assert set(phases) == set(PHASES)
+        for name in PHASES:
+            assert phases[name]["calls"] == len(tracer.find(name)) > 0
 
     def test_engine_attribution_flow(self, karate):
         from repro.obs.attribution import attribute_run
 
         tracer = Tracer()
-        prof = PhaseMemoryProfiler(top_sites=2)
+        prof = PhaseMemoryProfiler(tracer, top_sites=2)
         with prof:
-            detect_communities(karate, tracer=tracer, memprof=prof)
+            detect_communities(karate, tracer=tracer)
         report = prof.report()
         assert {"score", "match", "contract"} <= set(report["phases"])
         attr = attribute_run(list(tracer.spans), memory=report)
         assert attr["memory"] is report
         # memory=None keeps the block out entirely
         assert "memory" not in attribute_run(list(tracer.spans))
+
+
+# ---------------------------------------------------- status from spans
+class _SampleAtPhaseOpen:
+    """A listener registered after the sampler: takes one status sample
+    whenever a phase span opens, next to the span's own phase/level."""
+
+    def __init__(self, sampler):
+        self.sampler = sampler
+        self.seen = []
+
+    def span_open(self, span):
+        if span.name in PHASES:
+            status = self.sampler.sample_once()
+            self.seen.append(
+                ((span.name, span.level), (status["phase"], status["level"]))
+            )
+
+    def span_close(self, span):
+        pass
+
+
+def _watched():
+    tracer = Tracer()
+    sampler = TelemetrySampler(tracer)
+    probe = _SampleAtPhaseOpen(sampler)
+    tracer.listeners.append(probe)
+    return tracer, sampler, probe
+
+
+class TestStatusFromSpans:
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return planted_partition_graph(600, seed=7)
+
+    def test_phase_and_level_follow_the_spans(self, graph):
+        tracer, sampler, probe = _watched()
+        result = detect_communities(
+            graph, tracer=tracer, guardian=RunGuardian("full")
+        )
+        assert len(probe.seen) == 3 * result.n_levels
+        for span_side, status_side in probe.seen:
+            assert status_side == span_side
+        status = sampler.sample_once()
+        assert status["phase"] == "done"
+        assert status["level"] is None
+        assert status["levels_done"] == result.n_levels
+        assert status["n_communities"] == result.final_graph.n_vertices
+        assert status["guardian"] == {"breaches": 0, "ladder": []}
+
+    def test_progress_between_levels(self, graph):
+        tracer, sampler, _ = _watched()
+        progress = []
+
+        class AtLevelOpen:
+            def span_open(self, span):
+                if span.name == "level":
+                    status = sampler.sample_once()
+                    progress.append(
+                        (status["phase"], status["levels_done"],
+                         status["n_communities"])
+                    )
+
+            def span_close(self, span):
+                pass
+
+        tracer.listeners.append(AtLevelOpen())
+        result = detect_communities(graph, tracer=tracer)
+        # Each level opens idle, after the levels before it; the count
+        # of communities is the last contraction's.
+        sizes = [s.n_vertices for s in result.levels]
+        assert progress[0] == ("idle", 0, None)
+        assert progress[1:] == [
+            ("idle", k, sizes[k]) for k in range(1, len(progress))
+        ]
+
+    def test_local_maximum_level_is_not_counted(self):
+        # The last level finds no positive score: its span closes
+        # without n_pairs and the progress stays at the levels before.
+        graph = planted_partition_graph(300, seed=2)
+        tracer, sampler, _ = _watched()
+        result = detect_communities(
+            graph, tracer=tracer, termination=TerminationCriteria.local_maximum()
+        )
+        assert result.terminated_by == "local_maximum"
+        assert len(tracer.find("level")) == result.n_levels + 1
+        status = sampler.sample_once()
+        assert status["levels_done"] == result.n_levels
+        assert status["n_communities"] == result.final_graph.n_vertices
+        assert status["phase"] == "done"
+
+    @pytest.mark.guardian
+    def test_abort_keeps_its_phase_and_the_guardian_state(self, graph):
+        tracer, sampler, probe = _watched()
+        faults = FaultPlan.stall_phase("score", range(10), delay_s=0.2)
+        guardian = RunGuardian("sample", phase_deadline_s=0.05, faults=faults)
+        with pytest.warns(GuardianBreach), pytest.raises(
+            RunAbortedError
+        ) as ei:
+            detect_communities(graph, tracer=tracer, guardian=guardian)
+        report = ei.value.report
+        status = sampler.sample_once()
+        assert status["phase"] == "score"
+        assert status["level"] == 1
+        assert status["levels_done"] == 1
+        assert status["guardian"] == {
+            "breaches": report.guardian_breaches,
+            "ladder": report.ladder,
+        }
+        assert report.ladder == [
+            "lower-audit(phase_deadline@level0)",
+            "abort(phase_deadline@level1)",
+        ]
+        for span_side, status_side in probe.seen:
+            assert status_side == span_side
+
+    def test_resumed_run_ends_with_the_uninterrupted_progress(
+        self, graph, tmp_path
+    ):
+        tracer, full_sampler, _ = _watched()
+        full = detect_communities(graph, tracer=tracer)
+        assert full.n_levels > 2
+        detect_communities(
+            graph,
+            termination=TerminationCriteria(max_levels=2),
+            checkpoint_dir=tmp_path,
+        )
+        tracer, sampler, probe = _watched()
+        resumed = detect_communities(
+            graph, tracer=tracer, checkpoint_dir=tmp_path, resume=True
+        )
+        assert resumed.recovery.resumed_from_level == 2
+        assert probe.seen[0][0] == ("score", 2)
+        status, full_status = sampler.sample_once(), full_sampler.sample_once()
+        for key in ("phase", "level", "levels_done", "n_communities"):
+            assert status[key] == full_status[key], key
+        assert status["levels_done"] == full.n_levels
 
 
 # --------------------------------------------------- ledger trend feed
